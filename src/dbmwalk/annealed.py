@@ -1,12 +1,16 @@
 """Walks on a graph revealed edge-by-edge alongside the walker.
 
-Instead of sampling a whole DBM graph first, the out-neighborhood of a
-vertex is drawn the first time the walk stands on it (same law as the
-quenched generator: per-pair Bernoulli targets without self loops, then
-independent rewiring).  Revealed neighborhoods are cached, so revisits
-reuse the same edges and the process is a faithful coupling of the
-quenched walk with its environment: averaging the quenched path law
-over graphs gives exactly this walk's path law.
+No DBM graph is sampled first: out-edges are revealed one slot at a time
+as the walk uses them.  The first departure from a vertex draws its
+degree d ~ Binomial(n-1, p), a slot uniform in [0, d) and that slot's
+edge: a uniform label among the n-1 others and a rewiring coin, as the
+quenched generator would.  A later departure draws a slot uniform in
+[0, d) again: a revealed slot keeps its edge, a new one gets a label
+distinct from those already revealed there.  This is the exploration
+coupling of Bordenave, Caputo and Salez (PTRF 2018): averaging the
+quenched path law over graphs gives exactly this walk's path law.  A
+walker's path, degrees and slots are its whole revealed environment, so
+all replicates step together as arrays.
 
 Short-horizon identities (community marginals, jump survival) hold up
 to corrections driven by the revisit probability, which is small while
@@ -30,14 +34,82 @@ T_GUARD_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
-class AnnealedResult:
-    """One revealed-graph walk.
+class AnnealedWalks:
+    """``reps`` revealed-graph walks of t steps from one start.
 
-    ``vertices`` holds X_0..X_t (shorter if the walk got stuck on a
-    zero-out-degree reveal, with ``stuck`` set).  ``cycle_free`` means
-    no vertex was visited twice; ``jump_time`` is the 1-based step that
-    first traversed a rewired edge (None if none).
+    ``path[r]`` holds X_0..X_t, padded with -1 after ``steps[r]`` when
+    the walk got stuck on a zero-out-degree reveal (``stuck[r]``).
+    ``cycle_free`` means no vertex was visited twice; ``jump_time`` is
+    the 1-based step that first traversed a rewired edge, t + 1 if none.
     """
+
+    path: np.ndarray
+    steps: np.ndarray
+    stuck: np.ndarray
+    cycle_free: np.ndarray
+    jump_time: np.ndarray
+
+
+def annealed_walks(
+    params: DbmParams, start: int, t: int, reps: int, rng: np.random.Generator
+) -> AnnealedWalks:
+    """Run ``reps`` independent t-step walks, each on its own revealed graph.
+
+    Each step draws, in this order: the degrees of the vertices left for
+    the first time, one slot per moving walker, labels for the slots not
+    revealed before (rejection rounds until each differs from the labels
+    already revealed at its vertex), their rewiring coins, and the
+    communities of the rewired ones.
+    """
+    n, m, alpha = params.n, params.m, params.alpha
+    path = np.full((reps, t + 1), -1, dtype=np.int64)
+    path[:, 0] = start
+    deg, slot = np.zeros((2, reps, t), dtype=np.int64)  # at step s: d(X_{s-1}), slot
+    stuck = np.zeros(reps, dtype=bool)
+    for s in range(1, t + 1):
+        cur = path[:, s - 1]
+        left = path[:, :s] == cur[:, None]  # earlier departures from X_{s-1}
+        left[:, -1] = False
+        seen = ~stuck & left.any(axis=1)
+        d = np.where(seen, deg[np.arange(reps), left.argmax(axis=1)], 0)
+        fresh = np.flatnonzero(~stuck & ~seen)
+        d[fresh] = rng.binomial(n - 1, params.p, size=fresh.size)
+        stuck |= d == 0
+        go = np.flatnonzero(~stuck)
+        deg[go, s - 1] = d[go]
+        slot[go, s - 1] = rng.integers(0, d[go])
+        back = np.flatnonzero(seen)
+        same = left[back] & (slot[back, :s] == slot[back, s - 1, None])
+        found = same.any(axis=1)
+        hit, first = back[found], same.argmax(axis=1)[found]
+        path[hit, s] = path[hit, first + 1]  # a revealed slot keeps its edge
+        new = go[path[go, s] < 0]
+        src = cur[new]
+        label = rng.integers(0, n - 1, size=new.size)
+        label += label >= src % n  # skip self
+        todo = np.flatnonzero(seen[new])
+        used = np.where(left[new[todo]], path[new[todo], 1 : s + 1] % n, -1)
+        while (clash := (used == label[todo, None]).any(axis=1)).any():
+            todo, used = todo[clash], used[clash]
+            label[todo] = rng.integers(0, n - 1, size=todo.size)
+            label[todo] += label[todo] >= src[todo] % n
+        coin = rng.random(new.size) < alpha
+        comm = src // n
+        off = rng.integers(0, m - 1, size=int(coin.sum()))
+        comm[coin] = off + (off >= comm[coin])
+        path[new, s] = comm * n + label
+    steps = (path >= 0).sum(axis=1) - 1
+    ordered = np.sort(path, axis=1)
+    repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+    # a rewired edge, and only a rewired one, leaves the community
+    cross = (path[:, 1:] >= 0) & (path[:, 1:] // n != path[:, :-1] // n)
+    jump_time = np.where(cross.any(axis=1), cross.argmax(axis=1) + 1, t + 1)
+    return AnnealedWalks(path, steps, stuck, ~repeat.any(axis=1), jump_time)
+
+
+@dataclass(frozen=True)
+class AnnealedResult:
+    """One row of :class:`AnnealedWalks`, unpadded; no jump is None."""
 
     vertices: np.ndarray
     cycle_free: bool
@@ -45,91 +117,17 @@ class AnnealedResult:
     stuck: bool
 
 
-class _Revealer:
-    """Per-walk cache of revealed out-neighborhoods."""
-
-    def __init__(self, params: DbmParams, rng: np.random.Generator) -> None:
-        self.params = params
-        self.rng = rng
-        self.cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def neighborhood(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        hit = self.cache.get(v)
-        if hit is not None:
-            return hit
-        prm = self.params
-        n, m = prm.n, prm.m
-        rng = self.rng
-        comm, label = v // n, v % n
-        d = int(rng.binomial(n - 1, prm.p))
-        if d == 0:
-            entry = (np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
-            self.cache[v] = entry
-            return entry
-        # distinct target labels among the n-1 others, by rejection; dedup
-        # must keep first-arrival order (sorted dedup would bias low labels)
-        raw = rng.integers(0, n - 1, size=d + 4)
-        while np.unique(raw).size < d:
-            raw = np.concatenate([raw, rng.integers(0, n - 1, size=d)])
-        _, first = np.unique(raw, return_index=True)
-        labels = raw[np.sort(first)][:d]
-        labels = labels + (labels >= label)  # skip self
-        flags = rng.random(d) < prm.alpha
-        targets = comm * n + labels
-        k = int(np.count_nonzero(flags))
-        if k:
-            off = rng.integers(0, m - 1, size=k)
-            other = off + (off >= comm)
-            targets[flags] = other * n + labels[flags]
-        entry = (targets, flags)
-        self.cache[v] = entry
-        return entry
-
-
 def annealed_walk(
-    params: DbmParams,
-    start: int,
-    t: int,
-    rng: np.random.Generator,
-    on_stuck: str = "raise",
+    params: DbmParams, start: int, t: int, rng: np.random.Generator
 ) -> AnnealedResult:
-    """Run one t-step walk on a graph revealed as it is explored.
-
-    ``on_stuck`` is "raise" (error on a zero-out-degree reveal) or
-    "truncate" (return the shorter path with the stuck flag set).
-    """
-    if on_stuck not in ("raise", "truncate"):
-        raise ValueError("on_stuck must be 'raise' or 'truncate'")
-    reveal = _Revealer(params, rng)
-    vertices = [start]
-    seen = {start}
-    cycle_free = True
-    jump_time = None
-    cur = start
-    for s in range(1, t + 1):
-        targets, flags = reveal.neighborhood(cur)
-        if targets.size == 0:
-            if on_stuck == "raise":
-                raise RuntimeError(f"walk stuck at sink vertex {cur} (step {s})")
-            return AnnealedResult(
-                vertices=np.array(vertices, dtype=np.int64),
-                cycle_free=cycle_free,
-                jump_time=jump_time,
-                stuck=True,
-            )
-        k = int(rng.integers(0, targets.size))
-        cur = int(targets[k])
-        vertices.append(cur)
-        if jump_time is None and bool(flags[k]):
-            jump_time = s
-        if cur in seen:
-            cycle_free = False
-        seen.add(cur)
+    """Run one t-step walk on a graph revealed as it is explored."""
+    w = annealed_walks(params, start, t, 1, rng)
+    tau = int(w.jump_time[0])
     return AnnealedResult(
-        vertices=np.array(vertices, dtype=np.int64),
-        cycle_free=cycle_free,
-        jump_time=jump_time,
-        stuck=False,
+        vertices=w.path[0, : w.steps[0] + 1],
+        cycle_free=bool(w.cycle_free[0]),
+        jump_time=tau if tau <= t else None,
+        stuck=bool(w.stuck[0]),
     )
 
 
@@ -149,8 +147,8 @@ class CommunityLaw:
     ``joint`` estimates P(X_t in community i, no revisit by t); the
     ``conditional`` row renormalizes within the no-revisit runs, which
     cancels the common revisit deficit when comparing to the community
-    mean-field row ``q_row``.  Runs that hit a zero-out-degree reveal
-    count as failures next to the revisiting ones.
+    mean-field row ``q_row``.  The ``stuck`` runs, which hit a
+    zero-out-degree reveal, count as failures next to the revisiting ones.
     """
 
     t: int
@@ -161,6 +159,7 @@ class CommunityLaw:
     conditional_se: np.ndarray
     q_row: np.ndarray
     cycle_free_rate: float
+    stuck: int
     reps: int
 
 
@@ -169,25 +168,16 @@ def annealed_community_law(
 ) -> CommunityLaw:
     """Estimate where the revealed walk sits at time t, community-wise."""
     _check_horizon(params, t)
-    rng = derived_rng(seed, NS_ANNEALED, 0)
+    walks = annealed_walks(params, start, t, reps, derived_rng(seed, NS_ANNEALED, 0))
     m = params.m
-    joint_counts = np.zeros(m, dtype=np.int64)
-    cf_counts = np.zeros(m, dtype=np.int64)
-    n_cf = 0
-    for _ in range(reps):
-        res = annealed_walk(params, start, t, rng, on_stuck="truncate")
-        if res.stuck:
-            continue
-        comm = int(res.vertices[-1]) // params.n
-        if res.cycle_free:
-            n_cf += 1
-            joint_counts[comm] += 1
-            cf_counts[comm] += 1
-    joint = joint_counts / reps
-    joint_se = np.sqrt(np.maximum(joint * (1 - joint), 1e-300) / reps)
+    ok = walks.cycle_free & ~walks.stuck
+    n_cf = int(ok.sum())
     if n_cf == 0:
         raise RuntimeError("no cycle-free runs; horizon too long for this n")
-    cond = cf_counts / n_cf
+    counts = np.bincount(walks.path[ok, t] // params.n, minlength=m)
+    joint = counts / reps
+    joint_se = np.sqrt(np.maximum(joint * (1 - joint), 1e-300) / reps)
+    cond = counts / n_cf
     cond_se = np.sqrt(np.maximum(cond * (1 - cond), 1e-300) / n_cf)
     q_row = np.array(
         [q_power_closed(m, params.alpha, t, start // params.n, j) for j in range(m)]
@@ -201,18 +191,24 @@ def annealed_community_law(
         conditional_se=cond_se,
         q_row=q_row,
         cycle_free_rate=n_cf / reps,
+        stuck=int(walks.stuck.sum()),
         reps=reps,
     )
 
 
 @dataclass(frozen=True)
 class JumpSurvival:
-    """Empirical survival of the first rewired-edge time."""
+    """Empirical survival of the first rewired-edge time.
+
+    A ``stuck`` walk that had not jumped yet counts as surviving to the
+    horizon; ``stuck`` says how many walks that concerns at most.
+    """
 
     times: np.ndarray
     survival: np.ndarray
     stderr: np.ndarray
     theory: np.ndarray
+    stuck: int
     reps: int
 
 
@@ -227,15 +223,18 @@ def annealed_jump_survival(
     """
     _check_horizon(params, t_max)
     rng = derived_rng(seed, NS_ANNEALED, 1)
-    exceed = np.zeros(t_max + 1, dtype=np.int64)  # exceed[t] = #{tau > t}
-    for _ in range(reps):
-        res = annealed_walk(params, start, t_max, rng, on_stuck="truncate")
-        tau = res.jump_time if res.jump_time is not None else t_max + 1
-        exceed[: min(tau, t_max + 1)] += 1
-    survival = exceed / reps
+    walks = annealed_walks(params, start, t_max, reps, rng)
+    # #{tau > t} = reps - #{tau <= t}; tau = t_max + 1 means no jump
+    jumped_by = np.cumsum(np.bincount(walks.jump_time, minlength=t_max + 2))
+    survival = (reps - jumped_by[: t_max + 1]) / reps
     stderr = np.sqrt(np.maximum(survival * (1 - survival), 1e-300) / reps)
     times = np.arange(t_max + 1)
     theory = (1.0 - params.alpha) ** times
     return JumpSurvival(
-        times=times, survival=survival, stderr=stderr, theory=theory, reps=reps
+        times=times,
+        survival=survival,
+        stderr=stderr,
+        theory=theory,
+        stuck=int(walks.stuck.sum()),
+        reps=reps,
     )

@@ -211,6 +211,7 @@ class RunManifest:
     version: str
     seeds_used: list[int] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
     verdicts: list[Verdict] = field(default_factory=list)
     files: list[str] = field(default_factory=list)
 
@@ -225,6 +226,7 @@ class RunManifest:
             "version": self.version,
             "seeds_used": self.seeds_used,
             "timings": {k: round(v, 3) for k, v in self.timings.items()},
+            "diagnostics": self.diagnostics,
             "verdicts": [v.__dict__ for v in self.verdicts],
             "files": self.files,
         }
@@ -628,6 +630,11 @@ def run_annealed_experiment(
     ]
     surv_csv = manifest.register(out_dir / "annealed_survival.csv")
     _write_csv(surv_csv, ["t", "survival", "stderr", "theory"], surv_rows)
+    manifest.diagnostics.update(
+        law_stuck=law.stuck,
+        law_cycle_free_rate=law.cycle_free_rate,
+        survival_stuck=surv.stuck,
+    )
 
     dev = np.max(
         np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300)

@@ -1,9 +1,10 @@
 """Acceptance suite: twenty numbered desk-scale checks with fixed tolerances.
 
-Each test prints one RESULT line (visible with -rA or on failure) and
-asserts its criterion.  Each check runs at a size, and with a statistic,
-at which its claim holds for the exact process; criteria 13 and 17 carry
-the measurements behind their choice in their comments.
+Each test prints one ``criterion NN: PASS/FAIL (...)`` line (visible
+with -rA or on failure) and asserts its criterion.  Each check runs at a
+size, and with a statistic, at which its claim holds for the exact
+process; criteria 13 and 17 carry the measurements behind their choice
+in their comments.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ import pytest
 from scipy import stats
 
 from conftest import dense_kernel, dense_stationary, random_sc_digraph
-from test_annealed import exact_two_step_law, outcome_key
+from test_annealed import exact_two_step_law, outcome_counts
 
-from dbmwalk.annealed import annealed_community_law, annealed_jump_survival, annealed_walk
+from dbmwalk.annealed import (
+    annealed_community_law,
+    annealed_jump_survival,
+    annealed_walks,
+)
 from dbmwalk.experiments import ExperimentConfig, _accepted_graph, analytic_entropic_time
 from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
 from dbmwalk.meanfield import limiting_profile, q_matrix, q_power_matrix
@@ -301,12 +306,12 @@ def test_criterion_13_annealed_community_law():
     # (1/(n-1)) sum_{s=2..t} sum_{k=2..s} (1/m + (1-1/m) b^k), with
     # b = 1 - alpha*m/(m-1) (`first_order_revisit_rate`), about t^2/(2n).
     # `joint` counts only cycle-free runs, so it sits that share below the
-    # Q^t row.  At n=2000 the rate is 1.83% (measured 1.80-1.87%, seeds
-    # 7-9, 1e5 reps) and joint is 8.1-10.0 SE low, while the conditional
-    # row is within 1.6 SE of Q^t.  At n=20000 the predicted rate is 0.18%:
-    # measured 0.17-0.20% with joint 1.0-1.1 SE off (seeds 7-9).  The
-    # walker's cost grows only with the log n degree, so this n costs about
-    # what n=2000 did; n=8000 is too small (joint 1.7-4.8 SE, seeds 7-10).
+    # Q^t row.  At n=2000 the rate is 1.83% (measured 1.75-1.86%, seeds
+    # 7-12, 1e5 reps) and joint is 6.4-10.0 SE low, while the conditional
+    # row is within 2.2 SE of Q^t.  At n=20000 the predicted rate is 0.18%:
+    # measured 0.15-0.20% with joint 0.8-2.5 SE off (seeds 7-12).  The
+    # walker's cost does not grow with n, so this n costs what n=2000 does
+    # (about 0.5 s); n=8000 is too small (joint 2.3-5.2 SE, seeds 7-10).
     params = DbmParams(n=20_000, m=2, lam=2.0, alpha=0.05, seed=7)
     law = annealed_community_law(params, start=0, t=10, reps=100_000, seed=7)
     q_row = q_power_matrix(params.m, params.alpha, 10)[0]
@@ -404,10 +409,7 @@ def test_criterion_19_annealed_equals_graph_average():
     exact = exact_two_step_law(params, 0)
     rng = derived_rng(0, NS_ANNEALED, 7)
     reps = 1_000_000
-    counts: dict = {}
-    for _ in range(reps):
-        key = outcome_key(annealed_walk(params, 0, 2, rng, on_stuck="truncate"))
-        counts[key] = counts.get(key, 0) + 1
+    counts = outcome_counts(annealed_walks(params, 0, 2, reps, rng))
     tv = 0.5 * sum(abs(counts.get(k, 0) / reps - q) for k, q in exact.items())
     tv += 0.5 * sum(c / reps for k, c in counts.items() if k not in exact)
     report(19, tv < 0.02, f"TV to exhaustive average = {tv:.4f} at 1e6 samples")

@@ -1,4 +1,4 @@
-"""Revealed-walk tests, anchored by exhaustive two-step enumeration."""
+"""Revealed-walk tests, anchored by exhaustive enumeration of the path law."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import itertools
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.stats import binom
 
 from dbmwalk.annealed import (
-    _Revealer,
     annealed_community_law,
     annealed_jump_survival,
     annealed_walk,
+    annealed_walks,
 )
 from dbmwalk.graph import DbmParams
 from dbmwalk.meanfield import q_power_matrix
@@ -53,7 +52,7 @@ def exact_two_step_law(params: DbmParams, start: int = 0) -> dict:
     law: dict = {}
     for p0, t0 in configs(start):
         if not t0:
-            law[("stuck0",)] = law.get(("stuck0",), 0.0) + p0
+            law[("stuck",)] = law.get(("stuck",), 0.0) + p0
             continue
         for u in t0:
             pu = p0 / len(t0)
@@ -68,12 +67,62 @@ def exact_two_step_law(params: DbmParams, start: int = 0) -> dict:
     return law
 
 
-def outcome_key(res) -> tuple:
-    if res.stuck and res.vertices.size == 1:
-        return ("stuck0",)
-    if res.stuck:
-        return (int(res.vertices[1]), "stuck")
-    return (int(res.vertices[1]), int(res.vertices[2]))
+def exact_path_law(params: DbmParams, start: int, t: int) -> dict:
+    """Exhaustive law of the revealed walk's first t steps.
+
+    A vertex left for the first time gets one of its (m+1)^(n-1)
+    out-neighbourhoods: each other label is absent, an intra edge, or an
+    edge rewired to one of the m-1 other communities, with weights 1-p,
+    p(1-alpha) and p*alpha/(m-1).  Leaving a vertex again reuses the
+    neighbourhood it got, so revisits are enumerated exactly.  Keys are
+    the vertices after the start, ending in "stuck" for a walk stopped by
+    an empty neighbourhood.
+    """
+    n, m, p, alpha = params.n, params.m, params.p, params.alpha
+
+    def configs(v: int):
+        comm, label = divmod(v, n)
+        others = [lab for lab in range(n) if lab != label]
+        cases = [(1.0 - p, None), (p * (1.0 - alpha), comm)] + [
+            (p * alpha / (m - 1), c) for c in range(m) if c != comm
+        ]
+        for assign in itertools.product(cases, repeat=n - 1):
+            prob = float(np.prod([weight for weight, _ in assign]))
+            kept = [(lab, c) for lab, (_, c) in zip(others, assign) if c is not None]
+            targets = [c * n + lab for lab, c in kept]
+            yield prob, targets
+
+    law: dict = {}
+
+    def walk(v: int, left: int, revealed: dict, prob: float, key: tuple) -> None:
+        if left == 0:
+            law[key] = law.get(key, 0.0) + prob
+            return
+        hoods = [(1.0, revealed[v])] if v in revealed else configs(v)
+        for q, targets in hoods:
+            if not targets:
+                law[key + ("stuck",)] = law.get(key + ("stuck",), 0.0) + prob * q
+                continue
+            known = {**revealed, v: targets}
+            for u in targets:
+                walk(u, left - 1, known, prob * q / len(targets), key + (u,))
+
+    walk(start, t, {}, 1.0, ())
+    return law
+
+
+def outcome_key(row: np.ndarray) -> tuple:
+    """Key of one batch path row in the enumerations' format."""
+    after = [int(v) for v in row[1:] if v >= 0]
+    return tuple(after) + (("stuck",) if row[-1] < 0 else ())
+
+
+def outcome_counts(walks) -> dict:
+    """Count a batch's outcomes by key (rows coded as one integer each)."""
+    path = walks.path + 1  # stuck padding -1 becomes digit 0
+    codes = np.ravel_multi_index(path.T, (int(path.max()) + 1,) * path.shape[1])
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    return {outcome_key(walks.path[i]): int(c) for i, c in zip(first, counts)}
 
 
 def first_order_revisit_rate(n: int, m: int, alpha: float, t: int) -> float:
@@ -101,10 +150,7 @@ def test_two_step_law_matches_enumeration():
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     reps = 60_000
     rng = derived_rng(0, NS_ANNEALED, 0)
-    counts: dict = {}
-    for _ in range(reps):
-        key = outcome_key(annealed_walk(SMALL, 0, 2, rng, on_stuck="truncate"))
-        counts[key] = counts.get(key, 0) + 1
+    counts = outcome_counts(annealed_walks(SMALL, 0, 2, reps, rng))
     assert set(counts) <= set(law)
     tv = 0.5 * sum(
         abs(counts.get(k, 0) / reps - prob) for k, prob in law.items()
@@ -112,70 +158,76 @@ def test_two_step_law_matches_enumeration():
     assert tv < 0.03
 
 
-def test_reveal_is_cached_per_walk():
-    rng = derived_rng(1, NS_ANNEALED, 0)
-    reveal = _Revealer(SMALL, rng)
-    t1, f1 = reveal.neighborhood(3)
-    t2, f2 = reveal.neighborhood(3)
-    assert t1 is t2 and f1 is f2
+def test_path_law_enumerations_agree():
+    two = exact_two_step_law(SMALL)
+    paths = exact_path_law(SMALL, 0, 2)
+    assert set(paths) == set(two)
+    assert max(abs(paths[k] - two[k]) for k in two) < 1e-12
 
 
-def test_reveal_targets_are_well_formed():
+@pytest.mark.parametrize("m, t, reps", [(2, 4, 300_000), (3, 3, 200_000)])
+def test_revisit_law_matches_exact_enumeration(m, t, reps):
+    # at n=3 every vertex has at most two out-edges, so walks revisit often
+    # and both slot reuse and rejection of revealed labels are exercised
+    prm = DbmParams.from_edge_probability(n=3, m=m, p=0.6, alpha=0.3, seed=0)
+    law = exact_path_law(prm, 0, t)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    walks = annealed_walks(prm, 0, t, reps, derived_rng(13, NS_ANNEALED, m))
+    assert 1.0 - walks.cycle_free.mean() > 0.2
+    counts = outcome_counts(walks)
+    assert set(counts) <= set(law)
+    keys = sorted(law, key=law.get)
+    expected = reps * np.array([law[k] for k in keys])
+    observed = np.array([counts.get(k, 0) for k in keys], dtype=float)
+    cut = int(np.sum(np.cumsum(expected) < 20.0))  # the rarest share one bin
+    expected = np.r_[expected[: cut + 1].sum(), expected[cut + 1 :]]
+    observed = np.r_[observed[: cut + 1].sum(), observed[cut + 1 :]]
+    assert stats.chisquare(observed, expected).pvalue > 1e-4
+
+
+def test_batch_revelations_are_consistent():
     prm = DbmParams.from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
-    rng = derived_rng(2, NS_ANNEALED, 0)
-    for v in (0, 7, 45, 100):
-        targets, flags = _Revealer(prm, rng).neighborhood(v)
-        comm, label = divmod(v, prm.n)
-        labels = targets % prm.n
-        assert label not in labels
-        assert np.unique(labels).size == labels.size  # one edge per label
-        assert np.all((targets // prm.n == comm) == ~flags)
+    t = 30
+    walks = annealed_walks(prm, 7, t, 2000, derived_rng(2, NS_ANNEALED, 0))
+    src, dst = walks.path[:, :-1], walks.path[:, 1:]
+    moved = dst >= 0
+    assert np.array_equal(moved.sum(axis=1), walks.steps)
+    assert np.all(walks.stuck == (walks.steps < t))
+    # no step keeps its own label (no self loops, rewired or not)
+    assert np.all(src[moved] % prm.n != dst[moved] % prm.n)
+    # leaving one vertex twice for the same label reaches the same vertex
+    walker = np.broadcast_to(np.arange(walks.path.shape[0])[:, None], src.shape)
+    edges = np.stack([walker[moved], src[moved], dst[moved] % prm.n, dst[moved]])
+    keys = np.unique(edges[:3], axis=1).shape[1]
+    assert keys == np.unique(edges, axis=1).shape[1]
+    assert keys < moved.sum()  # some edges were taken twice
+    assert 0.0 < walks.cycle_free.mean() < 1.0
 
 
-def test_first_reveal_degrees_follow_binomial():
-    prm = DbmParams.from_edge_probability(n=30, m=2, p=0.3, alpha=0.3, seed=0)
-    rng = derived_rng(3, NS_ANNEALED, 0)
-    reveals = 4000
-    degs = np.empty(reveals, dtype=np.int64)
-    flags_total = 0
-    edges_total = 0
-    for r in range(reveals):
-        targets, flags = _Revealer(prm, rng).neighborhood(0)
-        degs[r] = targets.size
-        flags_total += int(flags.sum())
-        edges_total += targets.size
-    lo, hi = 4, 14
-    counts = np.array(
-        [(degs < lo).sum()]
-        + [(degs == k).sum() for k in range(lo, hi)]
-        + [(degs >= hi).sum()]
-    )
-    pmf = binom.pmf(np.arange(lo, hi), 29, 0.3)
-    probs = np.concatenate(
-        [[binom.cdf(lo - 1, 29, 0.3)], pmf, [binom.sf(hi - 1, 29, 0.3)]]
-    )
-    assert stats.chisquare(counts, reveals * probs).pvalue > 1e-4
-    # edge marks are Bernoulli(alpha) across all revealed edges
-    rate = flags_total / edges_total
-    assert abs(rate - 0.3) < 4 * np.sqrt(0.3 * 0.7 / edges_total)
+def test_one_walk_is_a_batch_row():
+    prm = DbmParams.from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
+    one = annealed_walk(prm, 7, 12, derived_rng(3, NS_ANNEALED, 0))
+    row = annealed_walks(prm, 7, 12, 1, derived_rng(3, NS_ANNEALED, 0))
+    assert np.array_equal(one.vertices, row.path[0, : row.steps[0] + 1])
+    assert one.stuck == row.stuck[0] and one.cycle_free == row.cycle_free[0]
+    assert (one.jump_time or 13) == row.jump_time[0]
 
 
 def test_alpha_zero_walk_stays_home():
     prm = DbmParams.from_edge_probability(n=50, m=2, p=0.3, alpha=0.0, seed=0)
     rng = derived_rng(4, NS_ANNEALED, 0)
     for start in (0, 60):
-        res = annealed_walk(prm, start, 12, rng)
-        assert res.jump_time is None
-        assert np.all(res.vertices // prm.n == start // prm.n)
+        walks = annealed_walks(prm, start, 12, 1, rng)
+        assert not walks.stuck.any()
+        assert np.all(walks.jump_time == 13)
+        assert np.all(walks.path // prm.n == start // prm.n)
 
 
 def test_full_density_first_step_is_uniform():
     prm = DbmParams.from_edge_probability(n=6, m=2, p=1.0, alpha=0.0, seed=0)
     rng = derived_rng(5, NS_ANNEALED, 0)
     reps = 5000
-    first = np.array(
-        [int(annealed_walk(prm, 0, 1, rng).vertices[1]) for _ in range(reps)]
-    )
+    first = annealed_walks(prm, 0, 1, reps, rng).path[:, 1]
     counts = np.bincount(first, minlength=6)[1:6]
     assert counts.sum() == reps
     assert stats.chisquare(counts).pvalue > 1e-4

@@ -258,6 +258,11 @@ def test_annealed_run_artifacts(tmp_path):
         "jump_survival_end_dev_se",
     ]
     assert all(math.isfinite(v.value) for v in manifest.verdicts)
+    # stuck walks are counted, never dropped silently
+    diag = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert sorted(diag) == ["law_cycle_free_rate", "law_stuck", "survival_stuck"]
+    assert diag["law_stuck"] == 0 and diag["survival_stuck"] == 0
+    assert 0.9 < diag["law_cycle_free_rate"] < 1.0
 
 
 def test_proxy_and_generate_runs(tmp_path):
