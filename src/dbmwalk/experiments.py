@@ -28,12 +28,13 @@ from .graph import DbmParams, Digraph, DegreeTable, generate
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
 from .rng import NS_EXPERIMENT, derived_rng
 from .walk import (
+    ProbVector,
+    community_mass,
     entropy_and_entropic_time,
     mixing_profile,
     sample_tau_jump,
     select_starts,
     stationary,
-    stationary_community_masses,
     tv_distance,
 )
 
@@ -266,6 +267,15 @@ def _map_seeds(fn, config: ExperimentConfig) -> list:
         return list(pool.map(fn, config.seeds))
 
 
+def _solver_diagnostics(pi: ProbVector, **extra) -> dict:
+    """How a stationary solve ended, for the manifest."""
+    return {
+        **extra,
+        "stationary_iterations": pi.iterations,
+        "stationary_residual": pi.residual,
+    }
+
+
 def _accepted_graph(
     config: ExperimentConfig,
     seed: int,
@@ -321,15 +331,17 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
             rng = derived_rng(used, NS_EXPERIMENT, 0)
             starts = select_starts(graph, rng, k=config.sample_starts)
         profile = mixing_profile(graph, starts, times, pi, aggregation="max")
-        return used, dict(zip(profile.times, profile.distances))
+        dists = dict(zip(profile.times, profile.distances))
+        return used, dists, _solver_diagnostics(pi, seed=used)
 
     per_seed = _map_seeds(one_seed, config)
-    manifest.seeds_used = [u for u, _ in per_seed]
+    manifest.seeds_used = [u for u, *_ in per_seed]
+    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
     manifest.timings["profile_sweep"] = time.perf_counter() - t0
 
     prm = config.params
     rows = []
-    for used, dists in per_seed:
+    for used, dists, _ in per_seed:
         for beta in betas:
             rows.append(
                 [
@@ -366,7 +378,7 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
     _write_csv(theory_csv, ["beta", "value", "regime", "m", "C"], theory_rows)
 
     mean_dist = {
-        beta: float(np.mean([d[grid[beta]] for _, d in per_seed])) for beta in betas
+        beta: float(np.mean([d[grid[beta]] for _, d, _ in per_seed])) for beta in betas
     }
     _profile_verdicts(config, mean_dist, manifest)
 
@@ -508,13 +520,16 @@ def run_qsd_experiment(
         rows = []
         tau_rho: list[float] = []
         tau_jump: list[float] = []
+        diag = {"seed": used, "local_stationary": [], "mixing_time_exhaustive": []}
         for i in range(prm.m):
             view = qsd.community_view(graph, table, i)
             sol = qsd.quasi_stationary(view)
             merged = qsd.build_merged_kernel(view)
             cap = math.ceil(6 * analytic_entropic_time(prm) * math.log(prm.n))
             rng = derived_rng(used, NS_EXPERIMENT, 1, i)
-            t_mix, _ = qsd.mixing_time_estimate(merged, cap, rng=rng)
+            t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng=rng)
+            diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
+            diag["mixing_time_exhaustive"].append(exhaustive)
             mass = qsd.return_mass(merged, t_mix)
             hit = qsd.hitting_time_estimates(view, merged, mass)
             nice = qsd.nice_gates(graph, view)
@@ -534,17 +549,20 @@ def run_qsd_experiment(
             if i == 0:
                 res = qsd.restart_process(view, sol, reps=restart_reps, seed=used)
                 tau_rho.extend(res)
-                samples, _ = sample_tau_jump(
+                diag["restart_censored"] = sum(s.tau_rho is None for s in res)
+                samples, censored = sample_tau_jump(
                     graph,
                     starts=graph.community_vertices(0),
                     reps=restart_reps,
                     seed=used,
                 )
                 tau_jump.extend(float(s) for s in samples)
-        return used, rows, tau_rho, tau_jump
+                diag["tau_jump_censored"] = censored
+        return used, rows, tau_rho, tau_jump, diag
 
     per_seed = _map_seeds(one_seed, config)
     manifest.seeds_used = [u for u, *_ in per_seed]
+    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
     manifest.timings["qsd_sweep"] = time.perf_counter() - t0
 
     header = [
@@ -558,13 +576,13 @@ def run_qsd_experiment(
         "gate_count",
         "nice_fraction",
     ]
-    for used, rows, _, _ in per_seed:
+    for used, rows, *_ in per_seed:
         path = manifest.register(out_dir / f"qsd_seed{used}.csv")
         _write_csv(path, header, rows)
 
-    samples = [s for _, _, tr, _ in per_seed for s in tr]
+    samples = [s for _, _, tr, *_ in per_seed for s in tr]
     rho_all = np.array([float(s.tau_rho) for s in samples if s.tau_rho is not None])
-    jump_all = np.array([t for _, _, _, tj in per_seed for t in tj])
+    jump_all = np.array([t for _, _, _, tj, _ in per_seed for t in tj])
     restart_rows = [
         [
             k,
@@ -577,7 +595,7 @@ def run_qsd_experiment(
     restart_csv = manifest.register(out_dir / "restart.csv")
     _write_csv(restart_csv, ["rep", "tau_rho", "kappa", "rho"], restart_rows)
 
-    iotas = np.array([row[1] for _, rows, _, _ in per_seed for row in rows])
+    iotas = np.array([row[1] for _, rows, *_ in per_seed for row in rows])
     rel = np.abs(iotas / first_order - 1.0)
     manifest.verdicts.append(
         Verdict(
@@ -673,13 +691,14 @@ def run_proxy_experiment(config: ExperimentConfig, eps: float = 0.2) -> RunManif
         gap = mixture_identity_gap(sm)
         pi = stationary(graph)
         tv_pi = tv_distance(sm.average, pi)
-        return used, sch, sm, gap, tv_pi
+        return used, sch, sm, gap, tv_pi, _solver_diagnostics(pi, seed=used)
 
     per_seed = _map_seeds(one_seed, config)
     manifest.seeds_used = [u for u, *_ in per_seed]
+    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
 
     rows = []
-    for used, sch, sm, gap, tv_pi in per_seed:
+    for used, sch, sm, gap, tv_pi, _ in per_seed:
         for i in range(prm.m):
             rows.append(
                 [
@@ -694,7 +713,7 @@ def run_proxy_experiment(config: ExperimentConfig, eps: float = 0.2) -> RunManif
     proxy_csv = manifest.register(out_dir / "proxy.csv")
     _write_csv(proxy_csv, ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"], rows)
 
-    worst_gap = max(g for _, _, _, g, _ in per_seed)
+    worst_gap = max(g for _, _, _, g, *_ in per_seed)
     manifest.verdicts.append(
         Verdict(
             "mixture_identity_gap",
@@ -724,13 +743,15 @@ def run_generate(config: ExperimentConfig) -> RunManifest:
 
         path = out_dir / f"graph_seed{used}.npz"
         save_binary(graph, str(path))
-        masses = stationary_community_masses(graph)
-        return used, path, graph.edge_count, float(np.max(np.abs(masses - 1 / config.params.m)))
+        pi = stationary(graph)
+        dev = float(np.max(np.abs(community_mass(graph, pi) - 1 / config.params.m)))
+        return used, path, graph.edge_count, dev, _solver_diagnostics(pi, seed=used)
 
     per_seed = _map_seeds(one_seed, config)
     manifest.seeds_used = [u for u, *_ in per_seed]
+    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
     rows = []
-    for used, path, edges, dev in per_seed:
+    for used, path, edges, dev, _ in per_seed:
         manifest.register(path)
         rows.append([used, edges, dev])
     summary = manifest.register(out_dir / "graphs.csv")

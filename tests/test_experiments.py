@@ -205,6 +205,17 @@ def test_profile_run_artifacts(tmp_path):
     betas = [float(r.split(",")[0]) for r in (tmp_path / "theory.csv").read_text().splitlines()[1:]]
     assert 1.0 not in betas
     assert 0.999 in betas and 1.001 in betas
+    assert_solver_diagnostics(payload["diagnostics"], [1, 2])
+
+
+def assert_solver_diagnostics(diag: dict, seeds: list[int]) -> None:
+    """One record per seed, in seed order, for the global stationary solve."""
+    records = diag["per_seed"]
+    assert [r["seed"] for r in records] == seeds
+    for r in records:
+        assert sorted(r) == ["seed", "stationary_iterations", "stationary_residual"]
+        assert r["stationary_iterations"] > 0
+        assert r["stationary_residual"] < 1e-12
 
 
 def test_profile_determinism_across_threads(tmp_path):
@@ -236,6 +247,19 @@ def test_qsd_run_artifacts(tmp_path):
     assert "ks_alpha_tau_jump_exp1" in names
     for v in manifest.verdicts:
         assert math.isfinite(v.value)
+    # censored samples and sampled mixing estimates are counted, not dropped
+    (diag,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    assert sorted(diag) == [
+        "local_stationary", "mixing_time_exhaustive", "restart_censored",
+        "seed", "tau_jump_censored",
+    ]
+    assert diag["seed"] == 3
+    assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+    assert len(diag["local_stationary"]) == config.params.m
+    assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
+    nan_rows = sum(r.split(",")[1] == "nan" for r in restarts)
+    assert diag["restart_censored"] == nan_rows
+    assert 0 <= diag["tau_jump_censored"] <= 150
     with pytest.raises(ValueError, match="alpha"):
         run_qsd_experiment(super_config(str(tmp_path), alpha=0.0))
 
@@ -273,6 +297,7 @@ def test_proxy_and_generate_runs(tmp_path):
     ]
     assert manifest.all_passed
     assert manifest.verdicts[0].name == "mixture_identity_gap"
+    assert_solver_diagnostics(manifest.diagnostics, [1])
 
     gen = super_config(str(tmp_path / "gen"), seeds=(5,))
     manifest = run_generate(gen)
@@ -281,6 +306,9 @@ def test_proxy_and_generate_runs(tmp_path):
         "seed", "edges", "community_mass_dev",
     ]
     assert manifest.seeds_used == [5]
+    assert_solver_diagnostics(
+        json.loads((tmp_path / "gen" / "manifest.json").read_text())["diagnostics"], [5]
+    )
 
 
 def test_cli_proxy_run_and_report(tmp_path, capsys):

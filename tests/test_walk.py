@@ -17,7 +17,7 @@ from conftest import (
     k_regular_digraph,
     random_sc_digraph,
 )
-from dbmwalk.graph import DbmParams, degrees, generate
+from dbmwalk.graph import DbmParams, Digraph, degrees, generate
 from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.walk import (
     ProbVector,
@@ -105,7 +105,66 @@ def test_stationary_matches_dense_solver():
         # returned vector satisfies the solver's own residual contract
         residual = np.abs(transition_operator(graph) @ pi.values - pi.values).sum()
         assert residual < 1e-12
+        assert pi.residual == residual and pi.iterations > 0
         assert pi.flags == ()
+
+
+def accepted_dbm(n: int, m: int, alpha: float) -> Digraph:
+    """First strongly connected DBM graph over seeds 1, 2, ..."""
+    for seed in range(1, 20):
+        graph, _ = generate(DbmParams(n=n, m=m, lam=2.5, alpha=alpha, seed=seed), seed)
+        if graph.is_strongly_connected():
+            return graph
+    raise AssertionError("no strongly connected graph drawn")
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("alpha", ["weak", "uniform", "one"])
+def test_aggregated_stationary_matches_dense_oracle(m, alpha):
+    # weakly coupled (the slow inter-community mode), the point where the
+    # coupling chain has no memory, and every edge rewired
+    alpha = {"weak": 1e-3, "uniform": (m - 1) / m, "one": 1.0}[alpha]
+    graph = accepted_dbm(400, m, alpha)
+    pi = stationary(graph)
+    ref = dense_stationary(dense_kernel(graph))
+    assert np.abs(pi.values - ref).sum() < 1e-10
+    assert pi.residual < 1e-12 and pi.iterations < 200
+
+
+def test_aggregated_stationary_on_an_arbitrary_partition():
+    # a random digraph cut into two halves has no block structure at all
+    rng = np.random.default_rng(29)
+    for size in (60, 150, 300):
+        flat = random_sc_digraph(rng, size)
+        graph = Digraph(size // 2, 2, flat.indptr, flat.targets, flat.rewired)
+        pi = stationary(graph)
+        ref = dense_stationary(dense_kernel(graph))
+        assert np.abs(pi.values - ref).sum() < 1e-10
+        assert pi.residual < 1e-12
+
+
+def test_single_community_stationary_is_the_plain_lazy_iteration():
+    graph = random_sc_digraph(np.random.default_rng(31), 80)
+    pt = transition_operator(graph)
+    mu = np.full(80, 1.0 / 80)
+    for it in range(10**6):
+        stepped = pt @ mu
+        if float(np.abs(stepped - mu).sum()) < 1e-12:
+            break
+        mu = 0.5 * (mu + stepped)
+    pi = stationary(graph)
+    assert np.array_equal(pi.values, mu)
+    assert pi.iterations == it
+
+
+def test_global_solve_converges_at_the_within_community_rate():
+    # plain lazy power iteration needs thousands of steps here: its slow
+    # mode decays at the rate alpha*m/(m-1) = 0.004 per step
+    graph, _ = generate(DbmParams(n=4000, m=2, lam=2.0, alpha=0.002, seed=1), 1)
+    pi = stationary(graph)
+    assert pi.iterations <= 200
+    assert pi.residual < 1e-12
+    pi.check()
 
 
 def test_stationary_falls_back_to_uniform_when_not_strongly_connected():
@@ -362,6 +421,12 @@ def test_indegree_approximation(desk_graph):
     assert abs(got.raw.sum() - 1.0) < 0.1
     assert got.max_rel_err is not None and got.max_rel_err < 1.5
     assert got.excluded == 0
+    assert got.rel_err.shape == (graph.n,)
+    assert got.max_rel_err == got.rel_err.max()
+    keep = got.raw > 0.0
+    want = np.abs(got.raw[keep] / pi0.values[keep] - 1.0)
+    assert np.array_equal(got.rel_err, want)
+    assert indegree_approximation(graph, table, 0).rel_err is None
     with pytest.raises(ValueError, match="community"):
         indegree_approximation(graph, table, 1, pi_local=pi0)
 
