@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DbmParams
-from .meanfield import q_power_closed
+from .meanfield import q_power_matrix
 from .rng import NS_ANNEALED, derived_rng
 
 # Hard validity guard for the short-time laws; the useful window is much
@@ -179,9 +179,7 @@ def annealed_community_law(
     joint_se = np.sqrt(np.maximum(joint * (1 - joint), 1e-300) / reps)
     cond = counts / n_cf
     cond_se = np.sqrt(np.maximum(cond * (1 - cond), 1e-300) / n_cf)
-    q_row = np.array(
-        [q_power_closed(m, params.alpha, t, start // params.n, j) for j in range(m)]
-    )
+    q_row = q_power_matrix(m, params.alpha, t)[start // params.n]
     return CommunityLaw(
         t=t,
         start=start,

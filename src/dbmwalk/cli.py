@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the run_* functions in ``experiments``.
 A JSON config file can prefill any option; explicit flags win.  The
 exit code is 0 only when every acceptance verdict in the run's manifest
-passed.
+passed, 1 when one failed, and 2 when ``report`` cannot read a manifest.
 """
 
 from __future__ import annotations
@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .experiments import (
+    REGIMES,
+    TIMESCALES,
     ExperimentConfig,
     RunManifest,
-    analytic_entropic_time,
     run_annealed_experiment,
     run_generate,
     run_profile_experiment,
@@ -38,16 +40,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, help="edge density multiplier")
     p.add_argument("--alpha", type=float, help="rewiring probability")
     p.add_argument(
-        "--regime",
-        choices=("subcritical", "critical", "supercritical"),
-        help="coupling regime; critical derives alpha from --C",
+        "--regime", choices=REGIMES, help="coupling regime; critical derives alpha from --C"
     )
     p.add_argument("--C", dest="c", type=float, help="critical-regime constant")
     p.add_argument("--betas", help="comma-separated scaled times")
     p.add_argument(
-        "--timescale",
-        choices=("entropic", "inverse_alpha"),
-        help="how betas translate to step counts",
+        "--timescale", choices=TIMESCALES, help="how betas translate to step counts"
     )
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
     p.add_argument(
@@ -56,11 +54,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--threads", type=int, help="worker threads across seeds")
     p.add_argument("--out", help="output directory (default out/<command>)")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="record the determinism pledge in the manifest",
-    )
 
 
 def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
@@ -97,35 +90,52 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     out_dir = pick(args.out, "out_dir", f"out/{command}")
     threads = pick(args.threads, "threads", 1)
 
-    if regime == "critical":
-        if c is None:
-            raise SystemExit("critical regime needs --C")
-        probe = DbmParams(n=n, m=m, lam=lam, alpha=0.0, seed=0)
-        alpha = 1.0 / (c * analytic_entropic_time(probe))
-    if alpha is None:
-        raise SystemExit("need --alpha (or --regime critical with --C)")
-    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seeds[0])
-    return ExperimentConfig(
-        params=params,
-        regime=regime,
+    common = dict(
         beta_grid=betas,
         timescale=timescale,
-        c=c,
         start_policy=start_policy,
         sample_starts=sample_starts or 64,
         seeds=seeds,
         out_dir=out_dir,
         threads=int(threads),
-        deterministic=bool(args.deterministic or raw.get("deterministic", False)),
     )
+    if regime == "critical":
+        if c is None:
+            raise SystemExit("critical regime needs --C")
+        return ExperimentConfig.critical(n, m, lam, c, seed=seeds[0], **common)
+    if alpha is None:
+        raise SystemExit("need --alpha (or --regime critical with --C)")
+    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seeds[0])
+    return ExperimentConfig(params=params, regime=regime, c=c, **common)
 
 
 def _finish(manifest: RunManifest) -> int:
     for v in manifest.verdicts:
         mark = "pass" if v.passed else "FAIL"
-        print(f"[{mark}] {v.name}: value {v.value:.6g}, tolerance {v.tolerance}")
+        left_out = "" if v.censored is None else f", {v.censored} censored samples left out"
+        print(f"[{mark}] {v.name}: value {v.value:.6g}, tolerance {v.tolerance}{left_out}")
     print(f"artifacts: {', '.join(manifest.files)}")
     return 0 if manifest.all_passed else 1
+
+
+def _report(path: Path) -> int:
+    """Print a finished run's manifest; exit 2 when it cannot be read."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        passed = all(v["passed"] for v in manifest["verdicts"])
+    except OSError as exc:
+        return _cannot_report(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:
+        return _cannot_report(f"{path} is not valid JSON: {exc}")
+    except (KeyError, TypeError):
+        return _cannot_report(f"{path} has no valid list of verdicts")
+    print(json.dumps(manifest, indent=2, sort_keys=True))
+    return 0 if passed else 1
+
+
+def _cannot_report(message: str) -> int:
+    print(f"dbmwalk report: {message}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -150,10 +160,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = top.parse_args(argv)
     if args.command == "report":
-        with open(f"{args.out_dir}/manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        print(json.dumps(manifest, indent=2, sort_keys=True))
-        return 0 if all(v["passed"] for v in manifest["verdicts"]) else 1
+        return _report(Path(args.out_dir) / "manifest.json")
 
     try:
         config = _build_config(args, args.command)

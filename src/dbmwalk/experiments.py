@@ -11,11 +11,13 @@ and every file is written by exactly one writer.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +26,14 @@ from scipy import stats
 
 from . import meanfield, qsd, svg
 from .annealed import annealed_community_law, annealed_jump_survival
-from .graph import DbmParams, Digraph, DegreeTable, generate
+from .graph import (
+    DbmParams,
+    DegreeTable,
+    Digraph,
+    generate,
+    pre_rewiring_subgraph,
+    save_binary,
+)
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
 from .rng import NS_EXPERIMENT, derived_rng
 from .walk import (
@@ -39,6 +48,7 @@ from .walk import (
 )
 
 REGIMES = ("subcritical", "critical", "supercritical")
+TIMESCALES = ("entropic", "inverse_alpha")
 
 # Regime windows, checked before any compute.  The step-regime product
 # threshold and the smooth-regime slack are harness choices at finite n
@@ -92,12 +102,11 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1,)
     out_dir: str = "out"
     threads: int = 1
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.timescale not in ("entropic", "inverse_alpha"):
+        if self.timescale not in TIMESCALES:
             raise ValueError(f"unknown timescale {self.timescale!r}")
         if self.start_policy not in ("sampled", "exhaustive"):
             raise ValueError(f"unknown start policy {self.start_policy!r}")
@@ -193,16 +202,18 @@ class ExperimentConfig:
             "sample_starts": self.sample_starts,
             "seeds": list(self.seeds),
             "threads": self.threads,
-            "deterministic": self.deterministic,
         }
 
 
 @dataclass(frozen=True)
 class Verdict:
+    """One acceptance check; ``censored`` counts the samples it left out."""
+
     name: str
     passed: bool
     value: float
     tolerance: str
+    censored: int | None = None
 
 
 @dataclass
@@ -259,12 +270,36 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _map_seeds(fn, config: ExperimentConfig) -> list:
-    """Run fn(seed) per seed, preserving seed order in the result list."""
+@contextmanager
+def _run(config: ExperimentConfig, per_seed, seeds=None):
+    """The skeleton every runner shares, as a ``with`` block.
+
+    Creates the output directory and the manifest, then maps the
+    module-level ``per_seed(config, seed) -> (diagnostics, result)`` over
+    the seeds (``config.seeds`` unless given) on ``config.threads``
+    threads.  The diagnostics records, whose ``seed`` entry is the seed
+    actually used, go to the manifest in seed order.  The block receives
+    (manifest, out_dir, results in seed order) and writes the artifacts
+    and verdicts; on leaving it the total time is recorded and
+    manifest.json is written.
+    """
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _new_manifest(config)
+    t0 = time.perf_counter()
+    task = functools.partial(per_seed, config)
+    seeds = config.seeds if seeds is None else seeds
     if config.threads <= 1:
-        return [fn(s) for s in config.seeds]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(fn, config.seeds))
+        done = [task(s) for s in seeds]
+    else:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            done = list(pool.map(task, seeds))
+    manifest.seeds_used = [diag["seed"] for diag, _ in done]
+    manifest.diagnostics["per_seed"] = [diag for diag, _ in done]
+    manifest.timings["seed_sweep"] = time.perf_counter() - t0
+    yield manifest, out_dir, [result for _, result in done]
+    manifest.timings["total"] = time.perf_counter() - t0
+    manifest.write(out_dir)
 
 
 def _solver_diagnostics(pi: ProbVector, **extra) -> dict:
@@ -301,8 +336,6 @@ def _accepted_graph(
 
 
 def _communities_connected(graph: Digraph) -> bool:
-    from .graph import pre_rewiring_subgraph
-
     return all(
         pre_rewiring_subgraph(graph, i).is_strongly_connected()
         for i in range(graph.params.m)
@@ -312,119 +345,96 @@ def _communities_connected(graph: Digraph) -> bool:
 # -- profile ---------------------------------------------------------------
 
 
+def _profile_seed(config: ExperimentConfig, seed: int):
+    graph, _, used = _accepted_graph(config, seed)
+    pi = stationary(graph)
+    if config.start_policy == "exhaustive":
+        starts = np.arange(graph.vertex_count)
+    else:
+        rng = derived_rng(used, NS_EXPERIMENT, 0)
+        starts = select_starts(graph, rng, k=config.sample_starts)
+    times = sorted(set(config.time_grid().values()))
+    profile = mixing_profile(graph, starts, times, pi)
+    return _solver_diagnostics(pi, seed=used), dict(zip(profile.times, profile.distances))
+
+
 def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
     """Empirical mixing profile vs the limiting curve, with verdicts."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(config)
-    t0 = time.perf_counter()
-    grid = config.time_grid()
-    betas = sorted(grid)
-    times = sorted(set(grid.values()))
+    with _run(config, _profile_seed) as (manifest, out_dir, per_seed):
+        grid = config.time_grid()
+        betas = sorted(grid)
+        prm = config.params
+        rows = [
+            [grid[b], float(d[grid[b]]), "max", prm.n, prm.m, prm.lam, prm.alpha, used, "stationary"]
+            for used, d in zip(manifest.seeds_used, per_seed)
+            for b in betas
+        ]
+        profile_csv = manifest.register(out_dir / "profile.csv")
+        _write_csv(
+            profile_csv,
+            ["t", "distance", "aggregation", "n", "m", "lambda", "alpha", "seed", "reference"],
+            rows,
+        )
 
-    def one_seed(seed: int):
-        graph, _, used = _accepted_graph(config, seed)
-        pi = stationary(graph)
-        if config.start_policy == "exhaustive":
-            starts = np.arange(graph.vertex_count)
+        limit_name = config.limit_regime()
+        curve_betas = [b / 100.0 for b in range(5, int(100 * (max(betas) + 0.5)) + 1, 5)]
+        if limit_name != "supercritical_alpha":
+            # the limit jumps at beta = 1; sample both sides instead
+            curve_betas = [b for b in curve_betas if abs(b - 1.0) > 1e-9]
+            curve_betas = sorted(curve_betas + [0.999, 1.001])
+        curve = meanfield.profile_curve(limit_name, curve_betas, prm.m, c=config.c)
+        theory_rows = [
+            [float(b), float(v), limit_name, prm.m, float(config.c) if config.c else 0.0]
+            for b, v in zip(curve.betas, curve.values)
+        ]
+        theory_csv = manifest.register(out_dir / "theory.csv")
+        _write_csv(theory_csv, ["beta", "value", "regime", "m", "C"], theory_rows)
+
+        mean_dist = {
+            beta: float(np.mean([d[grid[beta]] for d in per_seed])) for beta in betas
+        }
+        _profile_verdicts(config, mean_dist, manifest)
+
+        fig = svg.Figure(
+            title=f"mixing profile, {config.regime} (n={prm.n}, m={prm.m}, alpha={prm.alpha:g})",
+            xlabel="beta" + (" (time / t_ent)" if config.timescale == "entropic" else " (time * alpha)"),
+            ylabel="max-start TV distance",
+        )
+        if limit_name != "supercritical_alpha":
+            left = curve.betas < 1.0
+            fig.add(
+                svg.Series(
+                    "limiting curve",
+                    list(curve.betas[left]),
+                    list(curve.values[left]),
+                    kind="line",
+                    color=svg.PALETTE[0],
+                )
+            )
+            fig.add(
+                svg.Series(
+                    "(after the step)",
+                    list(curve.betas[~left]),
+                    list(curve.values[~left]),
+                    kind="line",
+                    color=svg.PALETTE[0],
+                )
+            )
         else:
-            rng = derived_rng(used, NS_EXPERIMENT, 0)
-            starts = select_starts(graph, rng, k=config.sample_starts)
-        profile = mixing_profile(graph, starts, times, pi, aggregation="max")
-        dists = dict(zip(profile.times, profile.distances))
-        return used, dists, _solver_diagnostics(pi, seed=used)
-
-    per_seed = _map_seeds(one_seed, config)
-    manifest.seeds_used = [u for u, *_ in per_seed]
-    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
-    manifest.timings["profile_sweep"] = time.perf_counter() - t0
-
-    prm = config.params
-    rows = []
-    for used, dists, _ in per_seed:
-        for beta in betas:
-            rows.append(
-                [
-                    grid[beta],
-                    float(dists[grid[beta]]),
-                    "max",
-                    prm.n,
-                    prm.m,
-                    prm.lam,
-                    prm.alpha,
-                    used,
-                    "stationary",
-                ]
+            fig.add(
+                svg.Series("limiting curve", list(curve.betas), list(curve.values), kind="line")
             )
-    profile_csv = manifest.register(out_dir / "profile.csv")
-    _write_csv(
-        profile_csv,
-        ["t", "distance", "aggregation", "n", "m", "lambda", "alpha", "seed", "reference"],
-        rows,
-    )
-
-    limit_name = config.limit_regime()
-    curve_betas = [b / 100.0 for b in range(5, int(100 * (max(betas) + 0.5)) + 1, 5)]
-    if limit_name != "supercritical_alpha":
-        # the limit jumps at beta = 1; sample both sides instead
-        curve_betas = [b for b in curve_betas if abs(b - 1.0) > 1e-9]
-        curve_betas = sorted(curve_betas + [0.999, 1.001])
-    curve = meanfield.profile_curve(limit_name, curve_betas, prm.m, c=config.c)
-    theory_rows = [
-        [float(b), float(v), limit_name, prm.m, float(config.c) if config.c else 0.0]
-        for b, v in zip(curve.betas, curve.values)
-    ]
-    theory_csv = manifest.register(out_dir / "theory.csv")
-    _write_csv(theory_csv, ["beta", "value", "regime", "m", "C"], theory_rows)
-
-    mean_dist = {
-        beta: float(np.mean([d[grid[beta]] for _, d, _ in per_seed])) for beta in betas
-    }
-    _profile_verdicts(config, mean_dist, manifest)
-
-    fig = svg.Figure(
-        title=f"mixing profile, {config.regime} (n={prm.n}, m={prm.m}, alpha={prm.alpha:g})",
-        xlabel="beta" + (" (time / t_ent)" if config.timescale == "entropic" else " (time * alpha)"),
-        ylabel="max-start TV distance",
-    )
-    if limit_name != "supercritical_alpha":
-        left = curve.betas < 1.0
         fig.add(
             svg.Series(
-                "limiting curve",
-                list(curve.betas[left]),
-                list(curve.values[left]),
-                kind="line",
-                color=svg.PALETTE[0],
+                "empirical (seed mean)",
+                betas,
+                [mean_dist[b] for b in betas],
+                kind="points",
+                color=svg.PALETTE[1],
             )
         )
-        fig.add(
-            svg.Series(
-                "(after the step)",
-                list(curve.betas[~left]),
-                list(curve.values[~left]),
-                kind="line",
-                color=svg.PALETTE[0],
-            )
-        )
-    else:
-        fig.add(
-            svg.Series("limiting curve", list(curve.betas), list(curve.values), kind="line")
-        )
-    fig.add(
-        svg.Series(
-            "empirical (seed mean)",
-            betas,
-            [mean_dist[b] for b in betas],
-            kind="points",
-            color=svg.PALETTE[1],
-        )
-    )
-    svg_path = manifest.register(out_dir / "profile.svg")
-    svg.write(fig, str(svg_path))
-
-    manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+        svg_path = manifest.register(out_dir / "profile.svg")
+        svg.write(fig, str(svg_path))
     return manifest
 
 
@@ -502,171 +512,171 @@ QSD_IOTA_RELERR_TOL = 0.25
 QSD_KS_TOL = 0.08
 
 
+def _qsd_seed(config: ExperimentConfig, seed: int, restart_reps: int):
+    prm = config.params
+    graph, table, used = _accepted_graph(config, seed, need_all_communities=True)
+    first_order = qsd.iota_first_order(prm)
+    cap = math.ceil(6 * config.t_ent * math.log(prm.n))
+    rows = []
+    diag = {"seed": used, "local_stationary": [], "mixing_time_exhaustive": []}
+    for i in range(prm.m):
+        view = qsd.community_view(graph, table, i)
+        sol = qsd.quasi_stationary(view)
+        merged = qsd.build_merged_kernel(view)
+        rng = derived_rng(used, NS_EXPERIMENT, 1, i)
+        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng=rng)
+        diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
+        diag["mixing_time_exhaustive"].append(exhaustive)
+        mass = qsd.return_mass(merged, t_mix)
+        hit = qsd.hitting_time_estimates(view, merged, mass)
+        nice = qsd.nice_gates(graph, view)
+        rows.append(
+            [
+                i,
+                sol.iota,
+                first_order,
+                mass.r_tilde,
+                t_mix,
+                hit.estimate,
+                hit.oracle if hit.oracle is not None else float("nan"),
+                int(view.gate_mask.sum()),
+                nice.fraction_nice,
+            ]
+        )
+        if i == 0:
+            restarts = qsd.restart_process(view, sol, reps=restart_reps, seed=used)
+            diag["restart_censored"] = sum(s.tau_rho is None for s in restarts)
+            tau_jump, diag["tau_jump_censored"] = sample_tau_jump(
+                graph,
+                starts=graph.community_vertices(0),
+                reps=restart_reps,
+                seed=used,
+            )
+    return diag, (rows, restarts, tau_jump)
+
+
 def run_qsd_experiment(
     config: ExperimentConfig, restart_reps: int = 600
 ) -> RunManifest:
     """Per-community escape pipeline plus restart/jump statistics."""
     if config.params.alpha <= 0.0:
         raise ValueError("escape experiment needs alpha > 0 (no gates otherwise)")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(config)
-    t0 = time.perf_counter()
-    prm = config.params
-    first_order = qsd.iota_first_order(prm)
-
-    def one_seed(seed: int):
-        graph, table, used = _accepted_graph(config, seed, need_all_communities=True)
-        rows = []
-        tau_rho: list[float] = []
-        tau_jump: list[float] = []
-        diag = {"seed": used, "local_stationary": [], "mixing_time_exhaustive": []}
-        for i in range(prm.m):
-            view = qsd.community_view(graph, table, i)
-            sol = qsd.quasi_stationary(view)
-            merged = qsd.build_merged_kernel(view)
-            cap = math.ceil(6 * analytic_entropic_time(prm) * math.log(prm.n))
-            rng = derived_rng(used, NS_EXPERIMENT, 1, i)
-            t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng=rng)
-            diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
-            diag["mixing_time_exhaustive"].append(exhaustive)
-            mass = qsd.return_mass(merged, t_mix)
-            hit = qsd.hitting_time_estimates(view, merged, mass)
-            nice = qsd.nice_gates(graph, view)
-            rows.append(
-                [
-                    i,
-                    sol.iota,
-                    first_order,
-                    mass.r_tilde,
-                    t_mix,
-                    hit.estimate,
-                    hit.oracle if hit.oracle is not None else float("nan"),
-                    int(view.gate_mask.sum()),
-                    nice.fraction_nice,
-                ]
-            )
-            if i == 0:
-                res = qsd.restart_process(view, sol, reps=restart_reps, seed=used)
-                tau_rho.extend(res)
-                diag["restart_censored"] = sum(s.tau_rho is None for s in res)
-                samples, censored = sample_tau_jump(
-                    graph,
-                    starts=graph.community_vertices(0),
-                    reps=restart_reps,
-                    seed=used,
-                )
-                tau_jump.extend(float(s) for s in samples)
-                diag["tau_jump_censored"] = censored
-        return used, rows, tau_rho, tau_jump, diag
-
-    per_seed = _map_seeds(one_seed, config)
-    manifest.seeds_used = [u for u, *_ in per_seed]
-    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
-    manifest.timings["qsd_sweep"] = time.perf_counter() - t0
-
-    header = [
-        "i",
-        "iota",
-        "lambda_alpha_logn",
-        "r_tilde",
-        "t_mix",
-        "hitting_estimate",
-        "hitting_oracle",
-        "gate_count",
-        "nice_fraction",
-    ]
-    for used, rows, *_ in per_seed:
-        path = manifest.register(out_dir / f"qsd_seed{used}.csv")
-        _write_csv(path, header, rows)
-
-    samples = [s for _, _, tr, *_ in per_seed for s in tr]
-    rho_all = np.array([float(s.tau_rho) for s in samples if s.tau_rho is not None])
-    jump_all = np.array([t for _, _, _, tj, _ in per_seed for t in tj])
-    restart_rows = [
-        [
-            k,
-            float(s.tau_rho) if s.tau_rho is not None else float("nan"),
-            s.kappa_final,
-            s.rho_final,
+    seed_fn = functools.partial(_qsd_seed, restart_reps=restart_reps)
+    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+        header = [
+            "i",
+            "iota",
+            "lambda_alpha_logn",
+            "r_tilde",
+            "t_mix",
+            "hitting_estimate",
+            "hitting_oracle",
+            "gate_count",
+            "nice_fraction",
         ]
-        for k, s in enumerate(samples)
-    ]
-    restart_csv = manifest.register(out_dir / "restart.csv")
-    _write_csv(restart_csv, ["rep", "tau_rho", "kappa", "rho"], restart_rows)
+        for used, (rows, _, _) in zip(manifest.seeds_used, per_seed):
+            path = manifest.register(out_dir / f"qsd_seed{used}.csv")
+            _write_csv(path, header, rows)
 
-    iotas = np.array([row[1] for _, rows, *_ in per_seed for row in rows])
-    rel = np.abs(iotas / first_order - 1.0)
-    manifest.verdicts.append(
-        Verdict(
-            "iota_first_order_relerr",
-            bool(np.median(rel) < QSD_IOTA_RELERR_TOL),
-            float(np.median(rel)),
-            f"median < {QSD_IOTA_RELERR_TOL}",
-        )
-    )
-    for name, arr in ("tau_rho", rho_all), ("tau_jump", jump_all):
-        if arr.size == 0:
-            continue
-        ks = stats.kstest(prm.alpha * arr, "expon").statistic
+        restarts = [s for _, rs, _ in per_seed for s in rs]
+        restart_rows = [
+            [
+                k,
+                float(s.tau_rho) if s.tau_rho is not None else float("nan"),
+                s.kappa_final,
+                s.rho_final,
+            ]
+            for k, s in enumerate(restarts)
+        ]
+        restart_csv = manifest.register(out_dir / "restart.csv")
+        _write_csv(restart_csv, ["rep", "tau_rho", "kappa", "rho"], restart_rows)
+
+        first_order = qsd.iota_first_order(config.params)
+        iotas = np.array([row[1] for rows, _, _ in per_seed for row in rows])
+        rel = np.abs(iotas / first_order - 1.0)
         manifest.verdicts.append(
-            Verdict(f"ks_alpha_{name}_exp1", bool(ks < QSD_KS_TOL), float(ks), f"< {QSD_KS_TOL}")
+            Verdict(
+                "iota_first_order_relerr",
+                bool(np.median(rel) < QSD_IOTA_RELERR_TOL),
+                float(np.median(rel)),
+                f"median < {QSD_IOTA_RELERR_TOL}",
+            )
         )
-
-    manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+        # the KS tests see the uncensored samples; each verdict counts the rest
+        records = manifest.diagnostics["per_seed"]
+        samples = {
+            "tau_rho": (
+                np.array([float(s.tau_rho) for s in restarts if s.tau_rho is not None]),
+                sum(r["restart_censored"] for r in records),
+            ),
+            "tau_jump": (
+                np.concatenate([tj for _, _, tj in per_seed]),
+                sum(r["tau_jump_censored"] for r in records),
+            ),
+        }
+        for name, (arr, censored) in samples.items():
+            if arr.size == 0:
+                continue
+            ks = stats.kstest(config.params.alpha * arr, "expon").statistic
+            manifest.verdicts.append(
+                Verdict(
+                    f"ks_alpha_{name}_exp1",
+                    bool(ks < QSD_KS_TOL),
+                    float(ks),
+                    f"< {QSD_KS_TOL}",
+                    censored=censored,
+                )
+            )
     return manifest
 
 
 # -- annealed ---------------------------------------------------------------
 
 
+def _annealed_seed(config: ExperimentConfig, seed: int, t: int, reps: int, t_max: int):
+    prm = config.params
+    law = annealed_community_law(prm, start=0, t=t, reps=reps, seed=seed)
+    surv = annealed_jump_survival(prm, t_max=t_max, reps=reps // 5, seed=seed)
+    diag = {
+        "seed": seed,
+        "law_stuck": law.stuck,
+        "law_cycle_free_rate": law.cycle_free_rate,
+        "survival_stuck": surv.stuck,
+    }
+    return diag, (law, surv)
+
+
 def run_annealed_experiment(
     config: ExperimentConfig, t: int = 10, reps: int = 100_000, t_max: int = 50
 ) -> RunManifest:
-    """Revealed-walk community law and jump survival tables."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(config)
-    t0 = time.perf_counter()
-    prm = config.params
-    seed = config.seeds[0]
-    manifest.seeds_used = [seed]
+    """Revealed-walk community law and jump survival tables (first seed only)."""
+    seed_fn = functools.partial(_annealed_seed, t=t, reps=reps, t_max=t_max)
+    with _run(config, seed_fn, seeds=config.seeds[:1]) as (manifest, out_dir, per_seed):
+        ((law, surv),) = per_seed
+        law_rows = [
+            [t, i, float(law.conditional[i]), float(law.conditional_se[i]), float(law.q_row[i])]
+            for i in range(config.params.m)
+        ]
+        law_csv = manifest.register(out_dir / "annealed_law.csv")
+        _write_csv(law_csv, ["t", "community", "frequency", "stderr", "q_closed_form"], law_rows)
 
-    law = annealed_community_law(prm, start=0, t=t, reps=reps, seed=seed)
-    law_rows = [
-        [t, i, float(law.conditional[i]), float(law.conditional_se[i]), float(law.q_row[i])]
-        for i in range(prm.m)
-    ]
-    law_csv = manifest.register(out_dir / "annealed_law.csv")
-    _write_csv(law_csv, ["t", "community", "frequency", "stderr", "q_closed_form"], law_rows)
+        surv_rows = [
+            [int(tt), float(s), float(se), float(th)]
+            for tt, s, se, th in zip(surv.times, surv.survival, surv.stderr, surv.theory)
+        ]
+        surv_csv = manifest.register(out_dir / "annealed_survival.csv")
+        _write_csv(surv_csv, ["t", "survival", "stderr", "theory"], surv_rows)
 
-    surv = annealed_jump_survival(prm, t_max=t_max, reps=reps // 5, seed=seed)
-    surv_rows = [
-        [int(tt), float(s), float(se), float(th)]
-        for tt, s, se, th in zip(surv.times, surv.survival, surv.stderr, surv.theory)
-    ]
-    surv_csv = manifest.register(out_dir / "annealed_survival.csv")
-    _write_csv(surv_csv, ["t", "survival", "stderr", "theory"], surv_rows)
-    manifest.diagnostics.update(
-        law_stuck=law.stuck,
-        law_cycle_free_rate=law.cycle_free_rate,
-        survival_stuck=surv.stuck,
-    )
-
-    dev = np.max(
-        np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300)
-    )
-    manifest.verdicts.append(
-        Verdict("community_law_max_dev_se", bool(dev < 3.0), float(dev), "< 3 SE")
-    )
-    end_dev = abs(surv.survival[-1] - surv.theory[-1]) / max(surv.stderr[-1], 1e-300)
-    manifest.verdicts.append(
-        Verdict("jump_survival_end_dev_se", bool(end_dev < 3.0), float(end_dev), "< 3 SE")
-    )
-
-    manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+        dev = np.max(
+            np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300)
+        )
+        manifest.verdicts.append(
+            Verdict("community_law_max_dev_se", bool(dev < 3.0), float(dev), "< 3 SE")
+        )
+        end_dev = abs(surv.survival[-1] - surv.theory[-1]) / max(surv.stderr[-1], 1e-300)
+        manifest.verdicts.append(
+            Verdict("jump_survival_end_dev_se", bool(end_dev < 3.0), float(end_dev), "< 3 SE")
+        )
     return manifest
 
 
@@ -675,87 +685,59 @@ def run_annealed_experiment(
 PROXY_IDENTITY_TOL = 1e-12
 
 
+def _proxy_seed(config: ExperimentConfig, seed: int, eps: float):
+    graph, table, used = _accepted_graph(config, seed)
+    ent = entropy_and_entropic_time(table, config.params.n)
+    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent, eps=eps)
+    sm = surrogate_measures(graph, sch)
+    pi = stationary(graph)
+    result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), mixture_identity_gap(sm))
+    return _solver_diagnostics(pi, seed=used), result
+
+
 def run_proxy_experiment(config: ExperimentConfig, eps: float = 0.2) -> RunManifest:
     """Two-scale surrogate sweep: spread and distance to stationarity."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(config)
-    t0 = time.perf_counter()
-    prm = config.params
+    seed_fn = functools.partial(_proxy_seed, eps=eps)
+    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+        rows = [
+            [i, float(tv_to_nu[i]), float(tv_pi), float(sch.eps), sch.burn_in, sch.long_leg]
+            for sch, tv_to_nu, tv_pi, _ in per_seed
+            for i in range(config.params.m)
+        ]
+        proxy_csv = manifest.register(out_dir / "proxy.csv")
+        _write_csv(proxy_csv, ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"], rows)
 
-    def one_seed(seed: int):
-        graph, table, used = _accepted_graph(config, seed)
-        ent = entropy_and_entropic_time(table, prm.n)
-        sch = TwoScaleSchedule.from_entropic_time(ent.t_ent, eps=eps)
-        sm = surrogate_measures(graph, sch)
-        gap = mixture_identity_gap(sm)
-        pi = stationary(graph)
-        tv_pi = tv_distance(sm.average, pi)
-        return used, sch, sm, gap, tv_pi, _solver_diagnostics(pi, seed=used)
-
-    per_seed = _map_seeds(one_seed, config)
-    manifest.seeds_used = [u for u, *_ in per_seed]
-    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
-
-    rows = []
-    for used, sch, sm, gap, tv_pi, _ in per_seed:
-        for i in range(prm.m):
-            rows.append(
-                [
-                    i,
-                    float(sm.tv_to_average[i]),
-                    float(tv_pi),
-                    float(sch.eps),
-                    sch.burn_in,
-                    sch.long_leg,
-                ]
+        worst_gap = max(gap for *_, gap in per_seed)
+        manifest.verdicts.append(
+            Verdict(
+                "mixture_identity_gap",
+                worst_gap < PROXY_IDENTITY_TOL,
+                worst_gap,
+                f"< {PROXY_IDENTITY_TOL}",
             )
-    proxy_csv = manifest.register(out_dir / "proxy.csv")
-    _write_csv(proxy_csv, ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"], rows)
-
-    worst_gap = max(g for _, _, _, g, *_ in per_seed)
-    manifest.verdicts.append(
-        Verdict(
-            "mixture_identity_gap",
-            worst_gap < PROXY_IDENTITY_TOL,
-            worst_gap,
-            f"< {PROXY_IDENTITY_TOL}",
         )
-    )
-    manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
     return manifest
 
 
 # -- generation-only ---------------------------------------------------------
 
 
+def _generate_seed(config: ExperimentConfig, seed: int):
+    graph, _, used = _accepted_graph(config, seed)
+    path = Path(config.out_dir) / f"graph_seed{used}.npz"
+    save_binary(graph, str(path))
+    pi = stationary(graph)
+    dev = float(np.max(np.abs(community_mass(graph, pi) - 1 / config.params.m)))
+    return _solver_diagnostics(pi, seed=used), (path, graph.edge_count, dev)
+
+
 def run_generate(config: ExperimentConfig) -> RunManifest:
     """Generate graphs and a degree/connectivity summary, no walks."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = _new_manifest(config)
-    t0 = time.perf_counter()
-
-    def one_seed(seed: int):
-        graph, table, used = _accepted_graph(config, seed)
-        from .graph import save_binary
-
-        path = out_dir / f"graph_seed{used}.npz"
-        save_binary(graph, str(path))
-        pi = stationary(graph)
-        dev = float(np.max(np.abs(community_mass(graph, pi) - 1 / config.params.m)))
-        return used, path, graph.edge_count, dev, _solver_diagnostics(pi, seed=used)
-
-    per_seed = _map_seeds(one_seed, config)
-    manifest.seeds_used = [u for u, *_ in per_seed]
-    manifest.diagnostics["per_seed"] = [d for *_, d in per_seed]
-    rows = []
-    for used, path, edges, dev, _ in per_seed:
-        manifest.register(path)
-        rows.append([used, edges, dev])
-    summary = manifest.register(out_dir / "graphs.csv")
-    _write_csv(summary, ["seed", "edges", "community_mass_dev"], rows)
-    manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+    with _run(config, _generate_seed) as (manifest, out_dir, per_seed):
+        rows = []
+        for used, (path, edges, dev) in zip(manifest.seeds_used, per_seed):
+            manifest.register(path)
+            rows.append([used, edges, dev])
+        summary = manifest.register(out_dir / "graphs.csv")
+        _write_csv(summary, ["seed", "edges", "community_mass_dev"], rows)
     return manifest

@@ -126,10 +126,6 @@ class Digraph:
         self._check_vertex(v)
         return v // self.n
 
-    def label_of(self, v) -> np.ndarray | int:
-        self._check_vertex(v)
-        return v % self.n
-
     def _check_vertex(self, v) -> None:
         if np.any(np.asarray(v) < 0) or np.any(np.asarray(v) >= self.vertex_count):
             raise IndexError(f"vertex id out of range [0, {self.vertex_count})")
@@ -156,7 +152,9 @@ class Digraph:
         return self._cache["strong"]
 
     def validate(self) -> None:
-        """Full structural invariant sweep (used by tests)."""
+        """Check every structural invariant; raises ValueError on a broken one."""
+        if self.indptr[0] != 0 or self.indptr[-1] != self.edge_count:
+            raise ValueError("indptr must run from 0 to the edge count")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
         if self.edge_count:
@@ -165,10 +163,9 @@ class Digraph:
         src = self.sources()
         if np.any(src == self.targets):
             raise ValueError("self loop present")
-        for v in range(self.vertex_count):
-            seg = self.targets[self.indptr[v] : self.indptr[v + 1]]
-            if np.any(np.diff(seg) <= 0):
-                raise ValueError(f"targets of vertex {v} not strictly sorted")
+        same_source = src[1:] == src[:-1]
+        if np.any(np.diff(self.targets)[same_source] <= 0):
+            raise ValueError("targets of a vertex not strictly sorted")
         cross = self.community_of(src) != self.community_of(self.targets)
         if not np.array_equal(cross, self.rewired):
             raise ValueError("rewired flags must mark exactly cross-community edges")
@@ -301,76 +298,8 @@ def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
     )
 
 
-@dataclass(frozen=True)
-class DegreeExtremes:
-    """Extreme degrees with their vertices and ratios to lambda*log(n)."""
-
-    min_out: int
-    max_out: int
-    argmin_out: int
-    argmax_out: int
-    ratios: dict
-
-
-def degree_extremes(graph: Digraph, table: DegreeTable, lam: float) -> DegreeExtremes:
-    """Extremes of each degree type, expressed relative to lambda*log(n)."""
-    scale = lam * math.log(graph.n)
-    ratios = {}
-    for name, arr in (
-        ("d_out", table.d_out),
-        ("d_in", table.d_in),
-        ("d_in_intra", table.d_in_intra),
-    ):
-        ratios[name] = (float(arr.min()) / scale, float(arr.max()) / scale)
-    return DegreeExtremes(
-        min_out=int(table.d_out.min()),
-        max_out=int(table.d_out.max()),
-        argmin_out=int(table.d_out.argmin()),
-        argmax_out=int(table.d_out.argmax()),
-        ratios=ratios,
-    )
-
-
-def save_text(graph: Digraph, path: str) -> None:
-    """Write the text format: a header line then one 'src dst r' per edge."""
-    if graph.params is None:
-        raise ValueError("text format requires model parameters on the graph")
-    prm = graph.params
-    src = graph.sources()
-    with open(path, "w") as fh:
-        fh.write(
-            f"DBM {FORMAT_VERSION} {prm.n} {prm.m} {prm.lam!r} {prm.alpha!r} {prm.seed}\n"
-        )
-        rew = graph.rewired.astype(np.int8)
-        for s, t, r in zip(src.tolist(), graph.targets.tolist(), rew.tolist()):
-            fh.write(f"{s} {t} {r}\n")
-
-
-def load_text(path: str) -> Digraph:
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 7 or header[0] != "DBM":
-            raise ValueError(f"{path}: not a DBM graph file")
-        if int(header[1]) != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {header[1]}")
-        n, m = int(header[2]), int(header[3])
-        params = DbmParams(
-            n=n, m=m, lam=float(header[4]), alpha=float(header[5]), seed=int(header[6])
-        )
-        rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-    if rows.size == 0:
-        rows = rows.reshape(0, 3)
-    src, tgt, rew = rows[:, 0], rows[:, 1], rows[:, 2].astype(bool)
-    counts = np.bincount(src, minlength=n * m)
-    indptr = np.zeros(n * m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    if np.any(np.diff(src) < 0):
-        raise ValueError(f"{path}: edges must be grouped by source")
-    return Digraph(n, m, indptr, tgt, rew, params=params)
-
-
 def save_binary(graph: Digraph, path: str) -> None:
-    """Write the compact binary variant (same logical content as text)."""
+    """Write the graph and its parameters as a numpy .npz archive."""
     if graph.params is None:
         raise ValueError("binary format requires model parameters on the graph")
     prm = graph.params
@@ -386,15 +315,16 @@ def save_binary(graph: Digraph, path: str) -> None:
 
 
 def load_binary(path: str) -> Digraph:
+    """Read a graph written by ``save_binary``; rejects broken invariants."""
     try:
         data = np.load(path)
-    except (OSError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a DBM binary graph file") from exc
     if "format_version" not in data or int(data["format_version"][0]) != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported or missing format version")
     n, m, seed = (int(x) for x in data["shape"])
     lam, alpha = (float(x) for x in data["reals"])
     params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
-    return Digraph(
-        n, m, data["indptr"], data["targets"], data["rewired"], params=params
-    )
+    graph = Digraph(n, m, data["indptr"], data["targets"], data["rewired"], params=params)
+    graph.validate()
+    return graph

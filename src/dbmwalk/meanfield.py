@@ -29,7 +29,12 @@ def q_matrix(m: int, alpha: float) -> np.ndarray:
 
 
 def q_power_closed(m: int, alpha: float, t: int, i: int, j: int) -> float:
-    """Exact (i, j) entry of the t-th power of the community kernel.
+    """Exact (i, j) entry of the t-th power of the community kernel."""
+    return float(q_power_matrix(m, alpha, t)[i, j])
+
+
+def q_power_matrix(m: int, alpha: float, t: int) -> np.ndarray:
+    """Exact t-th power of the community kernel.
 
     The kernel has eigenvalue 1 on the uniform direction and
     b = 1 - m*alpha/(m-1) on its complement, so
@@ -39,16 +44,7 @@ def q_power_closed(m: int, alpha: float, t: int, i: int, j: int) -> float:
     if t < 0:
         raise ValueError("t must be non-negative")
     b = 1.0 - m * alpha / (m - 1)
-    ind = m if i == j else 0
-    return (1.0 + (ind - 1) * b**t) / m
-
-
-def q_power_matrix(m: int, alpha: float, t: int) -> np.ndarray:
-    out = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = q_power_closed(m, alpha, t, i, j)
-    return out
+    return (1.0 + (m * np.eye(m) - 1) * b**t) / m
 
 
 def meanfield_tv(m: int, alpha: float, t: int) -> float:

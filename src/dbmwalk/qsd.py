@@ -24,7 +24,7 @@ from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
 from .rng import NS_RESTART, NS_TRAJECTORY, derived_rng
-from .walk import ProbVector, _step_walkers, local_stationary
+from .walk import ProbVector, _step_walkers, stationary
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 QSD_STABLE_TOL = 1e-13
@@ -76,7 +76,12 @@ def community_view(
     mask = np.zeros(graph.n, dtype=bool)
     mask[gate_labels] = True
     if pi_local is None:
-        pi_local = local_stationary(graph, i)
+        # solve on a temporary wrapper of the same arrays, so the kernel
+        # and connectivity caches the solve builds are freed right after
+        pi_local = stationary(
+            Digraph(local.n, 1, local.indptr, local.targets, local.rewired),
+            domain=f"community:{i}",
+        )
     if "not_strongly_connected" in pi_local.flags:
         raise ValueError(f"community {i} is not strongly connected")
     lo, hi = i * graph.n, (i + 1) * graph.n
@@ -338,41 +343,6 @@ def hitting_time_estimates(
         h = spsolve((eye - sub).tocsr(), np.ones(keep.size))
         oracle = float((view.pi_local.values[keep] * h).sum())
     return HittingEstimate(estimate=estimate, oracle=oracle, gate_mass=gate_mass)
-
-
-@dataclass(frozen=True)
-class GateMeasures:
-    """Entry and exit measures of the gate set.
-
-    ``mu_gate`` conditions pi on the gates; ``mu_gate_out`` is its one
-    step forward image; ``mu_gate_in`` is where the killed walk from the
-    QSD lands when it finally hits a gate.
-    """
-
-    mu_gate: ProbVector
-    mu_gate_out: ProbVector
-    mu_gate_in: ProbVector
-
-
-def gate_measures(view: CommunityView, solution: QsdSolution) -> GateMeasures:
-    pi = view.pi_local.values
-    gate = view.gate_labels
-    mask = view.gate_mask
-
-    mu_gate_vals = np.where(mask, pi, 0.0)
-    mu_gate_vals /= mu_gate_vals.sum()
-    domain = f"community:{view.i}"
-    mu_gate = ProbVector(mu_gate_vals, domain)
-
-    mu_gate_out = ProbVector(view.kernel.T @ mu_gate_vals, domain)
-
-    pushed = view.kernel.T @ solution.mu_star.values
-    entry = np.where(mask, pushed, 0.0)
-    total = float(entry.sum())
-    if total <= 0.0:
-        raise ValueError("QSD never reaches the gates")
-    mu_gate_in = ProbVector(entry / total, domain)
-    return GateMeasures(mu_gate=mu_gate, mu_gate_out=mu_gate_out, mu_gate_in=mu_gate_in)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ NS_TRAJECTORY = 2
 NS_ANNEALED = 3
 NS_RESTART = 4
 NS_EXPERIMENT = 5
-NS_GENERIC = 6
 
 
 def derived_rng(seed: int, *key: int) -> np.random.Generator:
@@ -31,7 +30,3 @@ def derived_rng(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)
 
-
-def root_rng(seed: int) -> np.random.Generator:
-    """Return the undecorated generator for a root seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))

@@ -1,4 +1,4 @@
-"""Tiny deterministic SVG line/scatter plots.
+"""Tiny byte-stable SVG line/scatter plots.
 
 Writes the handful of diagnostic figures this package needs without
 pulling in a plotting stack.  Output bytes depend only on the inputs:

@@ -9,11 +9,10 @@ samplers draw from explicit generators or derived streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.stats import binom
 
 from .graph import DegreeTable, Digraph, pre_rewiring_subgraph
 from .rng import NS_TRAJECTORY, derived_rng
@@ -66,26 +65,11 @@ class ProbVector:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One sampled walk: visited vertices, log path mass, first jump time.
-
-    ``log_mass`` is the log-probability of the realized path, i.e. minus
-    the sum of log out-degrees along it.  ``jump_time`` is the 1-based
-    step at which a rewired edge was first traversed (None if never).
-    """
-
-    vertices: np.ndarray
-    log_mass: float
-    jump_time: int | None
-
-
-@dataclass(frozen=True)
 class EntropyResult:
     """Empirical mean log out-degree and the derived time scale."""
 
     h: float
     t_ent: float
-    h_analytic: float | None
     h_first_order: float
 
 
@@ -96,16 +80,11 @@ class MixingProfile:
     times: np.ndarray
     per_start: np.ndarray  # shape (n_starts, n_times)
     starts: np.ndarray
-    aggregation: str = "max"
-    reference_label: str = "stationary"
 
     @property
     def distances(self) -> np.ndarray:
-        if self.aggregation == "max":
-            return self.per_start.max(axis=0)
-        if self.aggregation == "mean":
-            return self.per_start.mean(axis=0)
-        raise ValueError(f"unknown aggregation {self.aggregation!r}")
+        """Worst-start distance at each time."""
+        return self.per_start.max(axis=0)
 
 
 def transition_operator(graph: Digraph) -> csr_matrix:
@@ -131,24 +110,6 @@ def _check_no_sink_mass(graph: Digraph, values: np.ndarray) -> None:
     if sinks.any() and float(values[sinks].sum()) > 0.0:
         v = int(np.flatnonzero(sinks & (values > 0))[0])
         raise ValueError(f"distribution puts mass on sink vertex {v}")
-
-
-def step_distribution(graph: Digraph, mu: ProbVector) -> ProbVector:
-    """One step of the walk: mu P."""
-    if mu.size != graph.vertex_count:
-        raise ValueError("distribution length does not match graph")
-    _check_no_sink_mass(graph, mu.values)
-    return ProbVector(transition_operator(graph) @ mu.values, mu.domain, mu.flags)
-
-
-def evolve(graph: Digraph, mu: ProbVector, t: int) -> ProbVector:
-    """t steps of the walk (t >= 0)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    out = mu
-    for _ in range(t):
-        out = step_distribution(graph, out)
-    return out
 
 
 def evolve_batch(graph: Digraph, columns: np.ndarray, t: int) -> np.ndarray:
@@ -243,17 +204,6 @@ def tv_distance(a: ProbVector, b: ProbVector) -> float:
     return 0.5 * float(np.abs(a.values - b.values).sum())
 
 
-def restrict_normalize(mu: ProbVector, subset: np.ndarray) -> ProbVector:
-    """Condition mu on a subset of its domain (zero elsewhere)."""
-    mask = np.zeros(mu.size, dtype=bool)
-    mask[subset] = True
-    mass = float(mu.values[mask].sum())
-    if mass <= 0.0:
-        raise ValueError("cannot condition on a zero-mass subset")
-    values = np.where(mask, mu.values, 0.0) / mass
-    return ProbVector(values, mu.domain)
-
-
 def community_mass(graph: Digraph, mu: ProbVector) -> np.ndarray:
     """Mass of each community under a global distribution."""
     if mu.domain != "global":
@@ -312,30 +262,18 @@ def indegree_approximation(
     )
 
 
-def entropy_and_entropic_time(
-    table: DegreeTable, n: int, p: float | None = None
-) -> EntropyResult:
+def entropy_and_entropic_time(table: DegreeTable, n: int) -> EntropyResult:
     """Mean log out-degree H and the time scale log(n)/H.
 
-    H averages log(deg v 1) over all vertices.  When ``p`` is given the
-    exact Binomial(n-1, p) expectation is computed alongside, plus the
-    first-order value log(log(n)).
+    H averages log(deg v 1) over all vertices; the first-order value
+    log(log(n)) comes alongside.  The exact Binomial(n-1, p) expectation
+    is ``experiments.analytic_entropic_time``.
     """
     logs = np.log(np.maximum(table.d_out, 1))
     h = float(logs.mean())
     if h <= 0.0:
         raise ValueError("mean log out-degree is zero; no entropic time scale")
-    analytic = None
-    if p is not None:
-        k = np.arange(n)
-        pmf = binom.pmf(k, n - 1, p)
-        analytic = float((pmf * np.log(np.maximum(k, 1))).sum())
-    return EntropyResult(
-        h=h,
-        t_ent=math.log(n) / h,
-        h_analytic=analytic,
-        h_first_order=math.log(math.log(n)),
-    )
+    return EntropyResult(h=h, t_ent=math.log(n) / h, h_first_order=math.log(math.log(n)))
 
 
 def select_starts(
@@ -363,7 +301,6 @@ def mixing_profile(
     starts: np.ndarray,
     times: np.ndarray,
     reference: ProbVector,
-    aggregation: str = "max",
 ) -> MixingProfile:
     """TV distance to ``reference`` from each start at the given times."""
     times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
@@ -380,13 +317,7 @@ def mixing_profile(
         cols = evolve_batch(graph, cols, int(t - now))
         now = int(t)
         per_start[:, j] = 0.5 * np.abs(cols - ref).sum(axis=0)
-    return MixingProfile(
-        times=times,
-        per_start=per_start,
-        starts=starts,
-        aggregation=aggregation,
-        reference_label="stationary",
-    )
+    return MixingProfile(times=times, per_start=per_start, starts=starts)
 
 
 def _step_walkers(
@@ -400,24 +331,6 @@ def _step_walkers(
     pick = (rng.random(current.shape[0]) * deg).astype(np.int64)
     edge = graph.indptr[current] + pick
     return graph.targets[edge], graph.rewired[edge]
-
-
-def sample_trajectory(
-    graph: Digraph, start: int, t: int, rng: np.random.Generator
-) -> Trajectory:
-    """Sample one t-step walk from ``start``."""
-    vertices = np.empty(t + 1, dtype=np.int64)
-    vertices[0] = start
-    log_mass = 0.0
-    jump_time = None
-    cur = np.array([start], dtype=np.int64)
-    for s in range(1, t + 1):
-        log_mass -= math.log(graph.out_degree[cur[0]])
-        cur, rew = _step_walkers(graph, cur, rng)
-        vertices[s] = cur[0]
-        if jump_time is None and bool(rew[0]):
-            jump_time = s
-    return Trajectory(vertices=vertices, log_mass=log_mass, jump_time=jump_time)
 
 
 def path_mass_ratios(

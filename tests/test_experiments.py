@@ -230,17 +230,18 @@ def test_profile_determinism_across_threads(tmp_path):
 
 
 def test_qsd_run_artifacts(tmp_path):
-    config = super_config(str(tmp_path), seeds=(3,))
-    manifest = run_qsd_experiment(config, restart_reps=150)
-    assert read_csv_header(tmp_path / "qsd_seed3.csv") == [
-        "i", "iota", "lambda_alpha_logn", "r_tilde", "t_mix",
-        "hitting_estimate", "hitting_oracle", "gate_count", "nice_fraction",
-    ]
+    config = super_config(str(tmp_path), seeds=(3, 4))
+    manifest = run_qsd_experiment(config, restart_reps=600)
+    for seed in (3, 4):
+        assert read_csv_header(tmp_path / f"qsd_seed{seed}.csv") == [
+            "i", "iota", "lambda_alpha_logn", "r_tilde", "t_mix",
+            "hitting_estimate", "hitting_oracle", "gate_count", "nice_fraction",
+        ]
+        rows = (tmp_path / f"qsd_seed{seed}.csv").read_text().splitlines()[1:]
+        assert len(rows) == config.params.m
     assert read_csv_header(tmp_path / "restart.csv") == ["rep", "tau_rho", "kappa", "rho"]
-    rows = (tmp_path / "qsd_seed3.csv").read_text().splitlines()[1:]
-    assert len(rows) == config.params.m
     restarts = (tmp_path / "restart.csv").read_text().splitlines()[1:]
-    assert len(restarts) == 150
+    assert len(restarts) == 2 * 600
     names = [v.name for v in manifest.verdicts]
     assert names[0] == "iota_first_order_relerr"
     assert "ks_alpha_tau_rho_exp1" in names
@@ -248,18 +249,26 @@ def test_qsd_run_artifacts(tmp_path):
     for v in manifest.verdicts:
         assert math.isfinite(v.value)
     # censored samples and sampled mixing estimates are counted, not dropped
-    (diag,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
-    assert sorted(diag) == [
-        "local_stationary", "mixing_time_exhaustive", "restart_censored",
-        "seed", "tau_jump_censored",
-    ]
-    assert diag["seed"] == 3
-    assert diag["mixing_time_exhaustive"] == [True] * config.params.m
-    assert len(diag["local_stationary"]) == config.params.m
-    assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
+    records = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    assert [r["seed"] for r in records] == [3, 4]
+    for diag in records:
+        assert sorted(diag) == [
+            "local_stationary", "mixing_time_exhaustive", "restart_censored",
+            "seed", "tau_jump_censored",
+        ]
+        assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+        assert len(diag["local_stationary"]) == config.params.m
+        assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
+        assert 0 <= diag["tau_jump_censored"] <= 600
     nan_rows = sum(r.split(",")[1] == "nan" for r in restarts)
-    assert diag["restart_censored"] == nan_rows
-    assert 0 <= diag["tau_jump_censored"] <= 150
+    assert sum(r["restart_censored"] for r in records) == nan_rows > 0
+    # each KS verdict counts the censored samples it left out, over all seeds
+    censored = {v.name: v.censored for v in manifest.verdicts}
+    assert censored == {
+        "iota_first_order_relerr": None,
+        "ks_alpha_tau_rho_exp1": sum(r["restart_censored"] for r in records),
+        "ks_alpha_tau_jump_exp1": sum(r["tau_jump_censored"] for r in records),
+    }
     with pytest.raises(ValueError, match="alpha"):
         run_qsd_experiment(super_config(str(tmp_path), alpha=0.0))
 
@@ -283,8 +292,10 @@ def test_annealed_run_artifacts(tmp_path):
     ]
     assert all(math.isfinite(v.value) for v in manifest.verdicts)
     # stuck walks are counted, never dropped silently
-    diag = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
-    assert sorted(diag) == ["law_cycle_free_rate", "law_stuck", "survival_stuck"]
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["seeds_used"] == [2]
+    (diag,) = payload["diagnostics"]["per_seed"]
+    assert sorted(diag) == ["law_cycle_free_rate", "law_stuck", "seed", "survival_stuck"]
     assert diag["law_stuck"] == 0 and diag["survival_stuck"] == 0
     assert 0.9 < diag["law_cycle_free_rate"] < 1.0
 
@@ -369,3 +380,37 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert payload["config"]["n"] == 400  # flag wins over the file
     assert payload["config"]["base_seed"] == 7
     assert (Path(out) / "graph_seed7.npz").exists()
+
+
+def test_cli_critical_config_comes_from_experiment_config(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["generate", "--regime", "critical", "--C", "2", "--n", "300", "--lambda", "3"]
+    assert main(argv + ["--seeds", "4", "--out", out]) == 0
+    payload = json.loads((Path(out) / "manifest.json").read_text())
+    want = ExperimentConfig.critical(
+        n=300, m=2, lam=3.0, c=2.0, seed=4, beta_grid=(0.5, 2.0, 3.0), seeds=(4,), out_dir=out
+    )
+    assert payload["config"] == want.to_dict()
+
+
+@pytest.mark.parametrize("case", ["no_directory", "no_manifest", "invalid_json", "no_verdicts"])
+def test_report_fails_cleanly_on_unreadable_runs(tmp_path, capsys, case):
+    run = tmp_path / "run"
+    if case != "no_directory":
+        run.mkdir()
+    if case == "invalid_json":
+        (run / "manifest.json").write_text("{not json")
+    if case == "no_verdicts":
+        (run / "manifest.json").write_text(json.dumps({"config": {"n": 5}}))
+    assert main(["report", str(run)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dbmwalk report: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_report_exit_code_follows_verdicts(tmp_path, capsys):
+    verdicts = [{"name": "a", "passed": True}, {"name": "b", "passed": False}]
+    (tmp_path / "manifest.json").write_text(json.dumps({"verdicts": verdicts}))
+    assert main(["report", str(tmp_path)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdicts"] == verdicts

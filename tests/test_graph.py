@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import digraph_from_edges, k_regular_digraph
 from dbmwalk.graph import (
     DbmParams,
-    degree_extremes,
+    Digraph,
+    degrees,
     gates,
     generate,
     load_binary,
-    load_text,
     pre_rewiring_subgraph,
     save_binary,
-    save_text,
 )
 
 
@@ -107,7 +107,6 @@ def test_community_and_label_ops():
     assert graph.community_of(0) == 0
     assert graph.community_of(prm.n) == 1
     assert graph.community_of(prm.m * prm.n - 1) == prm.m - 1
-    assert graph.label_of(prm.n + 7) == 7
     with pytest.raises(IndexError):
         graph.community_of(prm.m * prm.n)
 
@@ -181,31 +180,79 @@ def test_generation_determinism():
     assert not np.array_equal(g1.targets, g3.targets)
 
 
-def test_roundtrip_text_and_binary(tmp_path):
+def test_roundtrip_binary(tmp_path):
     for alpha, seed in ((0.0, 12), (1.0, 13), (0.3, 14)):
         prm = DbmParams(n=120, m=2, lam=1.5, alpha=alpha, seed=seed)
         graph, _ = generate(prm)
-        tpath = tmp_path / f"g{seed}.txt"
-        bpath = tmp_path / f"g{seed}.npz"
-        save_text(graph, str(tpath))
-        save_binary(graph, str(bpath))
-        for loaded in (load_text(str(tpath)), load_binary(str(bpath))):
-            assert np.array_equal(loaded.indptr, graph.indptr)
-            assert np.array_equal(loaded.targets, graph.targets)
-            assert np.array_equal(loaded.rewired, graph.rewired)
-            assert loaded.params == graph.params
+        path = tmp_path / f"g{seed}.npz"
+        save_binary(graph, str(path))
+        loaded = load_binary(str(path))
+        assert np.array_equal(loaded.indptr, graph.indptr)
+        assert np.array_equal(loaded.targets, graph.targets)
+        assert np.array_equal(loaded.rewired, graph.rewired)
+        assert loaded.params == graph.params
 
 
 def test_load_rejects_format_mismatch(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("DBM 99 10 2 2.0 0.1 7\n")
-    with pytest.raises(ValueError):
-        load_text(str(path))
+    graph, _ = generate(DbmParams(n=50, m=2, lam=2.0, alpha=0.1, seed=7))
+    good = tmp_path / "good.npz"
+    save_binary(graph, str(good))
+    arrays = dict(np.load(good))
+    arrays["format_version"] = np.array([99])
+    np.savez(tmp_path / "future.npz", **arrays)
+    (tmp_path / "plain.npz").write_text("DBM 1 10 2 2.0 0.1 7\n")
+    for name in ("future.npz", "plain.npz"):
+        with pytest.raises(ValueError, match="DBM binary graph|format version"):
+            load_binary(str(tmp_path / name))
+
+
+def break_self_loop(a):
+    v = int(np.flatnonzero(np.diff(a["indptr"]) > 0)[0])
+    a["targets"][a["indptr"][v]] = v
+
+
+def break_sorting(a):
+    v = int(np.flatnonzero(np.diff(a["indptr"]) >= 2)[0])
+    lo = a["indptr"][v]
+    a["targets"][[lo, lo + 1]] = a["targets"][[lo + 1, lo]]
+    a["rewired"][[lo, lo + 1]] = a["rewired"][[lo + 1, lo]]
+
+
+def break_range(a):
+    a["targets"][-1] = a["indptr"].size - 1  # one past the last vertex
+
+
+def break_flags(a):
+    a["rewired"][0] = ~a["rewired"][0]
+
+
+def break_indptr(a):
+    a["indptr"][-1] -= 1  # the last edge falls outside every vertex
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (break_self_loop, "self loop"),
+        (break_sorting, "sorted"),
+        (break_range, "out of range"),
+        (break_flags, "rewired flags"),
+        (break_indptr, "indptr"),
+    ],
+    ids=["self_loop", "unsorted_targets", "target_out_of_range", "flag_mismatch", "short_indptr"],
+)
+def test_load_binary_rejects_broken_graphs(tmp_path, corrupt, message):
+    graph, _ = generate(DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15))
+    path = tmp_path / "g.npz"
+    save_binary(graph, str(path))
+    arrays = dict(np.load(path))
+    corrupt(arrays)
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=message):
+        load_binary(str(path))
 
 
 def test_validate_catches_corruption():
-    from dbmwalk.graph import Digraph
-
     prm = DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15)
     graph, _ = generate(prm)
     src = int(np.flatnonzero(graph.out_degree > 0)[0])
@@ -241,27 +288,18 @@ def test_degree_extremes_interval_from_pmf():
     n_draws = 3 * prm.m * n  # three degree families per vertex
     lo = int(np.searchsorted(cdf, 0.005 / n_draws))
     hi = int(np.searchsorted(cdf, 1.0 - 0.005 / n_draws))
-    scale = prm.lam * math.log(n)
     ok = 0
     for seed in range(1, 21):
-        graph, table = generate(prm, seed=seed)
-        ext = degree_extremes(graph, table, prm.lam)
-        flat = [r for pair in ext.ratios.values() for r in pair]
-        if all(lo / scale <= r <= hi / scale for r in flat):
+        _, table = generate(prm, seed=seed)
+        families = (table.d_out, table.d_in, table.d_in_intra)
+        if all(lo <= d.min() and d.max() <= hi for d in families):
             ok += 1
     assert ok >= 19
 
 
 def test_degree_extremes_regular_and_empty():
-    from conftest import digraph_from_edges, k_regular_digraph
-    from dbmwalk.graph import degrees
-
-    reg = k_regular_digraph(30, 4)
-    table = degrees(reg)
-    ext = degree_extremes(reg, table, lam=1.0)
-    lo, hi = ext.ratios["d_out"]
-    assert lo == hi  # constant out-degrees
-    assert ext.min_out == ext.max_out == 4
-    empty = digraph_from_edges(10, [])
-    ext0 = degree_extremes(empty, degrees(empty), lam=1.0)
-    assert ext0.ratios["d_out"] == (0.0, 0.0)
+    table = degrees(k_regular_digraph(30, 4))
+    for d in (table.d_out, table.d_in, table.d_in_intra):
+        assert d.min() == d.max() == 4  # constant degrees
+    empty = degrees(digraph_from_edges(10, []))
+    assert empty.d_out.max() == empty.d_in.max() == 0

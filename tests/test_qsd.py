@@ -17,7 +17,6 @@ from dbmwalk.qsd import (
     _row_kernel,
     build_merged_kernel,
     community_view,
-    gate_measures,
     hitting_time_estimates,
     iota_first_order,
     jump_target_frequencies,
@@ -292,58 +291,6 @@ def test_mixing_time_cap_and_sampled_mode(monkeypatch):
     )
     assert not exhaustive
     assert t_mix == 1  # sample covers every state here
-
-
-def test_gate_measures_single_gate():
-    view = one_gate_complete_view(6)
-    sol = quasi_stationary(view)
-    meas = gate_measures(view, sol)
-    assert meas.mu_gate.values[0] == 1.0
-    assert meas.mu_gate_in.values[0] == 1.0
-    # one step out of the gate is uniform over the other five vertices
-    assert meas.mu_gate_out.values[0] == 0.0
-    assert np.abs(meas.mu_gate_out.values[1:] - 0.2).max() < 1e-12
-
-
-def test_gate_measures_on_generated_graph(small_community):
-    _, _, view = small_community
-    sol = quasi_stationary(view)
-    meas = gate_measures(view, sol)
-    for vec in (meas.mu_gate, meas.mu_gate_out, meas.mu_gate_in):
-        vec.check()
-        assert vec.domain == "community:0"
-    mask = view.gate_mask
-    assert meas.mu_gate.values[~mask].sum() == 0.0
-    assert meas.mu_gate_in.values[~mask].sum() == 0.0
-    # conditioning keeps the ratios of pi on the gate set
-    pi = view.pi_local.values
-    ratio = meas.mu_gate.values[mask] / pi[mask]
-    assert np.abs(ratio - ratio[0]).max() < 1e-12
-    # the killed walk enters gates with density comparable to pi's
-    dens = meas.mu_gate_in.values[mask] / meas.mu_gate.values[mask]
-    assert dens.max() < 3.0 and dens.min() > 0.1
-
-
-def test_gate_measures_require_reachable_gates():
-    # survivors form a closed cycle, so the QSD never exits through 3
-    edges = [(0, 1), (1, 2), (2, 0), (3, 0)]
-    local = digraph_from_edges(4, edges)
-    mask = np.zeros(4, dtype=bool)
-    mask[3] = True
-    view = CommunityView(
-        i=0,
-        local=local,
-        kernel=_row_kernel(local),
-        gate_labels=np.array([3]),
-        gate_mask=mask,
-        pi_local=ProbVector.uniform(4, "community:0"),
-        d_out_full=local.out_degree.copy(),
-        d_rewired=np.array([0, 0, 0, 1]),
-    )
-    sol = quasi_stationary(view)
-    assert sol.iota == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError, match="gates"):
-        gate_measures(view, sol)
 
 
 def test_nice_gates_classification(small_community):
