@@ -76,7 +76,8 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         seeds = tuple(int(s) for s in seeds.split(","))
     else:
         seeds = tuple(int(s) for s in seeds)
-    betas = pick(args.betas, "beta_grid", _DEFAULT_BETAS[regime])
+    # an unknown regime gets no default grid; ExperimentConfig rejects it
+    betas = pick(args.betas, "beta_grid", _DEFAULT_BETAS.get(regime, ()))
     if isinstance(betas, str):
         betas = tuple(float(b) for b in betas.split(","))
     else:
@@ -84,7 +85,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     timescale = pick(args.timescale, "timescale", "entropic")
     starts = pick(args.starts, "start_policy", "64")
     if str(starts) == "exhaustive":
-        start_policy, sample_starts = "exhaustive", 0
+        start_policy, sample_starts = "exhaustive", 64
     else:
         start_policy, sample_starts = "sampled", int(starts)
     out_dir = pick(args.out, "out_dir", f"out/{command}")
@@ -94,7 +95,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         beta_grid=betas,
         timescale=timescale,
         start_policy=start_policy,
-        sample_starts=sample_starts or 64,
+        sample_starts=sample_starts,
         seeds=seeds,
         out_dir=out_dir,
         threads=int(threads),

@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown timescale {self.timescale!r}")
         if self.start_policy not in ("sampled", "exhaustive"):
             raise ValueError(f"unknown start policy {self.start_policy!r}")
+        if self.sample_starts < 1:
+            raise ValueError(f"need at least one sampled start, got {self.sample_starts}")
         if not self.beta_grid or any(b <= 0 for b in self.beta_grid):
             raise ValueError("beta grid must be positive")
         if not self.seeds:

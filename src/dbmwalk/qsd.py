@@ -16,41 +16,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix
+from scipy.sparse import bmat, csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
 from .rng import NS_RESTART, NS_TRAJECTORY, derived_rng
-from .walk import ProbVector, _step_walkers, stationary
+from .walk import ProbVector, _step_walkers, propagate, stationary, transition_operator
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 QSD_STABLE_TOL = 1e-13
 QSD_STABLE_RUN = 50
 QSD_MAX_ITER = 10**5
 EXHAUSTIVE_STATE_LIMIT = 2000
-
-
-def _row_kernel(graph: Digraph) -> csr_matrix:
-    """Row-stochastic walk kernel of a graph (rows = sources)."""
-    deg = graph.out_degree
-    src = graph.sources()
-    data = 1.0 / deg[src]
-    return csr_matrix(
-        (data, graph.targets, graph.indptr),
-        shape=(graph.vertex_count, graph.vertex_count),
-    )
+MIX_SAMPLE_SIZE = 64  # sampled mixing-time starts on a large merged space
+HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 
 @dataclass
 class CommunityView:
-    """Shared per-community working set: local graph, kernel, gates, pi."""
+    """Shared per-community working set: local graph, gates, pi.
+
+    The kernel is ``transition_operator(local)``; ``survivor``, its
+    restriction to the ``kept`` non-gate labels, is built once, so the
+    gates must not change after it is first read.
+    """
 
     i: int
     local: Digraph
-    kernel: csr_matrix
     gate_labels: np.ndarray
     gate_mask: np.ndarray
     pi_local: ProbVector
@@ -64,6 +60,19 @@ class CommunityView:
     @property
     def gate_mass(self) -> float:
         return float(self.pi_local.values[self.gate_mask].sum())
+
+    @property
+    def kernel(self):
+        """Row-stochastic walk kernel P (rows = sources), a view of P^T."""
+        return transition_operator(self.local).T
+
+    @property
+    def kept(self) -> np.ndarray:
+        return np.flatnonzero(~self.gate_mask)
+
+    @cached_property
+    def survivor(self) -> csr_matrix:
+        return transition_operator(self.local)[self.kept][:, self.kept]
 
 
 def community_view(
@@ -85,16 +94,17 @@ def community_view(
     if "not_strongly_connected" in pi_local.flags:
         raise ValueError(f"community {i} is not strongly connected")
     lo, hi = i * graph.n, (i + 1) * graph.n
-    return CommunityView(
+    view = CommunityView(
         i=i,
         local=local,
-        kernel=_row_kernel(local),
         gate_labels=gate_labels,
         gate_mask=mask,
         pi_local=pi_local,
         d_out_full=table.d_out[lo:hi],
         d_rewired=table.d_rewired_out[lo:hi],
     )
+    view.survivor  # build the community kernel here, where it is traced
+    return view
 
 
 @dataclass
@@ -102,19 +112,20 @@ class MergedKernel:
     """Community kernel with all gates collapsed into one state.
 
     States are the non-gate labels (in ``kept`` order) followed by the
-    merged gate state at index ``len(kept)``.  ``pi_tilde`` restricts the
-    community stationary distribution to the kept states and assigns the
-    full gate mass to the merged state; it is exactly stationary.
+    merged gate state at index ``len(kept)``; ``operator`` is the
+    transposed kernel P~^T.  ``pi_tilde`` restricts the community
+    stationary distribution to the kept states and assigns the full gate
+    mass to the merged state; it is exactly stationary.
     """
 
     i: int
-    matrix: csr_matrix
+    operator: csr_matrix
     kept: np.ndarray
     pi_tilde: ProbVector
 
     @property
     def n_states(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.operator.shape[0])
 
     @property
     def merged_index(self) -> int:
@@ -122,28 +133,29 @@ class MergedKernel:
 
 
 def build_merged_kernel(view: CommunityView) -> MergedKernel:
-    p = view.kernel
-    keep = ~view.gate_mask
-    kept = np.flatnonzero(keep)
+    pt = transition_operator(view.local)
+    kept = view.kept
     gate = view.gate_labels
     pi = view.pi_local.values
     w = pi[gate] / pi[gate].sum()  # entry distribution into the merged state
 
-    a = p[kept][:, kept]
-    to_gate = np.asarray(p[kept][:, gate].sum(axis=1)).ravel()
-    from_gate = w @ p[gate][:, kept]
-    dd = float(w @ np.asarray(p[gate][:, gate].sum(axis=1)).ravel())
+    # column v holds P(v, g) over the gates g; a CSC column sum adds them
+    # in the order a row sum of P would
+    into_gate = pt[gate].tocsc()
+    to_gate = np.asarray(into_gate[:, kept].sum(axis=0)).ravel()
+    from_gate = pt[kept][:, gate] @ w
+    dd = float(w @ np.asarray(into_gate[:, gate].sum(axis=0)).ravel())
 
-    matrix = bmat(
+    operator = bmat(
         [
-            [a, csr_matrix(to_gate[:, None])],
-            [csr_matrix(np.asarray(from_gate).reshape(1, -1)), np.array([[dd]])],
+            [view.survivor, csr_matrix(from_gate[:, None])],
+            [csr_matrix(to_gate[None, :]), np.array([[dd]])],
         ],
         format="csr",
     )
     values = np.concatenate([pi[kept], [pi[gate].sum()]])
     pi_tilde = ProbVector(values, f"merged:{view.i}")
-    return MergedKernel(i=view.i, matrix=matrix, kept=kept, pi_tilde=pi_tilde)
+    return MergedKernel(i=view.i, operator=operator, kept=kept, pi_tilde=pi_tilde)
 
 
 @dataclass
@@ -165,12 +177,10 @@ class QsdSolution:
 
 def quasi_stationary(view: CommunityView) -> QsdSolution:
     """Power iteration for the QSD of the walk killed at the gates."""
-    keep = ~view.gate_mask
-    kept = np.flatnonzero(keep)
-    sub = view.kernel[kept][:, kept]
+    kept = view.kept
     if kept.size == 0:
         raise ValueError("every vertex is a gate; no survivor states")
-
+    sub = view.survivor
     ncomp, _ = connected_components(sub, directed=True, connection="strong")
     reducible = ncomp > 1
 
@@ -179,7 +189,7 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
     stable = 0
     iterations = 0
     for iterations in range(1, QSD_MAX_ITER + 1):
-        nxt = sub.T @ mu
+        nxt = sub @ mu
         theta = float(nxt.sum())
         if theta <= 0.0:
             raise RuntimeError("survivor kernel lost all mass; no QSD")
@@ -197,7 +207,7 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
             + (" (survivor kernel is reducible)" if reducible else "")
         )
 
-    residual = float(np.abs(sub.T @ mu - theta * mu).sum())
+    residual = float(np.abs(sub @ mu - theta * mu).sum())
     full = np.zeros(view.n)
     full[kept] = mu
     return QsdSolution(
@@ -212,15 +222,9 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
 
 def survival_curve(view: CommunityView, solution: QsdSolution, t_max: int) -> np.ndarray:
     """Exact P(tau_gate > t) from the QSD, for t = 0..t_max."""
-    keep = np.flatnonzero(~view.gate_mask)
-    sub = view.kernel[keep][:, keep]
-    mu = solution.mu_star.values[keep]
-    out = np.empty(t_max + 1)
-    out[0] = 1.0
-    for t in range(1, t_max + 1):
-        mu = sub.T @ mu
-        out[t] = float(mu.sum())
-    return out
+    mu = solution.mu_star.values[view.kept]
+    steps = propagate(view.survivor, mu, range(1, t_max + 1))
+    return np.array([1.0] + [float(mu_t.sum()) for mu_t in steps])
 
 
 def iota_first_order(params: DbmParams) -> float:
@@ -229,41 +233,30 @@ def iota_first_order(params: DbmParams) -> float:
 
 
 def mixing_time_estimate(
-    merged: MergedKernel,
-    cap: int,
-    starts: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-    sample_size: int = 64,
+    merged: MergedKernel, cap: int, rng: np.random.Generator | None = None
 ) -> tuple[int, bool]:
     """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e).
 
     Exhaustive over all states when the merged space is small; otherwise
-    a sampled start set plus the merged state, making the result a lower
-    estimate (flagged by the returned bool = False).
+    MIX_SAMPLE_SIZE starts drawn from ``rng`` plus the merged state,
+    making the result a lower estimate (flagged by the returned bool =
+    False).
     """
     ns = merged.n_states
     exhaustive = ns <= EXHAUSTIVE_STATE_LIMIT
     if exhaustive:
         starts = np.arange(ns, dtype=np.int64)
-    elif starts is None:
-        if rng is None:
-            raise ValueError("sampled starts need a generator")
-        starts = np.unique(
-            np.concatenate(
-                [
-                    rng.choice(ns, size=min(sample_size, ns), replace=False),
-                    [merged.merged_index],
-                ]
-            )
-        )
-    mt = merged.matrix.T.tocsr()
+    elif rng is None:
+        raise ValueError("sampled starts need a generator")
+    else:
+        sampled = rng.choice(ns, size=min(MIX_SAMPLE_SIZE, ns), replace=False)
+        starts = np.unique(np.append(sampled, merged.merged_index))
     cols = np.zeros((ns, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     ref = merged.pi_tilde.values[:, None]
-    for t in range(1, cap + 1):
-        cols = mt @ cols
-        worst = float(0.5 * np.abs(cols - ref).sum(axis=0).max())
-        if worst <= MIX_THRESHOLD:
+    stepped = propagate(merged.operator, cols, range(1, cap + 1))
+    for t, cols in enumerate(stepped, start=1):
+        if 0.5 * np.abs(cols - ref).sum(axis=0).max() <= MIX_THRESHOLD:
             return t, exhaustive
     raise RuntimeError(f"merged kernel did not mix within the cap of {cap} steps")
 
@@ -296,11 +289,9 @@ def return_mass(merged: MergedKernel, t_mix: int) -> ReturnMass:
     level = float(pi[d])
     mu = np.zeros(merged.n_states)
     mu[d] = 1.0
-    mt = merged.matrix.T.tocsr()
     raw = 0.0
     excess = 0.0
-    for _ in range(horizon):
-        mu = mt @ mu
+    for mu in propagate(merged.operator, mu, range(1, horizon + 1)):
         ret = float(mu[d])
         raw += ret
         excess += max(ret - level, 0.0)
@@ -322,7 +313,6 @@ def hitting_time_estimates(
     view: CommunityView,
     merged: MergedKernel,
     mass: ReturnMass,
-    oracle_limit: int = 2000,
 ) -> HittingEstimate:
     """Estimate E_pi[tau_gate] as r_tilde / pi~(gate state).
 
@@ -333,15 +323,12 @@ def hitting_time_estimates(
     gate_mass = view.gate_mass
     estimate = mass.r_tilde / gate_mass
     oracle = None
-    if view.n <= oracle_limit:
-        keep = np.flatnonzero(~view.gate_mask)
-        sub = view.kernel[keep][:, keep]
-        eye = csr_matrix(
-            (np.ones(keep.size), (np.arange(keep.size), np.arange(keep.size))),
-            shape=sub.shape,
-        )
-        h = spsolve((eye - sub).tocsr(), np.ones(keep.size))
-        oracle = float((view.pi_local.values[keep] * h).sum())
+    if view.n <= HITTING_ORACLE_LIMIT:
+        kept = view.kept
+        # I - P on the kept states, as CSR (the survivor operator is P^T)
+        i_minus_p = identity(kept.size, format="csr") - view.survivor.T
+        h = spsolve(i_minus_p, np.ones(kept.size))
+        oracle = float((view.pi_local.values[kept] * h).sum())
     return HittingEstimate(estimate=estimate, oracle=oracle, gate_mass=gate_mass)
 
 
@@ -433,7 +420,7 @@ def restart_process(
     coin_p[nz] = view.d_rewired[nz] / view.d_out_full[nz]
 
     draw_start = _cdf_sampler(solution.mu_star.values)
-    reinit_weights = view.kernel.T @ solution.mu_star.values
+    reinit_weights = transition_operator(view.local) @ solution.mu_star.values
     draw_reinit = _cdf_sampler(reinit_weights)
 
     pos = draw_start(rng, reps)

@@ -9,6 +9,7 @@ samplers draw from explicit generators or derived streams.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,26 +100,36 @@ def transition_operator(graph: Digraph) -> csr_matrix:
     return graph._cache["PT"]
 
 
-def _sink_mask(graph: Digraph) -> np.ndarray:
-    if "sinks" not in graph._cache:
-        graph._cache["sinks"] = graph.out_degree == 0
-    return graph._cache["sinks"]
+def propagate(
+    operator: csr_matrix, columns: np.ndarray, times: Iterable[int]
+) -> Iterator[np.ndarray]:
+    """Yield ``operator^t @ columns`` at each of the sorted ``times``.
+
+    The one loop that applies a kernel to a block of columns: P^T for
+    global or community distributions, the survivor or merged-gate
+    operator for the escape pipeline.  Lazy, so a caller may stop early.
+    """
+    now = 0
+    for t in times:
+        for _ in range(t - now):
+            columns = operator @ columns
+        now = t
+        yield columns
 
 
-def _check_no_sink_mass(graph: Digraph, values: np.ndarray) -> None:
-    sinks = _sink_mask(graph)
-    if sinks.any() and float(values[sinks].sum()) > 0.0:
-        v = int(np.flatnonzero(sinks & (values > 0))[0])
-        raise ValueError(f"distribution puts mass on sink vertex {v}")
+def _check_no_sinks(graph: Digraph) -> None:
+    sinks = np.flatnonzero(graph.out_degree == 0)
+    if sinks.size:
+        raise ValueError(f"walk kernel loses mass at sink vertex {int(sinks[0])}")
 
 
 def evolve_batch(graph: Digraph, columns: np.ndarray, t: int) -> np.ndarray:
-    """Evolve several distributions at once (columns of an N x K array)."""
-    pt = transition_operator(graph)
-    _check_no_sink_mass(graph, columns.max(axis=1))
-    out = columns
-    for _ in range(t):
-        out = pt @ out
+    """Evolve several distributions at once (columns of an N x K array).
+
+    A graph with a sink is refused, since its kernel loses mass.
+    """
+    _check_no_sinks(graph)
+    (out,) = propagate(transition_operator(graph), columns, [t])
     return out
 
 
@@ -307,15 +318,13 @@ def mixing_profile(
     if times.size and times[0] < 0:
         raise ValueError("times must be non-negative")
     starts = np.asarray(starts, dtype=np.int64)
-    n = graph.vertex_count
-    cols = np.zeros((n, starts.size))
+    _check_no_sinks(graph)
+    cols = np.zeros((graph.vertex_count, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     ref = reference.values[:, None]
     per_start = np.zeros((starts.size, times.size))
-    now = 0
-    for j, t in enumerate(times):
-        cols = evolve_batch(graph, cols, int(t - now))
-        now = int(t)
+    stepped = propagate(transition_operator(graph), cols, times.tolist())
+    for j, cols in enumerate(stepped):
         per_start[:, j] = 0.5 * np.abs(cols - ref).sum(axis=0)
     return MixingProfile(times=times, per_start=per_start, starts=starts)
 

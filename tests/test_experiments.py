@@ -128,6 +128,9 @@ def test_config_misc_guards():
         ExperimentConfig(**{**good, "beta_grid": (0.5, -1.0)})
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(**{**good, "seeds": ()})
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="sampled start"):
+            ExperimentConfig(**{**good, "sample_starts": size})
 
 
 def test_time_grid_and_limit_regime():
@@ -380,6 +383,41 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert payload["config"]["n"] == 400  # flag wins over the file
     assert payload["config"]["base_seed"] == 7
     assert (Path(out) / "graph_seed7.npz").exists()
+
+
+def test_cli_config_file_with_unknown_regime(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"regime": "mixed", "alpha": 0.02}))
+    argv = ["profile", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit, match="^invalid configuration: unknown regime 'mixed'$"):
+        main(argv)
+
+
+@pytest.mark.parametrize("starts", ["0", "-5"])
+def test_cli_rejects_empty_or_negative_start_samples(tmp_path, starts):
+    argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
+    with pytest.raises(SystemExit, match="invalid configuration: need at least one sampled start"):
+        main(argv + ["--starts", starts, "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_exhaustive_starts_keep_their_config_hash(tmp_path):
+    out = str(tmp_path / "run")
+    argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
+    assert main(argv + ["--starts", "exhaustive", "--out", out]) == 0
+    payload = json.loads((Path(out) / "manifest.json").read_text())
+    assert payload["config"]["start_policy"] == "exhaustive"
+    assert payload["config"]["sample_starts"] == 64
+    want = ExperimentConfig(
+        params=DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1),
+        regime="supercritical",
+        beta_grid=(0.5, 1.0, 2.0, 5.0),
+        start_policy="exhaustive",
+        sample_starts=64,
+        seeds=(1,),
+        out_dir=out,
+    )
+    assert payload["config_hash"] == _new_manifest(want).config_hash
 
 
 def test_cli_critical_config_comes_from_experiment_config(tmp_path):

@@ -6,15 +6,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.sparse import csr_matrix
 
-from conftest import complete_digraph, digraph_from_edges
+from conftest import (
+    complete_digraph,
+    dense_kernel,
+    dense_stationary,
+    digraph_from_edges,
+    random_sc_digraph,
+)
 from dbmwalk.graph import DbmParams, degrees, generate
 from dbmwalk.qsd import (
     CommunityView,
     MergedKernel,
-    _row_kernel,
     build_merged_kernel,
     community_view,
     hitting_time_estimates,
@@ -46,7 +53,6 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
     return CommunityView(
         i=0,
         local=local,
-        kernel=_row_kernel(local),
         gate_labels=np.array([0], dtype=np.int64),
         gate_mask=mask,
         pi_local=ProbVector.uniform(k, "community:0"),
@@ -101,7 +107,6 @@ def test_qsd_flags_reducible_survivor_kernel():
     view = CommunityView(
         i=0,
         local=local,
-        kernel=_row_kernel(local),
         gate_labels=np.array([6]),
         gate_mask=mask,
         pi_local=ProbVector.uniform(7, "community:0"),
@@ -144,14 +149,14 @@ def test_merged_kernel_single_gate_is_a_relabeling():
     assert merged.merged_index == 5
     order = np.concatenate([merged.kept, [0]])
     want = view.kernel.toarray()[np.ix_(order, order)]
-    assert np.abs(merged.matrix.toarray() - want).max() < 1e-15
+    assert np.abs(merged.operator.T.toarray() - want).max() < 1e-15
     assert np.abs(merged.pi_tilde.values - 1 / 6).max() < 1e-15
 
 
 def test_merged_kernel_rows_and_exact_stationarity(small_community):
     _, _, view = small_community
     merged = build_merged_kernel(view)
-    mat = merged.matrix
+    mat = merged.operator.T
     rows = np.asarray(mat.sum(axis=1)).ravel()
     assert np.abs(rows - 1.0).max() < 1e-12
     # non-gate block is the plain restriction of the community kernel
@@ -171,19 +176,87 @@ def test_merged_kernel_mass_conservation(small_community):
     dense = view.kernel.toarray()
     kept = merged.kept
     gate = view.gate_labels
-    to_gate = np.asarray(merged.matrix.toarray())[: kept.size, -1]
+    to_gate = merged.operator.T.toarray()[: kept.size, -1]
     want = dense[np.ix_(kept, gate)].sum(axis=1)
     assert np.abs(to_gate - want).max() < 1e-14
+
+
+def dense_mixing_time(kernel: np.ndarray, pi: np.ndarray, cap: int) -> int | None:
+    """Smallest t <= cap with worst-row TV(kernel^t, pi) <= 1/(2e), or None."""
+    power = np.eye(kernel.shape[0])
+    for t in range(1, cap + 1):
+        power = power @ kernel
+        if 0.5 * np.abs(power - pi).sum(axis=1).max() <= 1.0 / (2.0 * math.e):
+            return t
+    return None
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(size=st.integers(4, 30), graph_seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
+    # the merged kernel, its stationary law, mixing time, return mass and
+    # hitting oracle on random strongly connected digraphs with a random
+    # proper gate set, against dense re-derivations of each definition
+    graph = random_sc_digraph(np.random.default_rng(graph_seed), size)
+    gate = np.array(
+        sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1)))
+    )
+    mask = np.zeros(size, dtype=bool)
+    mask[gate] = True
+    p = dense_kernel(graph)
+    pi = dense_stationary(p)
+    view = CommunityView(
+        i=0,
+        local=graph,
+        gate_labels=gate,
+        gate_mask=mask,
+        pi_local=ProbVector(pi, "community:0"),
+        d_out_full=graph.out_degree.copy(),
+        d_rewired=mask.astype(np.int64),
+    )
+    kept = np.flatnonzero(~mask)
+    k = kept.size
+    w = pi[gate] / pi[gate].sum()
+    want = np.zeros((k + 1, k + 1))
+    want[:k, :k] = p[np.ix_(kept, kept)]
+    want[:k, k] = p[np.ix_(kept, gate)].sum(axis=1)
+    want[k, :k] = w @ p[np.ix_(gate, kept)]
+    want[k, k] = w @ p[np.ix_(gate, gate)].sum(axis=1)
+
+    merged = build_merged_kernel(view)
+    assert np.array_equal(merged.kept, kept) and merged.merged_index == k
+    assert np.abs(merged.operator.T.toarray() - want).max() < 1e-14
+    pi_tilde = merged.pi_tilde.values
+    assert np.array_equal(pi_tilde, np.append(pi[kept], pi[gate].sum()))
+    assert np.abs(merged.operator @ pi_tilde - pi_tilde).sum() < 1e-12
+
+    t_mix = dense_mixing_time(want, pi_tilde, cap=100)
+    assert mixing_time_estimate(merged, cap=100) == (t_mix, True)
+
+    mass = return_mass(merged, t_mix)
+    assert mass.t_horizon == math.ceil(t_mix * math.log(1.0 / pi_tilde.min()))
+    level = pi_tilde[k]
+    returns = [
+        np.linalg.matrix_power(want, s)[k, k] for s in range(1, mass.t_horizon + 1)
+    ]
+    assert mass.r_tilde_raw == pytest.approx(1.0 + sum(returns), abs=1e-12)
+    excess = sum(max(r - level, 0.0) for r in returns)
+    assert mass.r_tilde == pytest.approx(1.0 + excess, abs=1e-12)
+
+    hit = hitting_time_estimates(view, merged, mass)
+    h = np.linalg.solve(np.eye(k) - p[np.ix_(kept, kept)], np.ones(k))
+    assert hit.oracle == pytest.approx(float(pi[kept] @ h), rel=1e-10)
+    assert hit.estimate == mass.r_tilde / pi[gate].sum()
 
 
 def test_return_mass_clamp_and_horizon_mechanics():
     # horizon = ceil(t_mix * log(1/min pi)) = 1, and the single return
     # probability 0.5 sits below the stationary level, so the clamped
     # excess vanishes while the raw sum keeps it
-    matrix = csr_matrix(np.array([[0.0, 1.0], [0.5, 0.5]]))
+    matrix = np.array([[0.0, 1.0], [0.5, 0.5]])
     merged = MergedKernel(
         i=0,
-        matrix=matrix,
+        operator=csr_matrix(matrix.T),
         kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.4, 0.6]), "merged:0"),
     )
@@ -199,7 +272,7 @@ def test_return_mass_matches_dense_powers():
     t_mix, exhaustive = mixing_time_estimate(merged, cap=50)
     assert exhaustive
     mass = return_mass(merged, t_mix)
-    dense = merged.matrix.toarray()
+    dense = merged.operator.T.toarray()
     d = merged.merged_index
     level = merged.pi_tilde.values[d]
     power = np.eye(6)
@@ -253,7 +326,7 @@ def test_mixing_time_matches_dense_definition(small_community):
     merged = build_merged_kernel(view)
     t_mix, exhaustive = mixing_time_estimate(merged, cap=500)
     assert exhaustive
-    dense = merged.matrix.toarray()
+    dense = merged.operator.T.toarray()
     pi = merged.pi_tilde.values
     power = np.eye(merged.n_states)
     worst_prev = 1.0
@@ -270,7 +343,7 @@ def test_mixing_time_matches_dense_definition(small_community):
 def test_mixing_time_cap_and_sampled_mode(monkeypatch):
     slow = MergedKernel(
         i=0,
-        matrix=csr_matrix(np.array([[0.99, 0.01], [0.01, 0.99]])),
+        operator=csr_matrix(np.array([[0.99, 0.01], [0.01, 0.99]])),
         kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.5, 0.5]), "merged:0"),
     )

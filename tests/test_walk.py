@@ -101,13 +101,18 @@ def test_evolve_batch_matches_single_columns():
 
 
 def test_evolution_rejects_sink_mass():
-    # vertex 3 has no out-edges; stepping mass out of it is an error
+    # vertex 3 has no out-edges, so the kernel loses the mass that reaches
+    # it; evolution refuses the graph up front, even when no start column
+    # has mass there yet
     graph = digraph_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     cols = np.zeros((4, 2))
     cols[[0, 3], [0, 1]] = 1.0
     with pytest.raises(ValueError, match="sink vertex 3"):
         evolve_batch(graph, cols, 1)
-    assert np.array_equal(evolve_batch(graph, cols[:, :1], 1)[:, 0], [0.0, 0.5, 0.0, 0.5])
+    with pytest.raises(ValueError, match="sink vertex 3"):
+        evolve_batch(graph, cols[:, :1], 1)
+    with pytest.raises(ValueError, match="sink vertex 3"):
+        mixing_profile(graph, np.array([0]), [2], ProbVector.uniform(4))
 
 
 def test_stationary_matches_dense_solver():
