@@ -209,13 +209,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class Verdict:
-    """One acceptance check; ``censored`` counts the samples it left out."""
+    """One acceptance check; ``censored`` counts the samples it left out.
+
+    ``censoring_bound`` = censored / (kept + censored) bounds the sup
+    distance between the CDF of the kept samples (conditioned on not
+    being censored) and the unconditioned one.
+    """
 
     name: str
     passed: bool
     value: float
     tolerance: str
     censored: int | None = None
+    censoring_bound: float | None = None
 
 
 @dataclass
@@ -357,7 +363,14 @@ def _profile_seed(config: ExperimentConfig, seed: int):
         starts = select_starts(graph, rng, k=config.sample_starts)
     times = sorted(set(config.time_grid().values()))
     profile = mixing_profile(graph, starts, times, pi)
-    return _solver_diagnostics(pi, seed=used), dict(zip(profile.times, profile.distances))
+    compression = {
+        "starts": int(starts.size),
+        "checkpoint": profile.checkpoint,
+        "rank": profile.rank,
+        "tv_bound": profile.tv_bound,
+    }
+    diag = _solver_diagnostics(pi, seed=used, profile_compression=compression)
+    return diag, dict(zip(profile.times, profile.distances))
 
 
 def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
@@ -627,6 +640,7 @@ def run_qsd_experiment(
                     float(ks),
                     f"< {QSD_KS_TOL}",
                     censored=censored,
+                    censoring_bound=censored / (arr.size + censored),
                 )
             )
     return manifest

@@ -20,6 +20,8 @@ from .rng import NS_TRAJECTORY, derived_rng
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
+PROFILE_CHECKPOINT = 16  # first step at which a profile block may be compressed
+PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,21 @@ class EntropyResult:
 
 @dataclass
 class MixingProfile:
-    """Total-variation distance to a reference at recorded times."""
+    """Total-variation distance to a reference at recorded times.
+
+    When the start block was compressed, ``checkpoint`` is the step at
+    which it happened, ``rank`` the number of basis columns stepped from
+    there on, and ``tv_bound`` the certified bound on how far any later
+    value may lie from the uncompressed one (None, None and 0.0 when
+    every start was stepped to the end).
+    """
 
     times: np.ndarray
     per_start: np.ndarray  # shape (n_starts, n_times)
     starts: np.ndarray
+    checkpoint: int | None = None
+    rank: int | None = None
+    tv_bound: float = 0.0
 
     @property
     def distances(self) -> np.ndarray:
@@ -313,20 +325,139 @@ def mixing_profile(
     times: np.ndarray,
     reference: ProbVector,
 ) -> MixingProfile:
-    """TV distance to ``reference`` from each start at the given times."""
+    """TV distance to ``reference`` from each start at the given times.
+
+    The K start columns are stepped together.  At the checkpoints
+    PROFILE_CHECKPOINT, twice that, four times that, ... before the last
+    time, the block is offered to ``_interpolative``.  Once every column
+    c_x lies within PROFILE_COMPRESS_TOL in L1 of B a_x, where B is
+    r <= min(K/4, checkpoint) of the block's own columns, only B is
+    stepped on and each later column is formed as B a_x.  Short grids
+    and fewer than four starts are never compressed, so they give the
+    plain values exactly.  P^T does not increase the L1 norm of a
+    signed vector, so each later value lies within e_x / 2 of the
+    uncompressed one, e_x = ||c_x - B a_x||_1; ``tv_bound`` is the
+    largest such bound.  Supercritical walks collapse onto the m local
+    equilibria after local mixing, so B then has about m columns.
+    """
     times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
     if times.size and times[0] < 0:
         raise ValueError("times must be non-negative")
     starts = np.asarray(starts, dtype=np.int64)
     _check_no_sinks(graph)
+    operator = transition_operator(graph)
     cols = np.zeros((graph.vertex_count, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     ref = reference.values[:, None]
     per_start = np.zeros((starts.size, times.size))
-    stepped = propagate(transition_operator(graph), cols, times.tolist())
-    for j, cols in enumerate(stepped):
-        per_start[:, j] = 0.5 * np.abs(cols - ref).sum(axis=0)
-    return MixingProfile(times=times, per_start=per_start, starts=starts)
+
+    def record(t: int, block: np.ndarray) -> None:
+        per_start[:, times == t] = 0.5 * np.abs(block - ref).sum(axis=0)[:, None]
+
+    recorded = set(times.tolist())
+    last = int(times[-1]) if times.size else 0
+    max_rank = starts.size // 4
+    checkpoints = []
+    t = PROFILE_CHECKPOINT
+    while max_rank and t < last:
+        checkpoints.append(t)
+        t *= 2
+    schedule = sorted(recorded.union(checkpoints))
+    fit = None
+    for t, cols in zip(schedule, propagate(operator, cols, schedule)):
+        if t in recorded:
+            record(t, cols)
+        if t in checkpoints:
+            # capping r at t keeps a failed screen's O(n K r) within about
+            # the cost of the t block steps already taken
+            fit = _interpolative(cols, min(max_rank, t), PROFILE_COMPRESS_TOL)
+            if fit is not None:
+                checkpoint = t
+                break
+    if fit is None:
+        return MixingProfile(times=times, per_start=per_start, starts=starts)
+    picked, coef, residual = fit
+    cols = cols[:, picked]  # only the basis is stepped from here on
+    later = sorted(s for s in recorded if s > checkpoint)
+    for t, basis in zip(later, propagate(operator, cols, [s - checkpoint for s in later])):
+        record(t, _combine(basis, coef))
+    return MixingProfile(
+        times=times,
+        per_start=per_start,
+        starts=starts,
+        checkpoint=checkpoint,
+        rank=len(picked),
+        tv_bound=0.5 * float(residual.max()),
+    )
+
+
+def _interpolative(
+    block: np.ndarray, max_rank: int, tol: float
+) -> tuple[list[int], np.ndarray, np.ndarray] | None:
+    """Interpolative decomposition block ~ block[:, picked] @ coef, or None.
+
+    ``_pivoted_gram_schmidt`` finds the first rank whose least-squares
+    residuals all lie within ``tol`` in L1.  The coefficients are then
+    solved from its triangular factor (exact unit columns for the picks
+    themselves), and each column's residual is recomputed from them as
+    the caller will form it.  Returns (picked, coef, residuals) if those
+    also lie within ``tol``.
+    """
+    screened = _pivoted_gram_schmidt(block, max_rank, tol)
+    if screened is None:
+        return None
+    picked, upper = screened
+    coef = _back_substitute(upper[:, picked], upper)
+    coef[:, picked] = np.eye(len(picked))
+    approx = _combine(block[:, picked], coef)
+    residual = np.abs(np.subtract(block, approx, out=approx), out=approx).sum(axis=0)
+    return (picked, coef, residual) if residual.max() <= tol else None
+
+
+def _pivoted_gram_schmidt(
+    block: np.ndarray, max_rank: int, tol: float
+) -> tuple[list[int], np.ndarray] | None:
+    """Pick columns by column-pivoted modified Gram-Schmidt.
+
+    After r picks, the residual left in each column is its least-squares
+    misfit on the picks, so screening every rank up to ``max_rank`` costs
+    O(n K max_rank) in all.  Stops at the first rank whose residuals all
+    lie within ``tol`` in L1 and returns (picked, rows of the upper
+    triangular factor), or None.  The columns are held as rows, so every
+    inner product is a numpy pairwise sum: more accurate than a running
+    sum over n, and independent of the BLAS thread count.
+    """
+    resid = block.T.copy()
+    work = np.empty_like(resid)
+    upper = np.zeros((max_rank, block.shape[1]))
+    picked: list[int] = []
+    for r in range(max_rank):
+        norms = np.square(resid, out=work).sum(axis=1)
+        pick = int(np.argmax(norms))
+        q = resid[pick] / math.sqrt(norms[pick])
+        upper[r] = np.multiply(resid, q, out=work).sum(axis=1)
+        resid -= np.multiply(upper[r][:, None], q, out=work)
+        picked.append(pick)
+        if np.abs(resid, out=work).sum(axis=1).max() <= tol:
+            return picked, upper[: r + 1]
+    return None
+
+
+def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve upper @ x = rhs for an upper-triangular ``upper``, row by row."""
+    x = np.zeros_like(rhs)
+    r = upper.shape[0]
+    for i in reversed(range(r)):
+        x[i] = (rhs[i] - sum(upper[i, j] * x[j] for j in range(i + 1, r))) / upper[i, i]
+    return x
+
+
+def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """basis @ coef, summed one rank-one term at a time in a fixed order."""
+    out = basis[:, :1] * coef[0]
+    for i in range(1, coef.shape[0]):
+        out += basis[:, i : i + 1] * coef[i]
+    return out
 
 
 def _step_walkers(

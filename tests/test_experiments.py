@@ -208,17 +208,43 @@ def test_profile_run_artifacts(tmp_path):
     betas = [float(r.split(",")[0]) for r in (tmp_path / "theory.csv").read_text().splitlines()[1:]]
     assert 1.0 not in betas
     assert 0.999 in betas and 1.001 in betas
-    assert_solver_diagnostics(payload["diagnostics"], [1, 2])
+    assert_solver_diagnostics(payload["diagnostics"], [1, 2], extra=("profile_compression",))
+    # a grid this short is never compressed, and the record says so
+    for r in payload["diagnostics"]["per_seed"]:
+        assert r["profile_compression"] == {
+            "starts": 1600, "checkpoint": None, "rank": None, "tv_bound": 0.0,
+        }
 
 
-def assert_solver_diagnostics(diag: dict, seeds: list[int]) -> None:
+def assert_solver_diagnostics(diag: dict, seeds: list[int], extra: tuple = ()) -> None:
     """One record per seed, in seed order, for the global stationary solve."""
     records = diag["per_seed"]
     assert [r["seed"] for r in records] == seeds
     for r in records:
-        assert sorted(r) == ["seed", "stationary_iterations", "stationary_residual"]
+        assert sorted(r) == sorted(["seed", "stationary_iterations", "stationary_residual", *extra])
         assert r["stationary_iterations"] > 0
         assert r["stationary_residual"] < 1e-12
+
+
+def test_compressed_profile_determinism_across_threads(tmp_path):
+    # on the inverse-alpha clock the 400 start columns collapse onto a
+    # few after local mixing and only those are stepped on; the bytes
+    # must still not depend on the thread count
+    def run(tag: str, threads: int) -> bytes:
+        config = super_config(
+            str(tmp_path / tag), n=200, alpha=0.01, seeds=(1, 2, 3), threads=threads,
+            beta_grid=(0.5, 1.0, 2.0), timescale="inverse_alpha",
+        )
+        run_profile_experiment(config)
+        payload = json.loads((tmp_path / tag / "manifest.json").read_text())
+        for r in payload["diagnostics"]["per_seed"]:
+            record = r["profile_compression"]
+            assert record["checkpoint"] is not None
+            assert record["rank"] < record["starts"] == 400
+            assert record["tv_bound"] <= 0.5e-12
+        return (tmp_path / tag / "profile.csv").read_bytes()
+
+    assert run("flat", 1) == run("pooled", 4)
 
 
 def test_profile_determinism_across_threads(tmp_path):
@@ -271,6 +297,13 @@ def test_qsd_run_artifacts(tmp_path):
         "iota_first_order_relerr": None,
         "ks_alpha_tau_rho_exp1": sum(r["restart_censored"] for r in records),
         "ks_alpha_tau_jump_exp1": sum(r["tau_jump_censored"] for r in records),
+    }
+    # and bounds the CDF shift that conditioning on the kept ones causes
+    # by the censored share of the 2 x 600 samples
+    bounds = {v.name: v.censoring_bound for v in manifest.verdicts}
+    assert bounds == {
+        "iota_first_order_relerr": None,
+        **{name: c / 1200 for name, c in censored.items() if name.startswith("ks_")},
     }
     with pytest.raises(ValueError, match="alpha"):
         run_qsd_experiment(super_config(str(tmp_path), alpha=0.0))

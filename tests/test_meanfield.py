@@ -80,6 +80,31 @@ def test_meanfield_tv_equals_row_distance():
                 assert meanfield_tv(m, alpha, t) == pytest.approx(want, abs=1e-13)
 
 
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_closed_forms_where_the_contraction_factor_vanishes_or_turns_negative(m):
+    # alpha = (m-1)/m makes b = 0 (one step mixes), alpha = 1 makes
+    # b = -1/(m-1) (the powers oscillate; m = 2 swaps forever); just below
+    # each, b is a tiny positive or a negative number close to its limit
+    edges = [(m - 1) / m, 1.0]
+    alphas = edges + [np.nextafter(a, 0.0) for a in edges] + [a - 1e-6 for a in edges]
+    for alpha in alphas:
+        q = q_matrix(m, alpha)
+        for t in (0, 1, 2, 3, 4, 7, 20, 201):
+            want = np.linalg.matrix_power(q, t)
+            got = q_power_matrix(m, alpha, t)
+            assert np.abs(got - want).max() < 1e-12, (alpha, t)
+            for i in range(m):
+                for j in range(m):
+                    assert q_power_closed(m, alpha, t, i, j) == got[i, j]
+            for row in want:
+                tv = 0.5 * np.abs(row - 1.0 / m).sum()
+                assert meanfield_tv(m, alpha, t) == pytest.approx(tv, abs=1e-12)
+    # m = 2 at alpha = 1 alternates between the identity and the swap
+    if m == 2:
+        assert np.array_equal(q_power_matrix(2, 1.0, 201), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert meanfield_tv(2, 1.0, 201) == meanfield_tv(2, 1.0, 200) == 0.5
+
+
 def test_limiting_profile_exponential_regime():
     for m in (2, 3):
         plateau = (m - 1) / m

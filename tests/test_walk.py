@@ -33,6 +33,7 @@ from dbmwalk.walk import (
     local_stationary,
     mixing_profile,
     path_mass_ratios,
+    propagate,
     sample_tau_jump,
     select_starts,
     stationary,
@@ -358,6 +359,79 @@ def test_mixing_profile_matches_dense_powers():
         for k, s in enumerate((2, 7)):
             want = 0.5 * np.abs(power[s] - pi.values).sum()
             assert prof.per_start[k, j] == pytest.approx(want, abs=1e-10)
+
+
+def plain_profile(graph, starts, times, ref):
+    """TV per start and time with every start column stepped to the end."""
+    cols = np.zeros((graph.vertex_count, starts.size))
+    cols[starts, np.arange(starts.size)] = 1.0
+    stepped = propagate(transition_operator(graph), cols, times)
+    return np.column_stack([0.5 * np.abs(c - ref.values[:, None]).sum(axis=0) for c in stepped])
+
+
+@DIFFERENTIAL
+@given(
+    size=st.integers(8, 40),
+    graph_seed=st.integers(0, 2**32 - 1),
+    last=st.integers(1, 150),
+    data=st.data(),
+)
+def test_compressed_profile_stays_within_its_certificate(size, graph_seed, last, data):
+    # compressed or not, every value lies within tv_bound (plus rounding)
+    # of the one from stepping every start column to the end
+    graph = random_sc_digraph(np.random.default_rng(graph_seed), size)
+    starts = np.array(
+        data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True))
+    )
+    times = sorted(data.draw(st.lists(st.integers(0, last), max_size=4)) + [last])
+    ref = ProbVector(dense_stationary(dense_kernel(graph)))
+    prof = mixing_profile(graph, starts, times, ref)
+    want = plain_profile(graph, starts, times, ref)
+    assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
+    if prof.checkpoint is None:
+        assert prof.rank is None and prof.tv_bound == 0.0
+        assert np.array_equal(prof.per_start, want)
+    else:
+        assert prof.checkpoint < last and 1 <= prof.rank <= starts.size // 4
+        assert prof.tv_bound <= 0.5e-12
+        early = np.asarray(times) <= prof.checkpoint
+        assert np.array_equal(prof.per_start[:, early], want[:, early])
+
+
+def two_block_digraph() -> Digraph:
+    """Two complete 6-vertex communities joined by one edge each way."""
+    edges = [(u, v) for b in (0, 6) for u in range(b, b + 6) for v in range(b, b + 6) if u != v]
+    return digraph_from_edges(12, edges + [(0, 6), (6, 0)], m=2)
+
+
+def test_profile_compresses_a_weakly_coupled_two_block_chain():
+    # each block mixes within about 20 steps while mass crosses between
+    # them at about 1/36 per step, so the block of 12 start columns
+    # collapses onto two columns and is compressed there
+    graph = two_block_digraph()
+    starts = np.arange(12)
+    times = [0, 5, 40, 100, 300]
+    ref = stationary(graph)
+    prof = mixing_profile(graph, starts, times, ref)
+    assert prof.checkpoint in (16, 32) and prof.rank == 2
+    assert 0.0 < prof.tv_bound <= 0.5e-12
+    want = plain_profile(graph, starts, times, ref)
+    assert np.array_equal(prof.per_start[:, :2], want[:, :2])
+    assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
+    # the basis columns are start columns stepped by the same product
+    assert np.sum((prof.per_start == want).all(axis=1)) >= prof.rank
+    assert want[:, -1].max() > 1e-9  # not yet mixed: rank 1 would not do
+
+
+def test_profile_is_not_compressed_on_short_grids_or_few_starts():
+    # the first checkpoint is skipped when it is the last time, and fewer
+    # than four starts leave no rank <= K/4; both give the plain values
+    graph = two_block_digraph()
+    ref = stationary(graph)
+    for starts, times in ((np.arange(12), [0, 3, 16]), (np.array([0, 6, 7]), [0, 40, 300])):
+        prof = mixing_profile(graph, starts, times, ref)
+        assert (prof.checkpoint, prof.rank, prof.tv_bound) == (None, None, 0.0)
+        assert np.array_equal(prof.per_start, plain_profile(graph, starts, times, ref))
 
 
 def test_community_mass_identities(desk_graph):
