@@ -50,7 +50,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
     p.add_argument(
         "--starts",
-        help="start policy: 'exhaustive' or a sample size (default 64)",
+        help=(
+            "start policy: 'exhaustive' or a sample size (default 64); a graph "
+            "of at most 2000 vertices starts from every vertex either way, and "
+            "the manifest's profile_compression.starts holds the count used"
+        ),
     )
     p.add_argument("--threads", type=int, help="worker threads across seeds")
     p.add_argument("--out", help="output directory (default out/<command>)")
@@ -83,9 +87,11 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     else:
         betas = tuple(float(b) for b in betas)
     timescale = pick(args.timescale, "timescale", "entropic")
-    starts = pick(args.starts, "start_policy", "64")
-    if str(starts) == "exhaustive":
-        start_policy, sample_starts = "exhaustive", 64
+    # a manifest's config block holds the policy name and the size apart
+    starts = pick(args.starts, "start_policy", "sampled")
+    sample_starts = int(raw.get("sample_starts", 64))
+    if str(starts) in ("sampled", "exhaustive"):
+        start_policy = str(starts)
     else:
         start_policy, sample_starts = "sampled", int(starts)
     out_dir = pick(args.out, "out_dir", f"out/{command}")

@@ -360,7 +360,9 @@ def _profile_seed(config: ExperimentConfig, seed: int):
         starts = np.arange(graph.vertex_count)
     else:
         rng = derived_rng(used, NS_EXPERIMENT, 0)
-        starts = select_starts(graph, rng, k=config.sample_starts)
+        deg = graph.out_degree  # slow and fast spreading witnesses
+        witnesses = [int(deg.argmin()), int(deg.argmax())]
+        starts = select_starts(graph.vertex_count, rng, config.sample_starts, witnesses)
     times = sorted(set(config.time_grid().values()))
     profile = mixing_profile(graph, starts, times, pi)
     compression = {

@@ -133,21 +133,13 @@ class Digraph:
     def community_vertices(self, i: int) -> np.ndarray:
         return np.arange(i * self.n, (i + 1) * self.n, dtype=np.int64)
 
-    def adjacency(self) -> csr_matrix:
-        """0/1 adjacency in CSR form (cached)."""
-        if "adjacency" not in self._cache:
-            data = np.ones(self.edge_count, dtype=np.int8)
-            self._cache["adjacency"] = csr_matrix(
-                (data, self.targets, self.indptr),
-                shape=(self.vertex_count, self.vertex_count),
-            )
-        return self._cache["adjacency"]
-
     def is_strongly_connected(self) -> bool:
+        """Whether every vertex reaches every other; only the answer is cached."""
         if "strong" not in self._cache:
-            ncomp, _ = connected_components(
-                self.adjacency(), directed=True, connection="strong"
-            )
+            nv = self.vertex_count
+            ones = np.ones(self.edge_count, dtype=np.int8)
+            adjacency = csr_matrix((ones, self.targets, self.indptr), shape=(nv, nv))
+            ncomp, _ = connected_components(adjacency, directed=True, connection="strong")
             self._cache["strong"] = ncomp == 1
         return self._cache["strong"]
 
@@ -280,22 +272,27 @@ def gates(graph: Digraph, table: DegreeTable, i: int) -> np.ndarray:
 
 
 def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
-    """Community i's graph before rewiring, on label ids 0..n-1.
+    """Community i's graph before rewiring, on label ids 0..n-1 (cached).
 
     Every edge with a source in community i is restored to its original
     target (same label, community i); the result is the plain directed
-    Erdos-Renyi graph the community was born as.
+    Erdos-Renyi graph the community was born as.  It is built once per
+    graph, so its own caches (connectivity, walk kernel) are shared by
+    every caller.
     """
-    n = graph.n
-    lo, hi = i * n, (i + 1) * n
-    e_lo, e_hi = graph.indptr[lo], graph.indptr[hi]
-    tgt = graph.targets[e_lo:e_hi] % n
-    src = graph.sources()[e_lo:e_hi] % n
-    indptr = graph.indptr[lo : hi + 1] - e_lo
-    order = np.lexsort((tgt, src))  # label restoration breaks global target order
-    return Digraph(
-        n, 1, indptr, tgt[order], np.zeros(tgt.shape[0], dtype=bool), params=None
-    )
+    key = ("community", i)
+    if key not in graph._cache:
+        n = graph.n
+        lo, hi = i * n, (i + 1) * n
+        e_lo, e_hi = graph.indptr[lo], graph.indptr[hi]
+        tgt = graph.targets[e_lo:e_hi] % n
+        src = graph.sources()[e_lo:e_hi] % n
+        indptr = graph.indptr[lo : hi + 1] - e_lo
+        order = np.lexsort((tgt, src))  # label restoration breaks global target order
+        graph._cache[key] = Digraph(
+            n, 1, indptr, tgt[order], np.zeros(tgt.shape[0], dtype=bool), params=None
+        )
+    return graph._cache[key]
 
 
 def save_binary(graph: Digraph, path: str) -> None:

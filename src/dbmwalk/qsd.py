@@ -24,15 +24,20 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
-from .rng import NS_RESTART, NS_TRAJECTORY, derived_rng
-from .walk import ProbVector, _step_walkers, propagate, stationary, transition_operator
+from .rng import NS_RESTART, derived_rng
+from .walk import (
+    ProbVector,
+    _step_walkers,
+    local_stationary,
+    propagate,
+    select_starts,
+    transition_operator,
+)
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 QSD_STABLE_TOL = 1e-13
 QSD_STABLE_RUN = 50
 QSD_MAX_ITER = 10**5
-EXHAUSTIVE_STATE_LIMIT = 2000
-MIX_SAMPLE_SIZE = 64  # sampled mixing-time starts on a large merged space
 HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 
@@ -75,28 +80,23 @@ class CommunityView:
         return transition_operator(self.local)[self.kept][:, self.kept]
 
 
-def community_view(
-    graph: Digraph, table: DegreeTable, i: int, pi_local: ProbVector | None = None
-) -> CommunityView:
-    """Assemble the per-community objects used by every routine here."""
-    local = pre_rewiring_subgraph(graph, i)
-    gate_ids = gates(graph, table, i)
-    gate_labels = gate_ids - i * graph.n
+def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
+    """Assemble the per-community objects used by every routine here.
+
+    ``local`` is the graph's cached pre-rewiring subgraph and
+    ``pi_local`` its ``local_stationary`` solve, so the subgraph, its
+    connectivity check and its kernel are built once per graph.
+    """
+    gate_labels = gates(graph, table, i) - i * graph.n
     mask = np.zeros(graph.n, dtype=bool)
     mask[gate_labels] = True
-    if pi_local is None:
-        # solve on a temporary wrapper of the same arrays, so the kernel
-        # and connectivity caches the solve builds are freed right after
-        pi_local = stationary(
-            Digraph(local.n, 1, local.indptr, local.targets, local.rewired),
-            domain=f"community:{i}",
-        )
+    pi_local = local_stationary(graph, i)
     if "not_strongly_connected" in pi_local.flags:
         raise ValueError(f"community {i} is not strongly connected")
     lo, hi = i * graph.n, (i + 1) * graph.n
     view = CommunityView(
         i=i,
-        local=local,
+        local=pre_rewiring_subgraph(graph, i),
         gate_labels=gate_labels,
         gate_mask=mask,
         pi_local=pi_local,
@@ -237,27 +237,20 @@ def mixing_time_estimate(
 ) -> tuple[int, bool]:
     """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e).
 
-    Exhaustive over all states when the merged space is small; otherwise
-    MIX_SAMPLE_SIZE starts drawn from ``rng`` plus the merged state,
-    making the result a lower estimate (flagged by the returned bool =
-    False).
+    The starts follow ``walk.select_starts`` with the merged gate state
+    as witness: every state on a small merged space, otherwise a sample
+    drawn from ``rng``, which makes the result a lower estimate (flagged
+    by the returned bool = False).
     """
     ns = merged.n_states
-    exhaustive = ns <= EXHAUSTIVE_STATE_LIMIT
-    if exhaustive:
-        starts = np.arange(ns, dtype=np.int64)
-    elif rng is None:
-        raise ValueError("sampled starts need a generator")
-    else:
-        sampled = rng.choice(ns, size=min(MIX_SAMPLE_SIZE, ns), replace=False)
-        starts = np.unique(np.append(sampled, merged.merged_index))
+    starts = select_starts(ns, rng, witnesses=[merged.merged_index])
     cols = np.zeros((ns, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     ref = merged.pi_tilde.values[:, None]
     stepped = propagate(merged.operator, cols, range(1, cap + 1))
     for t, cols in enumerate(stepped, start=1):
         if 0.5 * np.abs(cols - ref).sum(axis=0).max() <= MIX_THRESHOLD:
-            return t, exhaustive
+            return t, starts.size == ns
     raise RuntimeError(f"merged kernel did not mix within the cap of {cap} steps")
 
 
@@ -482,39 +475,3 @@ def restart_process(
             )
         )
     return out
-
-
-def jump_target_frequencies(
-    graph: Digraph,
-    starts: np.ndarray,
-    reps: int,
-    seed: int,
-    horizon: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Count the landing communities of the first rewired-edge jumps.
-
-    All starts must share a community.  Returns (counts by community,
-    censored walkers); the start community's count is structurally zero.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    comm = np.unique(starts // graph.n)
-    if comm.size != 1:
-        raise ValueError("starts must lie in a single community")
-    if graph.params is None or graph.params.alpha <= 0.0:
-        raise ValueError("jump targets need a rewired graph (alpha > 0)")
-    if horizon is None:
-        horizon = int(math.ceil(20.0 / graph.params.alpha))
-    rng = derived_rng(seed, NS_TRAJECTORY, 2)
-    cur = starts[np.arange(reps) % starts.size]
-    counts = np.zeros(graph.m, dtype=np.int64)
-    for _ in range(horizon):
-        nxt, rew = _step_walkers(graph, cur, rng)
-        if rew.any():
-            landed = nxt[rew] // graph.n
-            counts += np.bincount(landed, minlength=graph.m)
-            cur = nxt[~rew]
-            if cur.size == 0:
-                break
-        else:
-            cur = nxt
-    return counts, int(cur.size)

@@ -44,7 +44,6 @@ class Series:
     ys: Sequence[float]
     kind: str = "line"
     color: str | None = None
-    dashed: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("line", "points"):
@@ -61,7 +60,6 @@ class Figure:
     series: list[Series] = field(default_factory=list)
     width: float = 640.0
     height: float = 420.0
-    log_y: bool = False
 
     def add(self, s: Series) -> None:
         self.series.append(s)
@@ -95,15 +93,7 @@ def render(fig: Figure) -> str:
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
-    if fig.log_y:
-        pos = [y for y in ys_all if y > 0.0]
-        if not pos:
-            raise ValueError("log-scale figure needs positive values")
-        floor_y = min(pos)
-        ys_all = [max(y, floor_y) for y in ys_all]
-        y_lo, y_hi = math.log10(min(ys_all)), math.log10(max(ys_all))
-    else:
-        y_lo, y_hi = min(ys_all), max(ys_all)
+    y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
     if y_hi <= y_lo:
@@ -118,8 +108,6 @@ def render(fig: Figure) -> str:
         return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def py(y: float) -> float:
-        if fig.log_y:
-            y = math.log10(max(y, 10.0 ** y_lo))
         return _MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     out = [
@@ -146,15 +134,14 @@ def render(fig: Figure) -> str:
             f'text-anchor="middle" font-size="11">{_fmt_tick(tx)}</text>'
         )
     for ty in _ticks(y_lo, y_hi):
-        y = _MARGIN_T + plot_h * (1.0 - (ty - y_lo) / (y_hi - y_lo))
-        label = 10.0**ty if fig.log_y else ty
+        y = py(ty)
         out.append(
             f'<line x1="{_fmt(_MARGIN_L - 5)}" y1="{_fmt(y)}" x2="{_fmt(_MARGIN_L)}" '
             f'y2="{_fmt(y)}" stroke="#57606a"/>'
         )
         out.append(
             f'<text x="{_fmt(_MARGIN_L - 8)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-size="11">{_fmt_tick(label)}</text>'
+            f'font-size="11">{_fmt_tick(ty)}</text>'
         )
     out.append(
         f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(fig.height - 10)}" '
@@ -169,10 +156,9 @@ def render(fig: Figure) -> str:
         color = s.color or PALETTE[idx % len(PALETTE)]
         if s.kind == "line":
             pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(s.xs, s.ys))
-            dash = ' stroke-dasharray="6 4"' if s.dashed else ""
             out.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.6"{dash}/>'
+                f'stroke-width="1.6"/>'
             )
         else:
             for x, y in zip(s.xs, s.ys):

@@ -22,6 +22,7 @@ STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
 PROFILE_CHECKPOINT = 16  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
+START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,12 @@ def _chain_stationary(a: np.ndarray) -> np.ndarray:
 
 
 def local_stationary(graph: Digraph, i: int) -> ProbVector:
-    """Stationary distribution of community i's pre-rewiring graph."""
-    sub = pre_rewiring_subgraph(graph, i)
-    pi = stationary(sub, domain=f"community:{i}")
-    return pi
+    """Stationary distribution of community i's pre-rewiring graph.
+
+    Solved on the graph's cached subgraph, whose connectivity flag and
+    kernel the escape pipeline then reuses.
+    """
+    return stationary(pre_rewiring_subgraph(graph, i), domain=f"community:{i}")
 
 
 def tv_distance(a: ProbVector, b: ProbVector) -> float:
@@ -300,23 +303,26 @@ def entropy_and_entropic_time(table: DegreeTable, n: int) -> EntropyResult:
 
 
 def select_starts(
-    graph: Digraph,
-    rng: np.random.Generator,
+    size: int,
+    rng: np.random.Generator | None,
     k: int = 64,
-    exhaustive_limit: int = 2000,
+    witnesses: Iterable[int] = (),
 ) -> np.ndarray:
-    """Start set for worst-case profiles.
+    """Start states, sorted and distinct, for a worst-start maximum.
 
-    All vertices when the graph is small; otherwise k sampled vertices
-    plus the out-degree extremes (slow and fast spreading witnesses).
+    Every one of the ``size`` states when there are at most
+    START_STATE_LIMIT, whatever ``k`` is: a profile on a graph of at
+    most 2000 vertices starts from every vertex, and its manifest
+    records that count as ``profile_compression.starts``.  Otherwise k
+    states drawn from ``rng`` plus the ``witnesses`` (states expected to
+    be among the slowest), which makes the maximum a lower estimate.
     """
-    n = graph.vertex_count
-    if n <= exhaustive_limit:
-        return np.arange(n, dtype=np.int64)
-    sampled = rng.choice(n, size=min(k, n), replace=False)
-    deg = graph.out_degree
-    extra = np.array([int(deg.argmin()), int(deg.argmax())], dtype=np.int64)
-    return np.unique(np.concatenate([sampled, extra]))
+    if size <= START_STATE_LIMIT:
+        return np.arange(size, dtype=np.int64)
+    if rng is None:
+        raise ValueError("sampled starts need a generator")
+    sampled = rng.choice(size, size=min(k, size), replace=False)
+    return np.unique(np.concatenate([sampled, np.asarray(witnesses, dtype=np.int64)]))
 
 
 def mixing_profile(
@@ -497,6 +503,45 @@ def path_mass_ratios(
     return log_sum / (ent.h * t)
 
 
+def _first_jumps(
+    graph: Digraph,
+    starts: np.ndarray,
+    reps: int,
+    rng: np.random.Generator,
+    horizon: int | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk ``reps`` walkers until each first traverses a rewired edge.
+
+    Walkers start round-robin on ``starts``.  Returns each walker's jump
+    time and landing vertex; a walker that did not jump within
+    ``horizon`` steps (default 20/alpha, or 10^6 when alpha = 0) is
+    censored, with time 0 and landing vertex -1.
+    """
+    if horizon is None:
+        alpha = graph.params.alpha
+        horizon = int(math.ceil(20.0 / alpha)) if alpha > 0.0 else 10**6
+    starts = np.asarray(starts, dtype=np.int64)
+    times = np.zeros(reps, dtype=np.int64)
+    landing = np.full(reps, -1, dtype=np.int64)
+    if not graph.rewired.any():
+        return times, landing
+    cur = starts[np.arange(reps) % starts.size]
+    alive = np.arange(reps, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        nxt, rew = _step_walkers(graph, cur, rng)
+        if rew.any():
+            times[alive[rew]] = t
+            landing[alive[rew]] = nxt[rew]
+            keep = ~rew
+            alive = alive[keep]
+            cur = nxt[keep]
+            if alive.size == 0:
+                break
+        else:
+            cur = nxt
+    return times, landing
+
+
 def sample_tau_jump(
     graph: Digraph,
     starts: np.ndarray,
@@ -513,26 +558,31 @@ def sample_tau_jump(
     """
     if graph.params is None:
         raise ValueError("jump times need model parameters")
-    if horizon is None:
-        alpha = graph.params.alpha
-        horizon = int(math.ceil(20.0 / alpha)) if alpha > 0.0 else 10**6
-    if not graph.rewired.any():
-        return np.empty(0, dtype=np.int64), int(reps)
     rng = derived_rng(seed, NS_TRAJECTORY, 1)
-    starts = np.asarray(starts, dtype=np.int64)
-    cur = starts[np.arange(reps) % starts.size]
-    alive = np.arange(reps, dtype=np.int64)
-    out = np.zeros(reps, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        nxt, rew = _step_walkers(graph, cur, rng)
-        if rew.any():
-            out[alive[rew]] = t
-            keep = ~rew
-            alive = alive[keep]
-            cur = nxt[keep]
-            if alive.size == 0:
-                break
-        else:
-            cur = nxt
-    samples = out[out > 0]
+    times, _ = _first_jumps(graph, starts, reps, rng, horizon)
+    samples = times[times > 0]
     return samples, int(reps - samples.size)
+
+
+def jump_target_frequencies(
+    graph: Digraph,
+    starts: np.ndarray,
+    reps: int,
+    seed: int,
+    horizon: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """Count the landing communities of the first rewired-edge jumps.
+
+    All starts must share a community.  Returns (counts by community,
+    censored walkers); the start community's count is structurally zero.
+    The default horizon is sample_tau_jump's.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    if np.unique(starts // graph.n).size != 1:
+        raise ValueError("starts must lie in a single community")
+    if graph.params is None or graph.params.alpha <= 0.0:
+        raise ValueError("jump targets need a rewired graph (alpha > 0)")
+    rng = derived_rng(seed, NS_TRAJECTORY, 2)
+    times, landing = _first_jumps(graph, starts, reps, rng, horizon)
+    counts = np.bincount(landing[times > 0] // graph.n, minlength=graph.m)
+    return counts, int(np.count_nonzero(times == 0))

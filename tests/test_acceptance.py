@@ -32,7 +32,6 @@ from dbmwalk.qsd import (
     build_merged_kernel,
     community_view,
     iota_first_order,
-    jump_target_frequencies,
     mixing_time_estimate,
     quasi_stationary,
     restart_process,
@@ -43,6 +42,7 @@ from dbmwalk.rng import NS_ANNEALED, NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import (
     entropy_and_entropic_time,
     indegree_approximation,
+    jump_target_frequencies,
     local_stationary,
     mixing_profile,
     path_mass_ratios,

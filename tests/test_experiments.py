@@ -453,6 +453,29 @@ def test_cli_exhaustive_starts_keep_their_config_hash(tmp_path):
     assert payload["config_hash"] == _new_manifest(want).config_hash
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--alpha", "0.02", "--starts", "10"],
+        ["--alpha", "0.02", "--starts", "exhaustive"],
+        ["--regime", "critical", "--C", "2"],
+    ],
+    ids=["sampled", "exhaustive", "critical"],
+)
+def test_cli_replays_its_own_manifest_config(tmp_path, flags):
+    argv = ["generate", "--n", "300", "--m", "2", "--lambda", "3", "--seeds", "1"] + flags
+    first = tmp_path / "first"
+    assert main(argv + ["--out", str(first)]) == 0
+    payload = json.loads((first / "manifest.json").read_text())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload["config"]))
+    again = tmp_path / "again"
+    assert main(["generate", "--config", str(cfg), "--out", str(again)]) == 0
+    replayed = json.loads((again / "manifest.json").read_text())
+    assert replayed["config"] == payload["config"]
+    assert replayed["config_hash"] == payload["config_hash"]
+
+
 def test_cli_critical_config_comes_from_experiment_config(tmp_path):
     out = str(tmp_path / "run")
     argv = ["generate", "--regime", "critical", "--C", "2", "--n", "300", "--lambda", "3"]

@@ -18,7 +18,7 @@ from conftest import (
     digraph_from_edges,
     random_sc_digraph,
 )
-from dbmwalk.graph import DbmParams, degrees, generate
+from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
     CommunityView,
     MergedKernel,
@@ -26,7 +26,6 @@ from dbmwalk.qsd import (
     community_view,
     hitting_time_estimates,
     iota_first_order,
-    jump_target_frequencies,
     mixing_time_estimate,
     nice_gates,
     quasi_stationary,
@@ -34,7 +33,7 @@ from dbmwalk.qsd import (
     return_mass,
     survival_curve,
 )
-from dbmwalk.walk import ProbVector, local_stationary
+from dbmwalk.walk import ProbVector, jump_target_frequencies, local_stationary
 
 
 def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
@@ -340,7 +339,7 @@ def test_mixing_time_matches_dense_definition(small_community):
         assert worst_prev > thresh
 
 
-def test_mixing_time_cap_and_sampled_mode(monkeypatch):
+def test_mixing_time_cap_and_sampled_mode():
     slow = MergedKernel(
         i=0,
         operator=csr_matrix(np.array([[0.99, 0.01], [0.01, 0.99]])),
@@ -352,18 +351,22 @@ def test_mixing_time_cap_and_sampled_mode(monkeypatch):
     t_slow, _ = mixing_time_estimate(slow, cap=100)
     assert 0.5 * 0.98**t_slow <= 1.0 / (2.0 * math.e) < 0.5 * 0.98 ** (t_slow - 1)
 
-    import dbmwalk.qsd as qsd_module
-
-    view = one_gate_complete_view(6)
-    merged = build_merged_kernel(view)
-    monkeypatch.setattr(qsd_module, "EXHAUSTIVE_STATE_LIMIT", 2)
+    # a merged space above the 2000-state limit is sampled: every state
+    # steps straight into the absorbing merged state, so t_mix = 1
+    ns = 2001
+    absorbing = MergedKernel(
+        i=0,
+        operator=csr_matrix((np.ones(ns), (np.full(ns, ns - 1), np.arange(ns))), shape=(ns, ns)),
+        kept=np.arange(ns - 1),
+        pi_tilde=ProbVector.delta(ns, ns - 1, "merged:0"),
+    )
     with pytest.raises(ValueError, match="generator"):
-        mixing_time_estimate(merged, cap=10)
+        mixing_time_estimate(absorbing, cap=10)
     t_mix, exhaustive = mixing_time_estimate(
-        merged, cap=10, rng=np.random.default_rng(0)
+        absorbing, cap=10, rng=np.random.default_rng(0)
     )
     assert not exhaustive
-    assert t_mix == 1  # sample covers every state here
+    assert t_mix == 1
 
 
 def test_nice_gates_classification(small_community):
@@ -501,9 +504,16 @@ def test_community_view_rejects_disconnected_community():
         community_view(graph, table, 0)
 
 
-def test_community_view_accepts_precomputed_pi(small_community):
+def test_community_view_shares_the_cached_subgraph(small_community):
     graph, table, view = small_community
+    assert view.local is pre_rewiring_subgraph(graph, 0)
     pi = local_stationary(graph, 0)
-    again = community_view(graph, table, 0, pi_local=pi)
-    assert np.array_equal(again.gate_labels, view.gate_labels)
-    assert np.abs(again.pi_local.values - view.pi_local.values).max() == 0.0
+    assert np.array_equal(view.pi_local.values, pi.values)
+    # the escape pipeline reads the shared subgraph and must not change it
+    sol = quasi_stationary(view)
+    merged = build_merged_kernel(view)
+    t_mix, _ = mixing_time_estimate(merged, cap=10_000)
+    hitting_time_estimates(view, merged, return_mass(merged, t_mix))
+    restart_process(view, sol, 50, seed=1)
+    assert community_view(graph, table, 0).local is view.local
+    view.local.validate()

@@ -30,6 +30,7 @@ from dbmwalk.walk import (
     entropy_and_entropic_time,
     evolve_batch,
     indegree_approximation,
+    jump_target_frequencies,
     local_stationary,
     mixing_profile,
     path_mass_ratios,
@@ -331,6 +332,25 @@ def test_tau_jump_survival_tracks_geometric_law(desk_graph):
     assert abs(survived / reps - (1.0 - alpha) ** t) < 0.05
 
 
+def test_first_jump_samplers_keep_their_streams():
+    # values computed before the two samplers shared one walker loop:
+    # each keeps its own stream, and both default to 20/alpha = 200 steps
+    graph, _ = generate(DbmParams(n=60, m=3, lam=3.0, alpha=0.1, seed=5), 5)
+    starts = np.arange(60)
+    samples, censored = sample_tau_jump(graph, starts, 24, seed=7, horizon=15)
+    assert samples.tolist() == [14, 15, 11, 5, 5, 2, 6, 2, 13, 10, 5, 1, 3, 4, 7, 7, 8, 4]
+    assert censored == 6
+    counts, censored = jump_target_frequencies(graph, starts, 24, seed=7, horizon=15)
+    assert counts.tolist() == [0, 14, 8] and censored == 2
+    samples, censored = sample_tau_jump(graph, starts, 24, seed=7)
+    assert samples.tolist() == [
+        42, 14, 15, 11, 5, 5, 2, 22, 6, 22, 2, 13, 10, 5, 1, 3, 4, 27, 33, 7, 7, 29, 8, 4
+    ]
+    assert censored == 0
+    counts, censored = jump_target_frequencies(graph, starts, 24, seed=7)
+    assert counts.tolist() == [0, 15, 9] and censored == 0
+
+
 def test_mixing_profile_shape_and_t0():
     rng = np.random.default_rng(17)
     graph = random_sc_digraph(rng, 50)
@@ -478,19 +498,23 @@ def test_path_mass_ratio_concentrates(desk_graph):
 
 
 def test_select_starts_exhaustive_below_limit():
-    graph = k_regular_digraph(30, 3)
-    got = select_starts(graph, np.random.default_rng(0))
+    got = select_starts(30, np.random.default_rng(0), k=4, witnesses=[7])
     assert np.array_equal(got, np.arange(30))
+    # up to the limit every state is a start, whatever k says
+    assert select_starts(2000, None, k=4).size == 2000
 
 
 def test_select_starts_sampled_includes_degree_extremes():
-    rng = np.random.default_rng(23)
-    graph = random_sc_digraph(rng, 80)
-    got = select_starts(graph, np.random.default_rng(1), k=12, exhaustive_limit=40)
+    graph, _ = generate(DbmParams(n=1100, m=2, lam=3.0, alpha=0.05, seed=4), 4)
+    assert graph.vertex_count > 2000
     deg = graph.out_degree
-    assert int(deg.argmin()) in got and int(deg.argmax()) in got
-    assert got.size <= 14
+    witnesses = [int(deg.argmin()), int(deg.argmax())]
+    got = select_starts(graph.vertex_count, np.random.default_rng(1), 12, witnesses)
+    assert set(witnesses) <= set(got.tolist())
+    assert 12 <= got.size <= 14
     assert np.array_equal(got, np.unique(got))
+    with pytest.raises(ValueError, match="generator"):
+        select_starts(graph.vertex_count, None, 12, witnesses)
 
 
 def test_local_stationary_domain(desk_graph):
