@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _build_config(args, args.command)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a config value of the wrong JSON type
         raise SystemExit(f"invalid configuration: {exc}") from exc
     runner = {
         "generate": run_generate,

@@ -8,8 +8,9 @@ uniformly chosen other community.
 
 Vertices are numbered globally: vertex v belongs to community v // n and
 carries label v % n.  Community i occupies ids [i*n, (i+1)*n).  Edges are
-stored in compressed form (indptr/targets) with a parallel boolean array
-marking rewired edges; within each source the targets are sorted.
+stored in compressed form (indptr/targets); within each source the targets
+are sorted.  An edge is rewired exactly when its target lies outside its
+source's community, so the rewired flags are derived from the targets.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ class Digraph:
     """Immutable directed graph in compressed out-adjacency form.
 
     ``indptr`` has length N+1; the targets of vertex v are
-    ``targets[indptr[v]:indptr[v+1]]``, sorted, with ``rewired`` flags
-    aligned.  ``n`` is the community width and ``m`` the community count;
-    single-community subgraphs use m = 1.
+    ``targets[indptr[v]:indptr[v+1]]``, sorted.  ``n`` is the community
+    width and ``m`` the community count; single-community subgraphs use
+    m = 1.  The ``rewired`` flags are derived from the targets, never
+    stored; ``load_binary`` checks a file's stored flags against them.
     """
 
     def __init__(
@@ -82,19 +84,15 @@ class Digraph:
         m: int,
         indptr: np.ndarray,
         targets: np.ndarray,
-        rewired: np.ndarray,
         params: DbmParams | None = None,
     ) -> None:
         self.n = int(n)
         self.m = int(m)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.targets = np.asarray(targets, dtype=np.int64)
-        self.rewired = np.asarray(rewired, dtype=bool)
         self.params = params
         if self.indptr.shape != (self.vertex_count + 1,):
             raise ValueError("indptr length does not match vertex count")
-        if self.targets.shape != self.rewired.shape:
-            raise ValueError("targets and rewired flags must align")
         self._cache: dict = {}
 
     @property
@@ -122,13 +120,12 @@ class Digraph:
             )
         return self._cache["sources"]
 
-    def community_of(self, v) -> np.ndarray | int:
-        self._check_vertex(v)
-        return v // self.n
-
-    def _check_vertex(self, v) -> None:
-        if np.any(np.asarray(v) < 0) or np.any(np.asarray(v) >= self.vertex_count):
-            raise IndexError(f"vertex id out of range [0, {self.vertex_count})")
+    @property
+    def rewired(self) -> np.ndarray:
+        """Whether each edge leaves its source's community, aligned with ``targets``."""
+        if "rewired" not in self._cache:
+            self._cache["rewired"] = self.targets // self.n != self.sources() // self.n
+        return self._cache["rewired"]
 
     def community_vertices(self, i: int) -> np.ndarray:
         return np.arange(i * self.n, (i + 1) * self.n, dtype=np.int64)
@@ -158,9 +155,6 @@ class Digraph:
         same_source = src[1:] == src[:-1]
         if np.any(np.diff(self.targets)[same_source] <= 0):
             raise ValueError("targets of a vertex not strictly sorted")
-        cross = self.community_of(src) != self.community_of(self.targets)
-        if not np.array_equal(cross, self.rewired):
-            raise ValueError("rewired flags must mark exactly cross-community edges")
 
 
 @dataclass(frozen=True)
@@ -187,34 +181,25 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, Degre
     """
     root = params.seed if seed is None else seed
     n, m, p, alpha = params.n, params.m, params.p, params.alpha
+    nv = n * m
 
     seg_targets = []
-    seg_rewired = []
-    seg_sources = []
+    seg_counts = []
     for i in range(m):
         rng = derived_rng(root, NS_GRAPH, i)
         src_label, tgt_label = _community_edge_labels(rng, n, p)
-        e = src_label.shape[0]
-        flags = rng.random(e) < alpha
+        flags = rng.random(src_label.shape[0]) < alpha
         target = i * n + tgt_label
-        k = int(np.count_nonzero(flags))
-        if k:
-            off = rng.integers(0, m - 1, size=k)
-            other = off + (off >= i)
-            target[flags] = other * n + tgt_label[flags]
-        # rewiring perturbs the within-source target order; restore it
-        order = np.lexsort((target, src_label))
-        seg_sources.append(i * n + src_label[order])
-        seg_targets.append(target[order])
-        seg_rewired.append(flags[order])
+        off = rng.integers(0, m - 1, size=int(np.count_nonzero(flags)))
+        other = off + (off >= i)
+        target[flags] = other * n + tgt_label[flags]
+        # a source's targets are distinct: one integer sort restores their order
+        seg_targets.append(np.sort(src_label * nv + target) % nv)
+        seg_counts.append(np.bincount(src_label, minlength=n))
 
-    sources = np.concatenate(seg_sources) if seg_sources else np.empty(0, np.int64)
-    targets = np.concatenate(seg_targets) if seg_targets else np.empty(0, np.int64)
-    rewired = np.concatenate(seg_rewired) if seg_rewired else np.empty(0, bool)
-    counts = np.bincount(sources, minlength=n * m)
-    indptr = np.zeros(n * m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    graph = Digraph(n, m, indptr, targets, rewired, params=params)
+    indptr = np.zeros(nv + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(seg_counts), out=indptr[1:])
+    graph = Digraph(n, m, indptr, np.concatenate(seg_targets), params=params)
     return graph, degrees(graph)
 
 
@@ -286,12 +271,10 @@ def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
         lo, hi = i * n, (i + 1) * n
         e_lo, e_hi = graph.indptr[lo], graph.indptr[hi]
         tgt = graph.targets[e_lo:e_hi] % n
-        src = graph.sources()[e_lo:e_hi] % n
+        src = graph.sources()[e_lo:e_hi] - lo
         indptr = graph.indptr[lo : hi + 1] - e_lo
-        order = np.lexsort((tgt, src))  # label restoration breaks global target order
-        graph._cache[key] = Digraph(
-            n, 1, indptr, tgt[order], np.zeros(tgt.shape[0], dtype=bool), params=None
-        )
+        # label restoration breaks the target order within each source
+        graph._cache[key] = Digraph(n, 1, indptr, np.sort(src * n + tgt) % n)
     return graph._cache[key]
 
 
@@ -312,16 +295,27 @@ def save_binary(graph: Digraph, path: str) -> None:
 
 
 def load_binary(path: str) -> Digraph:
-    """Read a graph written by ``save_binary``; rejects broken invariants."""
+    """Read a graph written by ``save_binary``.
+
+    A ValueError naming ``path`` rejects a broken archive, a broken graph,
+    and stored rewired flags other than the ones the targets imply.
+    """
     try:
-        data = np.load(path)
+        archive = np.load(path)
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise ValueError(f"{path}: not a DBM binary graph file") from exc
-    if "format_version" not in data or int(data["format_version"][0]) != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported or missing format version")
-    n, m, seed = (int(x) for x in data["shape"])
-    lam, alpha = (float(x) for x in data["reals"])
-    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
-    graph = Digraph(n, m, data["indptr"], data["targets"], data["rewired"], params=params)
-    graph.validate()
+    try:
+        with archive as data:
+            if "format_version" not in data or int(data["format_version"][0]) != FORMAT_VERSION:
+                raise ValueError("unsupported or missing format version")
+            n, m, seed = (int(x) for x in data["shape"])
+            lam, alpha = (float(x) for x in data["reals"])
+            params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
+            graph = Digraph(n, m, data["indptr"], data["targets"], params=params)
+            stored = data["rewired"]
+        graph.validate()
+        if not np.array_equal(stored, graph.rewired):
+            raise ValueError("stored rewired flags must mark exactly the cross-community edges")
+    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing member
+        raise ValueError(f"{path}: {exc}") from exc
     return graph

@@ -234,6 +234,8 @@ def community_mass(graph: Digraph, mu: ProbVector) -> np.ndarray:
     """Mass of each community under a global distribution."""
     if mu.domain != "global":
         raise ValueError("community_mass expects a global distribution")
+    if mu.flags:  # a uniform fallback would pass every mass check
+        raise ValueError(f"distribution is a solver fallback: {mu.flags}")
     return mu.values.reshape(graph.m, graph.n).sum(axis=1)
 
 
@@ -277,6 +279,8 @@ def indegree_approximation(
     if pi_local is not None:
         if pi_local.domain != f"community:{i}":
             raise ValueError("reference must live on the same community")
+        if pi_local.flags:
+            raise ValueError(f"reference is a solver fallback: {pi_local.flags}")
         keep = raw > 0.0
         excluded = int(np.count_nonzero(~keep))
         rel_err = np.abs(raw[keep] / pi_local.values[keep] - 1.0)

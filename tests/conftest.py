@@ -14,22 +14,16 @@ from dbmwalk.graph import DbmParams, Digraph, generate
 
 
 def digraph_from_edges(n_vertices: int, edges: list[tuple[int, int]], m: int = 1,
-                       rewired: list[bool] | None = None,
                        params: DbmParams | None = None) -> Digraph:
     """Build a Digraph from an explicit edge list (community width = n/m)."""
     order = sorted(range(len(edges)), key=lambda k: edges[k])
     src = np.array([edges[k][0] for k in order], dtype=np.int64)
     tgt = np.array([edges[k][1] for k in order], dtype=np.int64)
-    rew = np.zeros(len(edges), dtype=bool)
-    if rewired is not None:
-        rew = np.array([rewired[k] for k in order], dtype=bool)
     indptr = np.zeros(n_vertices + 1, dtype=np.int64)
     np.add.at(indptr, src + 1, 1)
     indptr = np.cumsum(indptr)
     assert n_vertices % m == 0
-    return Digraph(
-        n=n_vertices // m, m=m, indptr=indptr, targets=tgt, rewired=rew, params=params
-    )
+    return Digraph(n=n_vertices // m, m=m, indptr=indptr, targets=tgt, params=params)
 
 
 def cycle_digraph(k: int) -> Digraph:

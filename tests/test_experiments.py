@@ -426,6 +426,18 @@ def test_cli_config_file_with_unknown_regime(tmp_path):
         main(argv)
 
 
+@pytest.mark.parametrize(
+    "raw", [{"seeds": 3}, {"beta_grid": 0.5}, {"alpha": "0.02"}], ids=["seeds", "beta_grid", "alpha"]
+)
+def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": 0.02, **raw}))
+    argv = ["generate", "--n", "300", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit, match="^invalid configuration: "):
+        main(argv)
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("starts", ["0", "-5"])
 def test_cli_rejects_empty_or_negative_start_samples(tmp_path, starts):
     argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]

@@ -1,9 +1,14 @@
 """Generator contracts: edge law, degrees, rewiring structure, round trips."""
 
+import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import digraph_from_edges, k_regular_digraph
@@ -101,16 +106,6 @@ def test_out_degree_chisquare():
     assert pvalue > 0.01
 
 
-def test_community_and_label_ops():
-    prm = DbmParams(n=50, m=4, lam=1.5, alpha=0.2, seed=5)
-    graph, _ = generate(prm)
-    assert graph.community_of(0) == 0
-    assert graph.community_of(prm.n) == 1
-    assert graph.community_of(prm.m * prm.n - 1) == prm.m - 1
-    with pytest.raises(IndexError):
-        graph.community_of(prm.m * prm.n)
-
-
 def test_degree_table_identities():
     prm = DbmParams(n=400, m=3, lam=2.0, alpha=0.25, seed=6)
     graph, table = generate(prm)
@@ -180,6 +175,69 @@ def test_generation_determinism():
     assert not np.array_equal(g1.targets, g3.targets)
 
 
+# sha256 of generate's int64 indptr and targets bytes for three fixed params;
+# any change to the edge draw, the rewiring draw or the edge order moves them
+GOLDEN_EDGE_LAYOUT = [
+    (
+        DbmParams(n=300, m=2, lam=2.0, alpha=0.3, seed=21),
+        "b6da4c65689b7923f2090ecbfe026a6bcdcb97e854266211040a9936e24318be",
+        "6dbe3a158e5c980246c7877355549baf35d3b4e7d6ca98bb0066fa5e02a4e6e8",
+    ),
+    (
+        DbmParams(n=200, m=3, lam=2.5, alpha=0.05, seed=22),
+        "a28d38f3373dfdcd03cf3fb0d59cb1bc4829fcedd46d819f2b9ab8adfc1879e1",
+        "bb8f692e84a50a8921420f92a2d553922bd7effe69b89be8a385f7c3962e52b1",
+    ),
+    (
+        DbmParams(n=150, m=4, lam=3.0, alpha=1.0, seed=23),
+        "51ef53944296b704ab6cb3bbd1edf94346d955ebf09c54136f4693ebdad70c53",
+        "9b57002af97fccb43fe9cdaef58cfa669c3589150086233f4c9de214fc8d5486",
+    ),
+]
+
+
+@pytest.mark.parametrize("prm, indptr_sha, targets_sha", GOLDEN_EDGE_LAYOUT, ids=["m2", "m3", "m4"])
+def test_generated_edge_layout_is_pinned(prm, indptr_sha, targets_sha):
+    graph, _ = generate(prm)
+    for array, want in ((graph.indptr, indptr_sha), (graph.targets, targets_sha)):
+        assert array.dtype == np.int64
+        assert hashlib.sha256(array.tobytes()).hexdigest() == want
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(2, 60),
+    m=st.integers(2, 4),
+    lam=st.floats(0.5, 2.5),
+    alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_layout_matches_independent_rederivations(n, m, lam, alpha, seed):
+    graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
+    graph.validate()
+    src = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
+    # derived flags: exactly the edges whose target left the source's community
+    assert np.array_equal(graph.rewired, graph.targets // n != src // n)
+    for i in range(m):
+        keep = src // n == i
+        labels, restored = src[keep] - i * n, graph.targets[keep] % n
+        order = np.lexsort((restored, labels))
+        sub = pre_rewiring_subgraph(graph, i)
+        assert np.array_equal(sub.indptr[1:], np.cumsum(np.bincount(labels, minlength=n)))
+        assert np.array_equal(sub.targets, restored[order])
+        assert not sub.rewired.any()
+        sub.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "g.npz")
+        save_binary(graph, path)
+        loaded = load_binary(path)
+        with np.load(path) as stored:
+            assert np.array_equal(stored["rewired"], graph.rewired)
+    for name in ("indptr", "targets", "rewired"):
+        assert np.array_equal(getattr(loaded, name), getattr(graph, name))
+    assert loaded.params == graph.params
+
+
 def test_roundtrip_binary(tmp_path):
     for alpha, seed in ((0.0, 12), (1.0, 13), (0.3, 14)):
         prm = DbmParams(n=120, m=2, lam=1.5, alpha=alpha, seed=seed)
@@ -230,6 +288,14 @@ def break_indptr(a):
     a["indptr"][-1] -= 1  # the last edge falls outside every vertex
 
 
+def drop_targets(a):
+    del a["targets"]
+
+
+def short_shape(a):
+    a["shape"] = a["shape"][:2]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -238,8 +304,13 @@ def break_indptr(a):
         (break_range, "out of range"),
         (break_flags, "rewired flags"),
         (break_indptr, "indptr"),
+        (drop_targets, "targets is not a file in the archive"),
+        (short_shape, "unpack"),
     ],
-    ids=["self_loop", "unsorted_targets", "target_out_of_range", "flag_mismatch", "short_indptr"],
+    ids=[
+        "self_loop", "unsorted_targets", "target_out_of_range", "flag_mismatch",
+        "short_indptr", "missing_member", "short_shape",
+    ],
 )
 def test_load_binary_rejects_broken_graphs(tmp_path, corrupt, message):
     graph, _ = generate(DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15))
@@ -248,8 +319,9 @@ def test_load_binary_rejects_broken_graphs(tmp_path, corrupt, message):
     arrays = dict(np.load(path))
     corrupt(arrays)
     np.savez(path, **arrays)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as info:
         load_binary(str(path))
+    assert str(info.value).startswith(f"{path}: ")
 
 
 def test_validate_catches_corruption():
@@ -258,14 +330,9 @@ def test_validate_catches_corruption():
     src = int(np.flatnonzero(graph.out_degree > 0)[0])
     bad_self = graph.targets.copy()
     bad_self[graph.indptr[src]] = src  # plant a self-loop
-    broken = Digraph(prm.n, prm.m, graph.indptr, bad_self, graph.rewired, graph.params)
+    broken = Digraph(prm.n, prm.m, graph.indptr, bad_self, graph.params)
     with pytest.raises(ValueError):
         broken.validate()
-    flipped = Digraph(
-        prm.n, prm.m, graph.indptr, graph.targets, ~graph.rewired, graph.params
-    )
-    with pytest.raises(ValueError):
-        flipped.validate()
 
 
 def test_local_graphs_strongly_connected_whp():

@@ -158,7 +158,7 @@ def test_aggregated_stationary_on_an_arbitrary_partition():
     rng = np.random.default_rng(29)
     for size in (60, 150, 300):
         flat = random_sc_digraph(rng, size)
-        graph = Digraph(size // 2, 2, flat.indptr, flat.targets, flat.rewired)
+        graph = Digraph(size // 2, 2, flat.indptr, flat.targets)
         pi = stationary(graph)
         ref = dense_stationary(dense_kernel(graph))
         assert np.abs(pi.values - ref).sum() < 1e-10
@@ -544,6 +544,22 @@ def test_indegree_approximation(desk_graph):
     assert indegree_approximation(graph, table, 0).rel_err is None
     with pytest.raises(ValueError, match="community"):
         indegree_approximation(graph, table, 1, pi_local=pi0)
+
+
+def test_uniform_fallback_cannot_feed_a_check():
+    # lambda = 0.6 leaves the graph and its communities fragmented, so
+    # stationary falls back to uniform, whose masses are exactly 1/m
+    graph, table = generate(DbmParams(n=300, m=2, lam=0.6, alpha=0.05, seed=1))
+    pi = stationary(graph)
+    assert pi.flags == ("not_strongly_connected",)
+    with pytest.raises(ValueError, match="not_strongly_connected"):
+        community_mass(graph, pi)
+    with pytest.raises(ValueError, match="not_strongly_connected"):
+        stationary_community_masses(graph)
+    pi0 = local_stationary(graph, 0)
+    assert pi0.flags == ("not_strongly_connected",)
+    with pytest.raises(ValueError, match="not_strongly_connected"):
+        indegree_approximation(graph, table, 0, pi_local=pi0)
 
 
 def test_indegree_approximation_needs_params():
