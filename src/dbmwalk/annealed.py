@@ -210,10 +210,8 @@ class JumpSurvival:
     reps: int
 
 
-def annealed_jump_survival(
-    params: DbmParams, t_max: int, reps: int, seed: int, start: int = 0
-) -> JumpSurvival:
-    """Estimate P(tau_jump > t) for t = 0..t_max on the revealed walk.
+def annealed_jump_survival(params: DbmParams, t_max: int, reps: int, seed: int) -> JumpSurvival:
+    """Estimate P(tau_jump > t) for t = 0..t_max on the revealed walk from vertex 0.
 
     Freshly revealed steps jump independently with probability alpha, so
     the reference curve is (1 - alpha)^t; revisited edges introduce the
@@ -221,7 +219,7 @@ def annealed_jump_survival(
     """
     _check_horizon(params, t_max)
     rng = derived_rng(seed, NS_ANNEALED, 1)
-    walks = annealed_walks(params, start, t_max, reps, rng)
+    walks = annealed_walks(params, 0, t_max, reps, rng)
     # #{tau > t} = reps - #{tau <= t}; tau = t_max + 1 means no jump
     jumped_by = np.cumsum(np.bincount(walks.jump_time, minlength=t_max + 2))
     survival = (reps - jumped_by[: t_max + 1]) / reps

@@ -76,10 +76,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     c = pick(args.c, "c")
     alpha = pick(args.alpha, "alpha")
     seeds = pick(args.seeds, "seeds", "1,2,3")
-    if isinstance(seeds, str):
-        seeds = tuple(int(s) for s in seeds.split(","))
-    else:
-        seeds = tuple(int(s) for s in seeds)
+    seeds = tuple(int(s) for s in seeds.split(",")) if isinstance(seeds, str) else tuple(seeds)
     # an unknown regime gets no default grid; ExperimentConfig rejects it
     betas = pick(args.betas, "beta_grid", _DEFAULT_BETAS.get(regime, ()))
     if isinstance(betas, str):
@@ -89,11 +86,12 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     timescale = pick(args.timescale, "timescale", "entropic")
     # a manifest's config block holds the policy name and the size apart
     starts = pick(args.starts, "start_policy", "sampled")
-    sample_starts = int(raw.get("sample_starts", 64))
-    if str(starts) in ("sampled", "exhaustive"):
-        start_policy = str(starts)
-    else:
-        start_policy, sample_starts = "sampled", int(starts)
+    sample_starts = raw.get("sample_starts", 64)
+    if starts in ("sampled", "exhaustive"):
+        start_policy = starts
+    else:  # a sample size: the --starts string, or a number from the file
+        start_policy = "sampled"
+        sample_starts = int(starts) if isinstance(starts, str) else starts
     out_dir = pick(args.out, "out_dir", f"out/{command}")
     threads = pick(args.threads, "threads", 1)
 
@@ -104,7 +102,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         sample_starts=sample_starts,
         seeds=seeds,
         out_dir=out_dir,
-        threads=int(threads),
+        threads=threads,
     )
     if regime == "critical":
         if c is None:

@@ -32,6 +32,7 @@ from .graph import (
     Digraph,
     generate,
     pre_rewiring_subgraph,
+    require_int,
     save_binary,
 )
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
@@ -104,6 +105,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for seed in self.seeds:
+            require_int("seed", seed)
+        require_int("sample_starts", self.sample_starts)
+        require_int("threads", self.threads)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.timescale not in TIMESCALES:
@@ -116,6 +121,10 @@ class ExperimentConfig:
             raise ValueError("beta grid must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        if self.threads < 1:
+            raise ValueError(f"need at least one thread, got {self.threads}")
         self.validate_regime()
 
     @property
@@ -356,13 +365,11 @@ def _communities_connected(graph: Digraph) -> bool:
 def _profile_seed(config: ExperimentConfig, seed: int):
     graph, _, used = _accepted_graph(config, seed)
     pi = stationary(graph)
-    if config.start_policy == "exhaustive":
-        starts = np.arange(graph.vertex_count)
-    else:
-        rng = derived_rng(used, NS_EXPERIMENT, 0)
-        deg = graph.out_degree  # slow and fast spreading witnesses
-        witnesses = [int(deg.argmin()), int(deg.argmax())]
-        starts = select_starts(graph.vertex_count, rng, config.sample_starts, witnesses)
+    rng = derived_rng(used, NS_EXPERIMENT, 0)
+    deg = graph.out_degree  # slow and fast spreading witnesses
+    witnesses = [int(deg.argmin()), int(deg.argmax())]
+    k = None if config.start_policy == "exhaustive" else config.sample_starts
+    starts = select_starts(graph.vertex_count, rng, k, witnesses)
     times = sorted(set(config.time_grid().values()))
     profile = mixing_profile(graph, starts, times, pi)
     compression = {
@@ -508,10 +515,10 @@ def _profile_verdicts(
                 )
             )
     else:
-        target = (config.params.m - 1) / config.params.m
         for beta, d in mean_dist.items():
             if beta < 2.0:
                 continue  # plateau only past the entropic step
+            target = meanfield.limiting_profile("supercritical_ent", beta, config.params.m)
             gap = abs(d - target)
             manifest.verdicts.append(
                 Verdict(
@@ -527,9 +534,10 @@ def _profile_verdicts(
 
 QSD_IOTA_RELERR_TOL = 0.25
 QSD_KS_TOL = 0.08
+RESTART_REPS = 600  # restart and tau_jump samples per seed
 
 
-def _qsd_seed(config: ExperimentConfig, seed: int, restart_reps: int):
+def _qsd_seed(config: ExperimentConfig, seed: int):
     prm = config.params
     graph, table, used = _accepted_graph(config, seed, need_all_communities=True)
     first_order = qsd.iota_first_order(prm)
@@ -545,7 +553,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int, restart_reps: int):
         diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
         diag["mixing_time_exhaustive"].append(exhaustive)
         mass = qsd.return_mass(merged, t_mix)
-        hit = qsd.hitting_time_estimates(view, merged, mass)
+        hit = qsd.hitting_time_estimates(view, mass)
         nice = qsd.nice_gates(graph, view)
         rows.append(
             [
@@ -561,25 +569,20 @@ def _qsd_seed(config: ExperimentConfig, seed: int, restart_reps: int):
             ]
         )
         if i == 0:
-            restarts = qsd.restart_process(view, sol, reps=restart_reps, seed=used)
+            restarts = qsd.restart_process(view, sol, reps=RESTART_REPS, seed=used)
             diag["restart_censored"] = sum(s.tau_rho is None for s in restarts)
             tau_jump, diag["tau_jump_censored"] = sample_tau_jump(
                 graph,
                 starts=graph.community_vertices(0),
-                reps=restart_reps,
+                reps=RESTART_REPS,
                 seed=used,
             )
     return diag, (rows, restarts, tau_jump)
 
 
-def run_qsd_experiment(
-    config: ExperimentConfig, restart_reps: int = 600
-) -> RunManifest:
+def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
     """Per-community escape pipeline plus restart/jump statistics."""
-    if config.params.alpha <= 0.0:
-        raise ValueError("escape experiment needs alpha > 0 (no gates otherwise)")
-    seed_fn = functools.partial(_qsd_seed, restart_reps=restart_reps)
-    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+    with _run(config, _qsd_seed) as (manifest, out_dir, per_seed):
         header = [
             "i",
             "iota",
@@ -701,22 +704,22 @@ def run_annealed_experiment(
 # -- proxy -------------------------------------------------------------------
 
 PROXY_IDENTITY_TOL = 1e-12
+PROXY_EPS = 0.2  # burn-in share of the two-scale schedule
 
 
-def _proxy_seed(config: ExperimentConfig, seed: int, eps: float):
+def _proxy_seed(config: ExperimentConfig, seed: int):
     graph, table, used = _accepted_graph(config, seed)
     ent = entropy_and_entropic_time(table, config.params.n)
-    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent, eps=eps)
+    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent, eps=PROXY_EPS)
     sm = surrogate_measures(graph, sch)
     pi = stationary(graph)
     result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), mixture_identity_gap(sm))
     return _solver_diagnostics(pi, seed=used), result
 
 
-def run_proxy_experiment(config: ExperimentConfig, eps: float = 0.2) -> RunManifest:
+def run_proxy_experiment(config: ExperimentConfig) -> RunManifest:
     """Two-scale surrogate sweep: spread and distance to stationarity."""
-    seed_fn = functools.partial(_proxy_seed, eps=eps)
-    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+    with _run(config, _proxy_seed) as (manifest, out_dir, per_seed):
         rows = [
             [i, float(tv_to_nu[i]), float(tv_pi), float(sch.eps), sch.burn_in, sch.long_leg]
             for sch, tv_to_nu, tv_pi, _ in per_seed

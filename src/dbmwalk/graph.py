@@ -28,6 +28,12 @@ from .rng import NS_GRAPH, derived_rng
 FORMAT_VERSION = 1
 
 
+def require_int(name: str, value) -> None:
+    """Refuse a count or seed that is not an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DbmParams:
     """Model parameters. ``lam`` is the edge-density constant lambda."""
@@ -39,6 +45,8 @@ class DbmParams:
     seed: int
 
     def __post_init__(self) -> None:
+        require_int("n", self.n)
+        require_int("m", self.m)
         if self.n < 2:
             raise ValueError(f"community size n must be >= 2, got {self.n}")
         if self.m < 2:
@@ -108,9 +116,6 @@ class Digraph:
         if "out_degree" not in self._cache:
             self._cache["out_degree"] = np.diff(self.indptr)
         return self._cache["out_degree"]
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.targets[self.indptr[v] : self.indptr[v + 1]]
 
     def sources(self) -> np.ndarray:
         """Source vertex of every edge, aligned with ``targets``."""

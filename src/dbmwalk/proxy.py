@@ -60,17 +60,15 @@ class SurrogateMeasures:
 
     ``per_community[i]`` approximates the law of the walk started in
     community i at the schedule horizon; ``average`` is their mean,
-    equal (exactly) to the global uniform measure burned in for
-    ``schedule.burn_in`` steps.  ``spread`` is the largest TV distance
-    from a surrogate to the average: near zero once the community
-    chain has equilibrated over the long leg, near its starting value
-    when it has not.
+    equal (exactly) to the global uniform measure burned in for the
+    schedule's ``burn_in`` steps.  ``tv_to_average[i]`` is the TV
+    distance from surrogate i to the average: near zero once the
+    community chain has equilibrated over the long leg, near its
+    starting value when it has not.
     """
 
-    schedule: TwoScaleSchedule
     per_community: tuple[ProbVector, ...]
     average: ProbVector
-    spread: float
     tv_to_average: np.ndarray
 
 
@@ -96,13 +94,7 @@ def surrogate_measures(
         nu_i.check()
         parts.append(nu_i)
         tvs[i] = tv_distance(nu_i, average)
-    return SurrogateMeasures(
-        schedule=schedule,
-        per_community=tuple(parts),
-        average=average,
-        spread=float(tvs.max()),
-        tv_to_average=tvs,
-    )
+    return SurrogateMeasures(per_community=tuple(parts), average=average, tv_to_average=tvs)
 
 
 def mixture_identity_gap(measures: SurrogateMeasures) -> float:

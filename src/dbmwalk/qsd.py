@@ -85,14 +85,16 @@ def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
 
     ``local`` is the graph's cached pre-rewiring subgraph and
     ``pi_local`` its ``local_stationary`` solve, so the subgraph, its
-    connectivity check and its kernel are built once per graph.
+    connectivity check and its kernel are built once per graph.  A
+    community without gates, from which the walk never escapes, is
+    refused, as is one that is not strongly connected.
     """
     gate_labels = gates(graph, table, i) - i * graph.n
+    if gate_labels.size == 0:
+        raise ValueError(f"community {i} has no rewired out-edge, so no gate to escape by")
     mask = np.zeros(graph.n, dtype=bool)
     mask[gate_labels] = True
     pi_local = local_stationary(graph, i)
-    if "not_strongly_connected" in pi_local.flags:
-        raise ValueError(f"community {i} is not strongly connected")
     lo, hi = i * graph.n, (i + 1) * graph.n
     view = CommunityView(
         i=i,
@@ -118,7 +120,6 @@ class MergedKernel:
     mass to the merged state; it is exactly stationary.
     """
 
-    i: int
     operator: csr_matrix
     kept: np.ndarray
     pi_tilde: ProbVector
@@ -155,7 +156,7 @@ def build_merged_kernel(view: CommunityView) -> MergedKernel:
     )
     values = np.concatenate([pi[kept], [pi[gate].sum()]])
     pi_tilde = ProbVector(values, f"merged:{view.i}")
-    return MergedKernel(i=view.i, operator=operator, kept=kept, pi_tilde=pi_tilde)
+    return MergedKernel(operator=operator, kept=kept, pi_tilde=pi_tilde)
 
 
 @dataclass
@@ -167,7 +168,6 @@ class QsdSolution:
     P(tau > t) = (1 - iota)^t.
     """
 
-    i: int
     mu_star: ProbVector
     iota: float
     iterations: int
@@ -211,7 +211,6 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
     full = np.zeros(view.n)
     full[kept] = mu
     return QsdSolution(
-        i=view.i,
         mu_star=ProbVector(full, f"community:{view.i}"),
         iota=1.0 - theta,
         iterations=iterations,
@@ -261,12 +260,9 @@ class ReturnMass:
     ``r_tilde`` sums the excess of the return probability over its
     stationary level (clamped below at zero), plus one for the start;
     it is >= 1 by construction and tends to 1 when gates are spread out.
-    ``r_tilde_raw`` is the plain sum of return probabilities, which adds
-    roughly t_horizon * pi(gate) of equilibrium-level mass on top.
     """
 
     r_tilde: float
-    r_tilde_raw: float
     t_horizon: int
 
 
@@ -282,15 +278,10 @@ def return_mass(merged: MergedKernel, t_mix: int) -> ReturnMass:
     level = float(pi[d])
     mu = np.zeros(merged.n_states)
     mu[d] = 1.0
-    raw = 0.0
     excess = 0.0
     for mu in propagate(merged.operator, mu, range(1, horizon + 1)):
-        ret = float(mu[d])
-        raw += ret
-        excess += max(ret - level, 0.0)
-    return ReturnMass(
-        r_tilde=1.0 + excess, r_tilde_raw=1.0 + raw, t_horizon=horizon
-    )
+        excess += max(float(mu[d]) - level, 0.0)
+    return ReturnMass(r_tilde=1.0 + excess, t_horizon=horizon)
 
 
 @dataclass(frozen=True)
@@ -302,11 +293,7 @@ class HittingEstimate:
     gate_mass: float
 
 
-def hitting_time_estimates(
-    view: CommunityView,
-    merged: MergedKernel,
-    mass: ReturnMass,
-) -> HittingEstimate:
+def hitting_time_estimates(view: CommunityView, mass: ReturnMass) -> HittingEstimate:
     """Estimate E_pi[tau_gate] as r_tilde / pi~(gate state).
 
     On small communities the exact value is solved from the linear
@@ -394,17 +381,15 @@ def restart_process(
     solution: QsdSolution,
     reps: int,
     seed: int,
-    cap: int | None = None,
 ) -> list[RestartSample]:
     """Simulate the marked restart walk until its first marked success.
 
     Every gate visit increments kappa and tosses a coin with success
     probability (rewired out-degree / full out-degree) of the visited
     gate; the walk restarts from (QSD one step forward) after each
-    visit.  Runs are censored at ``cap`` steps (default 100/iota).
+    visit.  Runs are censored at 100/iota steps.
     """
-    if cap is None:
-        cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
+    cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
     rng = derived_rng(seed, NS_RESTART, view.i)
     local = view.local
     gate_mask = view.gate_mask

@@ -30,14 +30,13 @@ class ProbVector:
     """A probability distribution over a vertex domain.
 
     ``domain`` is "global" for the full vertex set or "community:<i>" for
-    a single community indexed by labels 0..n-1.  ``flags`` records
-    solver fallbacks (e.g. "not_strongly_connected"); a solved vector
-    also carries the solver's ``iterations`` and final ``residual``.
+    a single community indexed by labels 0..n-1.  A solved vector also
+    carries the solver's ``iterations`` and final ``residual``.
     """
 
     values: np.ndarray
     domain: str = "global"
-    flags: tuple = ()
+    flags: tuple = ()  # always empty; the benchmark's stationary hook still reads it
     iterations: int = 0
     residual: float | None = None
 
@@ -57,16 +56,6 @@ class ProbVector:
         if abs(s - 1.0) > atol:
             raise AssertionError(f"probabilities sum to {s}, not 1")
 
-    @staticmethod
-    def delta(size: int, v: int, domain: str = "global") -> "ProbVector":
-        values = np.zeros(size)
-        values[v] = 1.0
-        return ProbVector(values, domain)
-
-    @staticmethod
-    def uniform(size: int, domain: str = "global") -> "ProbVector":
-        return ProbVector(np.full(size, 1.0 / size), domain)
-
 
 @dataclass(frozen=True)
 class EntropyResult:
@@ -74,7 +63,6 @@ class EntropyResult:
 
     h: float
     t_ent: float
-    h_first_order: float
 
 
 @dataclass
@@ -90,7 +78,6 @@ class MixingProfile:
 
     times: np.ndarray
     per_start: np.ndarray  # shape (n_starts, n_times)
-    starts: np.ndarray
     checkpoint: int | None = None
     rank: int | None = None
     tv_bound: float = 0.0
@@ -146,16 +133,11 @@ def evolve_batch(graph: Digraph, columns: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def stationary(
-    graph: Digraph,
-    domain: str = "global",
-    tol: float = STATIONARY_TOL,
-    max_iter: int = STATIONARY_MAX_ITER,
-) -> ProbVector:
+def stationary(graph: Digraph, domain: str = "global") -> ProbVector:
     """Stationary distribution by lazy power iteration with aggregation.
 
     Iterates mu <- (mu + mu P) / 2 from uniform until the plain-kernel
-    residual ||mu P - mu||_1 drops below ``tol``.  With m > 1 communities
+    residual ||mu P - mu||_1 drops below STATIONARY_TOL.  With m > 1 communities
     each step is followed by an aggregation-disaggregation step: the
     m-state coupling chain A[c, d] = sum_{v in c} (mu_v / w_c) P(v, d),
     w_c the mass of community c, is solved exactly and each community
@@ -163,15 +145,13 @@ def stationary(
     inter-community mode (rate ~ alpha m / (m - 1)), so the iteration
     converges at the within-community rate (Koury-McAllister-Stewart;
     Stewart 1994, sec. 6.3).  With m = 1 it is the plain lazy iteration.
-    The result carries the iteration count and the final residual.  If
-    the graph is not strongly connected the uniform distribution is
-    returned with the flag "not_strongly_connected" attached instead.
+    The result carries the iteration count and the final residual.  A
+    graph that is not strongly connected has no unique stationary
+    distribution and is refused.
     """
     n = graph.vertex_count
     if not graph.is_strongly_connected():
-        return ProbVector(
-            np.full(n, 1.0 / n), domain, flags=("not_strongly_connected",)
-        )
+        raise ValueError(f"{domain} graph is not strongly connected")
     pt = transition_operator(graph)
     mu = np.full(n, 1.0 / n)
     m = graph.m
@@ -183,10 +163,10 @@ def stationary(
             weights=1.0 / graph.out_degree[src],
             minlength=n * m,
         ).reshape(m, graph.n, m)
-    for it in range(max_iter):
+    for it in range(STATIONARY_MAX_ITER):
         stepped = pt @ mu
         residual = float(np.abs(stepped - mu).sum())
-        if residual < tol:
+        if residual < STATIONARY_TOL:
             return ProbVector(mu, domain, iterations=it, residual=residual)
         mu = 0.5 * (mu + stepped)
         if m > 1:
@@ -196,7 +176,8 @@ def stationary(
             xi = _chain_stationary(coupling)
             mu = (blocks * (xi / w)[:, None]).ravel()
     raise RuntimeError(
-        f"stationary iteration did not reach residual {tol} in {max_iter} steps"
+        f"stationary iteration did not reach residual {STATIONARY_TOL} "
+        f"in {STATIONARY_MAX_ITER} steps"
     )
 
 
@@ -218,7 +199,7 @@ def _chain_stationary(a: np.ndarray) -> np.ndarray:
 def local_stationary(graph: Digraph, i: int) -> ProbVector:
     """Stationary distribution of community i's pre-rewiring graph.
 
-    Solved on the graph's cached subgraph, whose connectivity flag and
+    Solved on the graph's cached subgraph, whose connectivity answer and
     kernel the escape pipeline then reuses.
     """
     return stationary(pre_rewiring_subgraph(graph, i), domain=f"community:{i}")
@@ -234,8 +215,6 @@ def community_mass(graph: Digraph, mu: ProbVector) -> np.ndarray:
     """Mass of each community under a global distribution."""
     if mu.domain != "global":
         raise ValueError("community_mass expects a global distribution")
-    if mu.flags:  # a uniform fallback would pass every mass check
-        raise ValueError(f"distribution is a solver fallback: {mu.flags}")
     return mu.values.reshape(graph.m, graph.n).sum(axis=1)
 
 
@@ -248,24 +227,24 @@ class IndegreeApproximation:
     """In-degree proxy for the local stationary distribution.
 
     ``raw`` is pre-rewiring in-degree / (p*n^2), whose scale error vs
-    pi_i is part of the statement; ``approx`` renormalizes it.  When a
-    reference pi_i is supplied, ``rel_err`` holds |raw/pi_i - 1| for each
+    pi_i is part of the statement; ``approx`` renormalizes it.
+    ``rel_err`` holds |raw/pi_i - 1| against the reference pi_i for each
     included vertex (the ``excluded`` zero in-degree vertices are left
     out) and ``max_rel_err`` is its maximum.
     """
 
     approx: ProbVector
     raw: np.ndarray
-    rel_err: np.ndarray | None
+    rel_err: np.ndarray
     excluded: int
 
     @property
-    def max_rel_err(self) -> float | None:
-        return None if self.rel_err is None else float(self.rel_err.max())
+    def max_rel_err(self) -> float:
+        return float(self.rel_err.max())
 
 
 def indegree_approximation(
-    graph: Digraph, table: DegreeTable, i: int, pi_local: ProbVector | None = None
+    graph: Digraph, table: DegreeTable, i: int, pi_local: ProbVector
 ) -> IndegreeApproximation:
     if graph.params is None:
         raise ValueError("needs model parameters for the p*n^2 scale")
@@ -274,54 +253,47 @@ def indegree_approximation(
     total = float(raw.sum())
     if total <= 0.0:
         raise ValueError("community has no intra in-edges")
-    rel_err = None
-    excluded = 0
-    if pi_local is not None:
-        if pi_local.domain != f"community:{i}":
-            raise ValueError("reference must live on the same community")
-        if pi_local.flags:
-            raise ValueError(f"reference is a solver fallback: {pi_local.flags}")
-        keep = raw > 0.0
-        excluded = int(np.count_nonzero(~keep))
-        rel_err = np.abs(raw[keep] / pi_local.values[keep] - 1.0)
+    if pi_local.domain != f"community:{i}":
+        raise ValueError("reference must live on the same community")
+    keep = raw > 0.0
     return IndegreeApproximation(
         approx=ProbVector(raw / total, f"community:{i}"),
         raw=raw,
-        rel_err=rel_err,
-        excluded=excluded,
+        rel_err=np.abs(raw[keep] / pi_local.values[keep] - 1.0),
+        excluded=int(np.count_nonzero(~keep)),
     )
 
 
 def entropy_and_entropic_time(table: DegreeTable, n: int) -> EntropyResult:
     """Mean log out-degree H and the time scale log(n)/H.
 
-    H averages log(deg v 1) over all vertices; the first-order value
-    log(log(n)) comes alongside.  The exact Binomial(n-1, p) expectation
-    is ``experiments.analytic_entropic_time``.
+    H averages log(deg v 1) over all vertices; the exact Binomial(n-1, p)
+    expectation is ``experiments.analytic_entropic_time``.
     """
     logs = np.log(np.maximum(table.d_out, 1))
     h = float(logs.mean())
     if h <= 0.0:
         raise ValueError("mean log out-degree is zero; no entropic time scale")
-    return EntropyResult(h=h, t_ent=math.log(n) / h, h_first_order=math.log(math.log(n)))
+    return EntropyResult(h=h, t_ent=math.log(n) / h)
 
 
 def select_starts(
     size: int,
     rng: np.random.Generator | None,
-    k: int = 64,
+    k: int | None = 64,
     witnesses: Iterable[int] = (),
 ) -> np.ndarray:
     """Start states, sorted and distinct, for a worst-start maximum.
 
-    Every one of the ``size`` states when there are at most
-    START_STATE_LIMIT, whatever ``k`` is: a profile on a graph of at
-    most 2000 vertices starts from every vertex, and its manifest
-    records that count as ``profile_compression.starts``.  Otherwise k
+    Every one of the ``size`` states when ``k`` is None (the exhaustive
+    policy) or there are at most START_STATE_LIMIT, whatever ``k`` is: a
+    profile on a graph of at most 2000 vertices starts from every
+    vertex, and its manifest records that count as
+    ``profile_compression.starts``.  Otherwise k
     states drawn from ``rng`` plus the ``witnesses`` (states expected to
     be among the slowest), which makes the maximum a lower estimate.
     """
-    if size <= START_STATE_LIMIT:
+    if k is None or size <= START_STATE_LIMIT:
         return np.arange(size, dtype=np.int64)
     if rng is None:
         raise ValueError("sampled starts need a generator")
@@ -385,7 +357,7 @@ def mixing_profile(
                 checkpoint = t
                 break
     if fit is None:
-        return MixingProfile(times=times, per_start=per_start, starts=starts)
+        return MixingProfile(times=times, per_start=per_start)
     picked, coef, residual = fit
     cols = cols[:, picked]  # only the basis is stepped from here on
     later = sorted(s for s in recorded if s > checkpoint)
@@ -394,7 +366,6 @@ def mixing_profile(
     return MixingProfile(
         times=times,
         per_start=per_start,
-        starts=starts,
         checkpoint=checkpoint,
         rank=len(picked),
         tv_bound=0.5 * float(residual.max()),

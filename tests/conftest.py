@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dbmwalk.graph import DbmParams, Digraph, generate
+from dbmwalk.walk import ProbVector
 
 
 def digraph_from_edges(n_vertices: int, edges: list[tuple[int, int]], m: int = 1,
@@ -58,12 +59,26 @@ def random_sc_digraph(rng: np.random.Generator, size: int, extra: float = 2.0) -
     return digraph_from_edges(size, sorted(edges))
 
 
+def out_neighbors(graph: Digraph, v: int) -> np.ndarray:
+    return graph.targets[graph.indptr[v] : graph.indptr[v + 1]]
+
+
+def delta(size: int, v: int, domain: str = "global") -> ProbVector:
+    values = np.zeros(size)
+    values[v] = 1.0
+    return ProbVector(values, domain)
+
+
+def uniform(size: int, domain: str = "global") -> ProbVector:
+    return ProbVector(np.full(size, 1.0 / size), domain)
+
+
 def dense_kernel(graph: Digraph) -> np.ndarray:
     """Row-stochastic dense kernel; rows of sinks are left all-zero."""
     big_n = graph.vertex_count
     mat = np.zeros((big_n, big_n))
     for v in range(big_n):
-        nb = graph.out_neighbors(v)
+        nb = out_neighbors(graph, v)
         if nb.size:
             mat[v, nb] = 1.0 / nb.size
     return mat

@@ -260,7 +260,7 @@ def test_profile_determinism_across_threads(tmp_path):
 
 def test_qsd_run_artifacts(tmp_path):
     config = super_config(str(tmp_path), seeds=(3, 4))
-    manifest = run_qsd_experiment(config, restart_reps=600)
+    manifest = run_qsd_experiment(config)
     for seed in (3, 4):
         assert read_csv_header(tmp_path / f"qsd_seed{seed}.csv") == [
             "i", "iota", "lambda_alpha_logn", "r_tilde", "t_mix",
@@ -434,6 +434,31 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
     cfg.write_text(json.dumps({"alpha": 0.02, **raw}))
     argv = ["generate", "--n", "300", "--config", str(cfg), "--out", str(tmp_path / "run")]
     with pytest.raises(SystemExit, match="^invalid configuration: "):
+        main(argv)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "raw, flags, message",
+    [
+        ({"n": 400.0}, [], "n must be an integer, got 400.0"),
+        ({"m": True}, [], "m must be an integer, got True"),
+        ({"seeds": [1.7, 2.2]}, [], "seed must be an integer, got 1.7"),
+        ({"sample_starts": 10.5}, [], "sample_starts must be an integer, got 10.5"),
+        ({"threads": 1.5}, [], "threads must be an integer, got 1.5"),
+        ({}, ["--threads", "-3"], "need at least one thread, got -3"),
+        ({}, ["--seeds", "1,1", "--threads", "2"], r"seeds must be distinct, got \[1, 1\]"),
+    ],
+    ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
+         "negative_threads", "duplicate_seeds"],
+)
+def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
+    # each of these used to run: truncated, recorded as given, or, for two
+    # threads on one seed, writing the same graph file twice
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
+    argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags
+    with pytest.raises(SystemExit, match=f"^invalid configuration: {message}$"):
         main(argv)
     assert not (tmp_path / "run").exists()
 

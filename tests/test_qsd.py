@@ -13,10 +13,12 @@ from scipy.sparse import csr_matrix
 
 from conftest import (
     complete_digraph,
+    delta,
     dense_kernel,
     dense_stationary,
     digraph_from_edges,
     random_sc_digraph,
+    uniform,
 )
 from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
@@ -54,7 +56,7 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
         local=local,
         gate_labels=np.array([0], dtype=np.int64),
         gate_mask=mask,
-        pi_local=ProbVector.uniform(k, "community:0"),
+        pi_local=uniform(k, "community:0"),
         d_out_full=d_out,
         d_rewired=d_rewired,
     )
@@ -108,7 +110,7 @@ def test_qsd_flags_reducible_survivor_kernel():
         local=local,
         gate_labels=np.array([6]),
         gate_mask=mask,
-        pi_local=ProbVector.uniform(7, "community:0"),
+        pi_local=uniform(7, "community:0"),
         d_out_full=local.out_degree.copy(),
         d_rewired=np.array([0, 0, 0, 0, 0, 0, 1]),
     )
@@ -193,9 +195,10 @@ def dense_mixing_time(kernel: np.ndarray, pi: np.ndarray, cap: int) -> int | Non
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(size=st.integers(4, 30), graph_seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
-    # the merged kernel, its stationary law, mixing time, return mass and
-    # hitting oracle on random strongly connected digraphs with a random
-    # proper gate set, against dense re-derivations of each definition
+    # the merged kernel, its stationary law, mixing time, return mass,
+    # hitting oracle and QSD on random strongly connected digraphs with a
+    # random proper gate set, against dense re-derivations of each
+    # definition
     graph = random_sc_digraph(np.random.default_rng(graph_seed), size)
     gate = np.array(
         sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1)))
@@ -238,23 +241,35 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     returns = [
         np.linalg.matrix_power(want, s)[k, k] for s in range(1, mass.t_horizon + 1)
     ]
-    assert mass.r_tilde_raw == pytest.approx(1.0 + sum(returns), abs=1e-12)
     excess = sum(max(r - level, 0.0) for r in returns)
     assert mass.r_tilde == pytest.approx(1.0 + excess, abs=1e-12)
 
-    hit = hitting_time_estimates(view, merged, mass)
+    hit = hitting_time_estimates(view, mass)
     h = np.linalg.solve(np.eye(k) - p[np.ix_(kept, kept)], np.ones(k))
     assert hit.oracle == pytest.approx(float(pi[kept] @ h), rel=1e-10)
     assert hit.estimate == mass.r_tilde / pi[gate].sum()
 
+    # the QSD is the Perron left eigenvector of the survivor block; it is
+    # checked where the spectral gap lets the power iteration settle
+    vals, vecs = np.linalg.eig(p[np.ix_(kept, kept)].T)
+    order = np.argsort(-np.abs(vals))
+    theta = float(np.abs(vals[order[0]]))
+    second = float(np.abs(vals[order[1]])) if k > 1 else 0.0
+    if theta > 0.0 and second <= 0.9 * theta:
+        sol = quasi_stationary(view)
+        perron = vecs[:, order[0]].real
+        perron /= perron.sum()
+        assert abs(sol.iota - (1.0 - theta)) <= 1e-10 * (1.0 - theta)
+        assert np.abs(sol.mu_star.values[kept] - perron).sum() <= 1e-10
+        assert not sol.mu_star.values[gate].any()
+
 
 def test_return_mass_clamp_and_horizon_mechanics():
     # horizon = ceil(t_mix * log(1/min pi)) = 1, and the single return
-    # probability 0.5 sits below the stationary level, so the clamped
-    # excess vanishes while the raw sum keeps it
+    # probability 0.5 sits below the stationary level 0.6, so the clamped
+    # excess vanishes
     matrix = np.array([[0.0, 1.0], [0.5, 0.5]])
     merged = MergedKernel(
-        i=0,
         operator=csr_matrix(matrix.T),
         kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.4, 0.6]), "merged:0"),
@@ -262,7 +277,6 @@ def test_return_mass_clamp_and_horizon_mechanics():
     mass = return_mass(merged, t_mix=1)
     assert mass.t_horizon == 1
     assert mass.r_tilde == 1.0
-    assert mass.r_tilde_raw == 1.5
 
 
 def test_return_mass_matches_dense_powers():
@@ -281,9 +295,9 @@ def test_return_mass_matches_dense_powers():
         power = power @ dense
         raw += power[d, d]
         excess += max(power[d, d] - level, 0.0)
-    assert mass.r_tilde_raw == pytest.approx(1.0 + raw, abs=1e-12)
     assert mass.r_tilde == pytest.approx(1.0 + excess, abs=1e-12)
-    assert 1.0 <= mass.r_tilde <= mass.r_tilde_raw
+    # the clamp keeps the excess within the plain sum of return probabilities
+    assert 1.0 <= mass.r_tilde <= 1.0 + raw
 
 
 def test_hitting_time_on_complete_digraph():
@@ -293,7 +307,7 @@ def test_hitting_time_on_complete_digraph():
     merged = build_merged_kernel(view)
     t_mix, _ = mixing_time_estimate(merged, cap=50)
     mass = return_mass(merged, t_mix)
-    est = hitting_time_estimates(view, merged, mass)
+    est = hitting_time_estimates(view, mass)
     assert est.gate_mass == pytest.approx(1 / 6)
     assert est.oracle == pytest.approx(25 / 6, rel=1e-10)
     assert est.estimate == pytest.approx(est.oracle, rel=0.5)
@@ -304,7 +318,7 @@ def test_hitting_time_estimate_tracks_oracle(small_community):
     merged = build_merged_kernel(view)
     t_mix, _ = mixing_time_estimate(merged, cap=500)
     mass = return_mass(merged, t_mix)
-    est = hitting_time_estimates(view, merged, mass)
+    est = hitting_time_estimates(view, mass)
     assert est.oracle is not None and est.oracle > 0
     assert 1.0 < est.estimate / est.oracle < 2.0
     # the ratio estimates the return cycle of the gate state; stationary
@@ -341,7 +355,6 @@ def test_mixing_time_matches_dense_definition(small_community):
 
 def test_mixing_time_cap_and_sampled_mode():
     slow = MergedKernel(
-        i=0,
         operator=csr_matrix(np.array([[0.99, 0.01], [0.01, 0.99]])),
         kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.5, 0.5]), "merged:0"),
@@ -355,10 +368,9 @@ def test_mixing_time_cap_and_sampled_mode():
     # steps straight into the absorbing merged state, so t_mix = 1
     ns = 2001
     absorbing = MergedKernel(
-        i=0,
         operator=csr_matrix((np.ones(ns), (np.full(ns, ns - 1), np.arange(ns))), shape=(ns, ns)),
         kept=np.arange(ns - 1),
-        pi_tilde=ProbVector.delta(ns, ns - 1, "merged:0"),
+        pi_tilde=delta(ns, ns - 1, "merged:0"),
     )
     with pytest.raises(ValueError, match="generator"):
         mixing_time_estimate(absorbing, cap=10)
@@ -504,6 +516,14 @@ def test_community_view_rejects_disconnected_community():
         community_view(graph, table, 0)
 
 
+def test_community_view_rejects_a_community_without_gates():
+    # alpha = 0 rewires nothing: the killed walk would never die (iota = 0)
+    # and the restart cap of 100/iota steps would never be reached
+    graph, table = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.0, seed=1), 1)
+    with pytest.raises(ValueError, match="^community 0 has no rewired out-edge"):
+        community_view(graph, table, 0)
+
+
 def test_community_view_shares_the_cached_subgraph(small_community):
     graph, table, view = small_community
     assert view.local is pre_rewiring_subgraph(graph, 0)
@@ -513,7 +533,7 @@ def test_community_view_shares_the_cached_subgraph(small_community):
     sol = quasi_stationary(view)
     merged = build_merged_kernel(view)
     t_mix, _ = mixing_time_estimate(merged, cap=10_000)
-    hitting_time_estimates(view, merged, return_mass(merged, t_mix))
+    hitting_time_estimates(view, return_mass(merged, t_mix))
     restart_process(view, sol, 50, seed=1)
     assert community_view(graph, table, 0).local is view.local
     view.local.validate()

@@ -76,7 +76,7 @@ def _runs(root: Path):
             beta_grid=(0.5, 2.5), start_policy="exhaustive"))),
         ("profile-critical", lambda: run_profile_experiment(critical)),
         ("qsd-small", lambda: run_qsd_experiment(
-            _config(root / "qsd-small", 500, 0.02, seeds=(3, 4)), restart_reps=600)),
+            _config(root / "qsd-small", 500, 0.02, seeds=(3, 4)))),
         ("annealed", lambda: run_annealed_experiment(
             _config(root / "annealed", 400, 0.05, seeds=(2,)), t=4, reps=4000, t_max=20)),
         ("proxy", lambda: run_proxy_experiment(_config(root / "proxy", 500, 0.02, seeds=(1, 2)))),
