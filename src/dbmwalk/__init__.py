@@ -11,7 +11,7 @@ revealed-graph walk (``annealed``), two-scale surrogate measures
 __version__ = "0.1.0"
 
 from .graph import DbmParams, Digraph, degrees, generate
-from .meanfield import limiting_profile, meanfield_tv, q_matrix, q_power_closed
+from .meanfield import limiting_profile, meanfield_tv, q_matrix
 from .walk import entropy_and_entropic_time, mixing_profile, stationary, tv_distance
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "limiting_profile",
     "meanfield_tv",
     "q_matrix",
-    "q_power_closed",
     "entropy_and_entropic_time",
     "mixing_profile",
     "stationary",

@@ -151,8 +151,6 @@ class CommunityLaw:
     zero-out-degree reveal, count as failures next to the revisiting ones.
     """
 
-    t: int
-    start: int
     joint: np.ndarray
     joint_se: np.ndarray
     conditional: np.ndarray
@@ -181,8 +179,6 @@ def annealed_community_law(
     cond_se = np.sqrt(np.maximum(cond * (1 - cond), 1e-300) / n_cf)
     q_row = q_power_matrix(m, params.alpha, t)[start // params.n]
     return CommunityLaw(
-        t=t,
-        start=start,
         joint=joint,
         joint_se=joint_se,
         conditional=cond,
@@ -207,7 +203,6 @@ class JumpSurvival:
     stderr: np.ndarray
     theory: np.ndarray
     stuck: int
-    reps: int
 
 
 def annealed_jump_survival(params: DbmParams, t_max: int, reps: int, seed: int) -> JumpSurvival:
@@ -232,5 +227,4 @@ def annealed_jump_survival(params: DbmParams, t_max: int, reps: int, seed: int) 
         stderr=stderr,
         theory=theory,
         stuck=int(walks.stuck.sum()),
-        reps=reps,
     )

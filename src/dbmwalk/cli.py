@@ -25,6 +25,7 @@ from .experiments import (
     run_qsd_experiment,
 )
 from .graph import DbmParams
+from .walk import SAMPLED_STARTS, START_STATE_LIMIT
 
 _DEFAULT_BETAS = {
     "subcritical": "0.5,1.5",
@@ -51,9 +52,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--starts",
         help=(
-            "start policy: 'exhaustive' or a sample size (default 64); a graph "
-            "of at most 2000 vertices starts from every vertex either way, and "
-            "the manifest's profile_compression.starts holds the count used"
+            "start policy of the profile and qsd mixing times: 'exhaustive' or a "
+            f"sample size (default {SAMPLED_STARTS}); a space of at most "
+            f"{START_STATE_LIMIT} states is started from every state either way; "
+            "the manifest records profile_compression.starts and mixing_time_exhaustive"
         ),
     )
     p.add_argument("--threads", type=int, help="worker threads across seeds")
@@ -86,7 +88,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     timescale = pick(args.timescale, "timescale", "entropic")
     # a manifest's config block holds the policy name and the size apart
     starts = pick(args.starts, "start_policy", "sampled")
-    sample_starts = raw.get("sample_starts", 64)
+    sample_starts = raw.get("sample_starts", SAMPLED_STARTS)
     if starts in ("sampled", "exhaustive"):
         start_policy = starts
     else:  # a sample size: the --starts string, or a number from the file
@@ -94,6 +96,7 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         sample_starts = int(starts) if isinstance(starts, str) else starts
     out_dir = pick(args.out, "out_dir", f"out/{command}")
     threads = pick(args.threads, "threads", 1)
+    base_seed = seeds[0] if seeds else 0  # ExperimentConfig refuses an empty list
 
     common = dict(
         beta_grid=betas,
@@ -107,10 +110,10 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     if regime == "critical":
         if c is None:
             raise SystemExit("critical regime needs --C")
-        return ExperimentConfig.critical(n, m, lam, c, seed=seeds[0], **common)
+        return ExperimentConfig.critical(n, m, lam, c, seed=base_seed, **common)
     if alpha is None:
         raise SystemExit("need --alpha (or --regime critical with --C)")
-    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seeds[0])
+    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=base_seed)
     return ExperimentConfig(params=params, regime=regime, c=c, **common)
 
 

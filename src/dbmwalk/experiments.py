@@ -38,6 +38,7 @@ from .graph import (
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
 from .rng import NS_EXPERIMENT, derived_rng
 from .walk import (
+    SAMPLED_STARTS,
     ProbVector,
     community_mass,
     entropy_and_entropic_time,
@@ -99,7 +100,7 @@ class ExperimentConfig:
     timescale: str = "entropic"  # or "inverse_alpha"
     c: float | None = None
     start_policy: str = "sampled"  # or "exhaustive"
-    sample_starts: int = 64
+    sample_starts: int = SAMPLED_STARTS
     seeds: tuple[int, ...] = (1,)
     out_dir: str = "out"
     threads: int = 1
@@ -130,6 +131,11 @@ class ExperimentConfig:
     @property
     def t_ent(self) -> float:
         return analytic_entropic_time(self.params)
+
+    @property
+    def start_count(self) -> int | None:
+        """The ``k`` of ``walk.select_starts``: None under the exhaustive policy."""
+        return None if self.start_policy == "exhaustive" else self.sample_starts
 
     def validate_regime(self) -> None:
         alpha = self.params.alpha
@@ -368,8 +374,7 @@ def _profile_seed(config: ExperimentConfig, seed: int):
     rng = derived_rng(used, NS_EXPERIMENT, 0)
     deg = graph.out_degree  # slow and fast spreading witnesses
     witnesses = [int(deg.argmin()), int(deg.argmax())]
-    k = None if config.start_policy == "exhaustive" else config.sample_starts
-    starts = select_starts(graph.vertex_count, rng, k, witnesses)
+    starts = select_starts(graph.vertex_count, rng, config.start_count, witnesses)
     times = sorted(set(config.time_grid().values()))
     profile = mixing_profile(graph, starts, times, pi)
     compression = {
@@ -406,10 +411,13 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
             # the limit jumps at beta = 1; sample both sides instead
             curve_betas = [b for b in curve_betas if abs(b - 1.0) > 1e-9]
             curve_betas = sorted(curve_betas + [0.999, 1.001])
-        curve = meanfield.profile_curve(limit_name, curve_betas, prm.m, c=config.c)
+        curve_values = np.array(
+            [meanfield.limiting_profile(limit_name, b, prm.m, config.c) for b in curve_betas]
+        )
+        curve_betas = np.asarray(curve_betas)
         theory_rows = [
             [float(b), float(v), limit_name, prm.m, float(config.c) if config.c else 0.0]
-            for b, v in zip(curve.betas, curve.values)
+            for b, v in zip(curve_betas, curve_values)
         ]
         theory_csv = manifest.register(out_dir / "theory.csv")
         _write_csv(theory_csv, ["beta", "value", "regime", "m", "C"], theory_rows)
@@ -425,12 +433,12 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
             ylabel="max-start TV distance",
         )
         if limit_name != "supercritical_alpha":
-            left = curve.betas < 1.0
+            left = curve_betas < 1.0
             fig.add(
                 svg.Series(
                     "limiting curve",
-                    list(curve.betas[left]),
-                    list(curve.values[left]),
+                    list(curve_betas[left]),
+                    list(curve_values[left]),
                     kind="line",
                     color=svg.PALETTE[0],
                 )
@@ -438,15 +446,15 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
             fig.add(
                 svg.Series(
                     "(after the step)",
-                    list(curve.betas[~left]),
-                    list(curve.values[~left]),
+                    list(curve_betas[~left]),
+                    list(curve_values[~left]),
                     kind="line",
                     color=svg.PALETTE[0],
                 )
             )
         else:
             fig.add(
-                svg.Series("limiting curve", list(curve.betas), list(curve.values), kind="line")
+                svg.Series("limiting curve", list(curve_betas), list(curve_values), kind="line")
             )
         fig.add(
             svg.Series(
@@ -549,12 +557,11 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         sol = qsd.quasi_stationary(view)
         merged = qsd.build_merged_kernel(view)
         rng = derived_rng(used, NS_EXPERIMENT, 1, i)
-        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng=rng)
+        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng, config.start_count)
         diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
         diag["mixing_time_exhaustive"].append(exhaustive)
         mass = qsd.return_mass(merged, t_mix)
         hit = qsd.hitting_time_estimates(view, mass)
-        nice = qsd.nice_gates(graph, view)
         rows.append(
             [
                 i,
@@ -565,7 +572,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
                 hit.estimate,
                 hit.oracle if hit.oracle is not None else float("nan"),
                 int(view.gate_mask.sum()),
-                nice.fraction_nice,
+                qsd.nice_fraction(graph, view),
             ]
         )
         if i == 0:
@@ -704,13 +711,12 @@ def run_annealed_experiment(
 # -- proxy -------------------------------------------------------------------
 
 PROXY_IDENTITY_TOL = 1e-12
-PROXY_EPS = 0.2  # burn-in share of the two-scale schedule
 
 
 def _proxy_seed(config: ExperimentConfig, seed: int):
     graph, table, used = _accepted_graph(config, seed)
     ent = entropy_and_entropic_time(table, config.params.n)
-    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent, eps=PROXY_EPS)
+    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent)
     sm = surrogate_measures(graph, sch)
     pi = stationary(graph)
     result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), mixture_identity_gap(sm))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -63,10 +63,6 @@ class DbmParams:
     @property
     def p(self) -> float:
         return self.lam * math.log(self.n) / self.n
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n * self.m
 
     @classmethod
     def from_edge_probability(
@@ -166,15 +162,13 @@ class Digraph:
 class DegreeTable:
     """Per-vertex degree statistics.
 
-    d_out = d_intra_out + d_rewired_out; d_in counts post-rewiring in-edges
-    and d_in_intra counts in-edges of the pre-rewiring graph (same-community
-    sources aiming at this label).
+    ``d_rewired_out`` counts the rewired share of ``d_out``, and
+    ``d_in_intra`` counts in-edges of the pre-rewiring graph
+    (same-community sources aiming at this label).
     """
 
     d_out: np.ndarray
-    d_intra_out: np.ndarray
     d_rewired_out: np.ndarray
-    d_in: np.ndarray
     d_in_intra: np.ndarray
 
 
@@ -182,7 +176,8 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, Degre
     """Sample a DBM graph.
 
     Randomness is drawn from one derived stream per community, so results
-    do not depend on scheduling.  ``seed`` overrides ``params.seed``.
+    do not depend on scheduling.  ``seed`` overrides ``params.seed``, and
+    the graph's ``params`` record the seed actually used.
     """
     root = params.seed if seed is None else seed
     n, m, p, alpha = params.n, params.m, params.p, params.alpha
@@ -204,7 +199,7 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, Degre
 
     indptr = np.zeros(nv + 1, dtype=np.int64)
     np.cumsum(np.concatenate(seg_counts), out=indptr[1:])
-    graph = Digraph(n, m, indptr, np.concatenate(seg_targets), params=params)
+    graph = Digraph(n, m, indptr, np.concatenate(seg_targets), params=replace(params, seed=root))
     return graph, degrees(graph)
 
 
@@ -242,16 +237,9 @@ def degrees(graph: Digraph) -> DegreeTable:
     src = graph.sources()
     d_out = np.bincount(src, minlength=nv).astype(np.int64)
     d_rew = np.bincount(src[graph.rewired], minlength=nv).astype(np.int64)
-    d_in = np.bincount(graph.targets, minlength=nv).astype(np.int64)
     pre_target = (src // graph.n) * graph.n + (graph.targets % graph.n)
     d_in_intra = np.bincount(pre_target, minlength=nv).astype(np.int64)
-    return DegreeTable(
-        d_out=d_out,
-        d_intra_out=d_out - d_rew,
-        d_rewired_out=d_rew,
-        d_in=d_in,
-        d_in_intra=d_in_intra,
-    )
+    return DegreeTable(d_out=d_out, d_rewired_out=d_rew, d_in_intra=d_in_intra)
 
 
 def gates(graph: Digraph, table: DegreeTable, i: int) -> np.ndarray:

@@ -10,7 +10,6 @@ the three parameter regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +25,6 @@ def q_matrix(m: int, alpha: float) -> np.ndarray:
     q = np.full((m, m), alpha / (m - 1))
     np.fill_diagonal(q, 1.0 - alpha)
     return q
-
-
-def q_power_closed(m: int, alpha: float, t: int, i: int, j: int) -> float:
-    """Exact (i, j) entry of the t-th power of the community kernel."""
-    return float(q_power_matrix(m, alpha, t)[i, j])
 
 
 def q_power_matrix(m: int, alpha: float, t: int) -> np.ndarray:
@@ -86,22 +80,3 @@ def limiting_profile(
     if c is None or c <= 0.0:
         raise ValueError("critical profile needs the constant C > 0")
     return plateau * math.exp(-(beta / c) * m / (m - 1))
-
-
-@dataclass(frozen=True)
-class RegimeProfile:
-    """A limiting profile evaluated on a beta grid."""
-
-    regime: str
-    betas: np.ndarray
-    values: np.ndarray
-    m: int
-    c: float | None = None
-
-
-def profile_curve(
-    regime: str, betas: np.ndarray, m: int, c: float | None = None
-) -> RegimeProfile:
-    betas = np.asarray(betas, dtype=np.float64)
-    values = np.array([limiting_profile(regime, float(b), m, c) for b in betas])
-    return RegimeProfile(regime=regime, betas=betas, values=values, m=m, c=c)

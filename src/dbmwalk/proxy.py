@@ -21,6 +21,8 @@ from .graph import Digraph
 from .meanfield import q_power_matrix
 from .walk import ProbVector, evolve_batch, tv_distance
 
+BURN_IN_EPS = 0.2  # share eps of the entropic time given to the burn-in
+
 
 @dataclass(frozen=True)
 class TwoScaleSchedule:
@@ -32,25 +34,17 @@ class TwoScaleSchedule:
     """
 
     eps: float
-    t_ent: float
     burn_in: int
     long_leg: int
 
-    @property
-    def horizon(self) -> int:
-        return self.long_leg + 1 + self.burn_in
-
     @staticmethod
-    def from_entropic_time(t_ent: float, eps: float = 0.2) -> "TwoScaleSchedule":
-        if not 0.0 < eps < 0.5:
-            raise ValueError("eps must lie in (0, 0.5)")
+    def from_entropic_time(t_ent: float) -> "TwoScaleSchedule":
         if t_ent <= 0.0:
             raise ValueError("t_ent must be positive")
         return TwoScaleSchedule(
-            eps=eps,
-            t_ent=t_ent,
-            burn_in=math.ceil(2.0 * eps * t_ent),
-            long_leg=math.floor((1.0 - eps) * t_ent),
+            eps=BURN_IN_EPS,
+            burn_in=math.ceil(2.0 * BURN_IN_EPS * t_ent),
+            long_leg=math.floor((1.0 - BURN_IN_EPS) * t_ent),
         )
 
 

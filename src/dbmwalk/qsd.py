@@ -20,12 +20,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import bmat, csr_matrix, identity
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
 from .walk import (
+    SAMPLED_STARTS,
     ProbVector,
     _step_walkers,
     local_stationary,
@@ -171,7 +171,6 @@ class QsdSolution:
     mu_star: ProbVector
     iota: float
     iterations: int
-    reducible: bool
     residual: float
 
 
@@ -181,9 +180,6 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
     if kept.size == 0:
         raise ValueError("every vertex is a gate; no survivor states")
     sub = view.survivor
-    ncomp, _ = connected_components(sub, directed=True, connection="strong")
-    reducible = ncomp > 1
-
     mu = np.full(kept.size, 1.0 / kept.size)
     theta_prev = -1.0
     stable = 0
@@ -202,10 +198,7 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
             stable = 0
         theta_prev = theta
     else:
-        raise RuntimeError(
-            f"QSD iteration did not stabilize in {QSD_MAX_ITER} steps"
-            + (" (survivor kernel is reducible)" if reducible else "")
-        )
+        raise RuntimeError(f"QSD iteration did not stabilize in {QSD_MAX_ITER} steps")
 
     residual = float(np.abs(sub @ mu - theta * mu).sum())
     full = np.zeros(view.n)
@@ -214,7 +207,6 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
         mu_star=ProbVector(full, f"community:{view.i}"),
         iota=1.0 - theta,
         iterations=iterations,
-        reducible=reducible,
         residual=residual,
     )
 
@@ -232,17 +224,20 @@ def iota_first_order(params: DbmParams) -> float:
 
 
 def mixing_time_estimate(
-    merged: MergedKernel, cap: int, rng: np.random.Generator | None = None
+    merged: MergedKernel,
+    cap: int,
+    rng: np.random.Generator | None = None,
+    k: int | None = SAMPLED_STARTS,
 ) -> tuple[int, bool]:
     """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e).
 
     The starts follow ``walk.select_starts`` with the merged gate state
-    as witness: every state on a small merged space, otherwise a sample
-    drawn from ``rng``, which makes the result a lower estimate (flagged
-    by the returned bool = False).
+    as witness: every state when ``k`` is None or the merged space is
+    small, otherwise k states drawn from ``rng``, which makes the result
+    a lower estimate (flagged by the returned bool = False).
     """
     ns = merged.n_states
-    starts = select_starts(ns, rng, witnesses=[merged.merged_index])
+    starts = select_starts(ns, rng, k, witnesses=[merged.merged_index])
     cols = np.zeros((ns, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     ref = merged.pi_tilde.values[:, None]
@@ -290,7 +285,6 @@ class HittingEstimate:
 
     estimate: float
     oracle: float | None
-    gate_mass: float
 
 
 def hitting_time_estimates(view: CommunityView, mass: ReturnMass) -> HittingEstimate:
@@ -300,8 +294,6 @@ def hitting_time_estimates(view: CommunityView, mass: ReturnMass) -> HittingEsti
     system h = 1 + [P]h on non-gate states (gates contribute 0) and
     averaged under pi.
     """
-    gate_mass = view.gate_mass
-    estimate = mass.r_tilde / gate_mass
     oracle = None
     if view.n <= HITTING_ORACLE_LIMIT:
         kept = view.kept
@@ -309,45 +301,24 @@ def hitting_time_estimates(view: CommunityView, mass: ReturnMass) -> HittingEsti
         i_minus_p = identity(kept.size, format="csr") - view.survivor.T
         h = spsolve(i_minus_p, np.ones(kept.size))
         oracle = float((view.pi_local.values[kept] * h).sum())
-    return HittingEstimate(estimate=estimate, oracle=oracle, gate_mass=gate_mass)
+    return HittingEstimate(estimate=mass.r_tilde / view.gate_mass, oracle=oracle)
 
 
-@dataclass(frozen=True)
-class NiceGates:
-    """Gates split by edge multiplicity and degree regularity.
+def nice_fraction(graph: Digraph, view: CommunityView) -> float:
+    """Share of the gates that are nice.
 
     A gate is nice when it owns exactly one rewired edge and its full
-    out-degree sits within (1 +- eps) lambda log(n); gates with two or
-    more rewired edges are bad.
+    out-degree sits within (1 +- eps) lambda log(n), eps = 1/sqrt(log n).
     """
-
-    nice_labels: np.ndarray
-    bad_labels: np.ndarray
-    fraction_nice: float
-    epsilon: float
-
-
-def nice_gates(
-    graph: Digraph, view: CommunityView, epsilon: float | None = None
-) -> NiceGates:
     if graph.params is None:
         raise ValueError("needs model parameters")
     n = graph.n
-    if epsilon is None:
-        epsilon = 1.0 / math.sqrt(math.log(n))
+    epsilon = 1.0 / math.sqrt(math.log(n))
     target = graph.params.lam * math.log(n)
     gate = view.gate_labels
-    rew = view.d_rewired[gate]
     deg = view.d_out_full[gate]
     in_window = (deg >= (1 - epsilon) * target) & (deg <= (1 + epsilon) * target)
-    nice = (rew == 1) & in_window
-    bad = rew >= 2
-    return NiceGates(
-        nice_labels=gate[nice],
-        bad_labels=gate[bad],
-        fraction_nice=float(nice.mean()) if gate.size else 0.0,
-        epsilon=float(epsilon),
-    )
+    return float(((view.d_rewired[gate] == 1) & in_window).mean())
 
 
 @dataclass

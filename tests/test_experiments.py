@@ -24,7 +24,7 @@ from dbmwalk.experiments import (
     run_proxy_experiment,
     run_qsd_experiment,
 )
-from dbmwalk.graph import DbmParams
+from dbmwalk.graph import DbmParams, generate, load_binary
 
 
 def super_config(out_dir: str, **kw) -> ExperimentConfig:
@@ -309,6 +309,18 @@ def test_qsd_run_artifacts(tmp_path):
         run_qsd_experiment(super_config(str(tmp_path), alpha=0.0))
 
 
+def test_qsd_exhaustive_starts_cover_a_large_merged_space(tmp_path):
+    # about 50 gates per community at this alpha leave a merged space above
+    # the 2000 states up to which every start is stepped under any policy
+    config = super_config(str(tmp_path), n=2200, alpha=0.001, start_policy="exhaustive")
+    run_qsd_experiment(config)
+    rows = (tmp_path / "qsd_seed1.csv").read_text().splitlines()[1:]
+    gate_counts = [int(row.split(",")[7]) for row in rows]
+    assert all(config.params.n - g + 1 > 2000 for g in gate_counts)
+    (diag,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+
+
 def test_annealed_run_artifacts(tmp_path):
     config = super_config(str(tmp_path), n=400, alpha=0.05, seeds=(2,))
     manifest = run_annealed_experiment(config, t=4, reps=4000, t_max=20)
@@ -356,6 +368,15 @@ def test_proxy_and_generate_runs(tmp_path):
     assert_solver_diagnostics(
         json.loads((tmp_path / "gen" / "manifest.json").read_text())["diagnostics"], [5]
     )
+
+
+def test_generated_graph_files_record_their_own_seed(tmp_path):
+    run_generate(super_config(str(tmp_path), n=200, seeds=(1, 2)))
+    loaded = load_binary(str(tmp_path / "graph_seed2.npz"))
+    assert loaded.params.seed == 2
+    regenerated, _ = generate(loaded.params)
+    assert np.array_equal(regenerated.indptr, loaded.indptr)
+    assert np.array_equal(regenerated.targets, loaded.targets)
 
 
 def test_cli_proxy_run_and_report(tmp_path, capsys):
@@ -448,9 +469,10 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
         ({"threads": 1.5}, [], "threads must be an integer, got 1.5"),
         ({}, ["--threads", "-3"], "need at least one thread, got -3"),
         ({}, ["--seeds", "1,1", "--threads", "2"], r"seeds must be distinct, got \[1, 1\]"),
+        ({"seeds": []}, [], "need at least one seed"),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
-         "negative_threads", "duplicate_seeds"],
+         "negative_threads", "duplicate_seeds", "empty_seeds"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
     # each of these used to run: truncated, recorded as given, or, for two

@@ -11,9 +11,7 @@ from dbmwalk.meanfield import (
     REGIMES,
     limiting_profile,
     meanfield_tv,
-    profile_curve,
     q_matrix,
-    q_power_closed,
     q_power_matrix,
 )
 
@@ -45,10 +43,10 @@ def test_q_power_edge_cases():
     assert np.array_equal(q_power_matrix(4, 0.3, 0), np.eye(4))
     assert np.array_equal(q_power_matrix(4, 0.0, 17), np.eye(4))
     # two steps at alpha = 1/4: stay twice or swap twice
-    assert q_power_closed(2, 0.25, 2, 0, 0) == pytest.approx(0.625)
-    assert q_power_closed(2, 0.25, 2, 0, 1) == pytest.approx(0.375)
+    assert q_power_matrix(2, 0.25, 2)[0, 0] == pytest.approx(0.625)
+    assert q_power_matrix(2, 0.25, 2)[0, 1] == pytest.approx(0.375)
     with pytest.raises(ValueError):
-        q_power_closed(2, 0.25, -1, 0, 0)
+        q_power_matrix(2, 0.25, -1)
 
 
 def test_chapman_kolmogorov():
@@ -93,9 +91,6 @@ def test_closed_forms_where_the_contraction_factor_vanishes_or_turns_negative(m)
             want = np.linalg.matrix_power(q, t)
             got = q_power_matrix(m, alpha, t)
             assert np.abs(got - want).max() < 1e-12, (alpha, t)
-            for i in range(m):
-                for j in range(m):
-                    assert q_power_closed(m, alpha, t, i, j) == got[i, j]
             for row in want:
                 tv = 0.5 * np.abs(row - 1.0 / m).sum()
                 assert meanfield_tv(m, alpha, t) == pytest.approx(tv, abs=1e-12)
@@ -130,6 +125,7 @@ def test_limiting_profile_step_regimes():
         limiting_profile("subcritical", 0.0, 2)
     with pytest.raises(ValueError, match="unknown"):
         limiting_profile("diagonal", 0.5, 2)
+    assert set(REGIMES) == {"subcritical", "critical", "supercritical_ent", "supercritical_alpha"}
 
 
 def test_limiting_profile_critical():
@@ -144,16 +140,3 @@ def test_limiting_profile_critical():
     assert limiting_profile("critical", 1.5, 2, c=1e3) == pytest.approx(0.5, abs=1e-2)
     assert limiting_profile("critical", 1.5, 2, c=1e-3) == pytest.approx(0.0, abs=1e-3)
 
-
-def test_profile_curve_wraps_pointwise_values():
-    betas = np.array([0.25, 0.5, 1.5, 2.0, 3.0])
-    prof = profile_curve("critical", betas, m=2, c=2.0)
-    assert prof.regime == "critical" and prof.m == 2 and prof.c == 2.0
-    for b, v in zip(prof.betas, prof.values):
-        assert v == limiting_profile("critical", float(b), 2, c=2.0)
-    assert set(REGIMES) == {
-        "subcritical",
-        "critical",
-        "supercritical_ent",
-        "supercritical_alpha",
-    }

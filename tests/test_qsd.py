@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from dbmwalk.qsd import (
     hitting_time_estimates,
     iota_first_order,
     mixing_time_estimate,
-    nice_gates,
+    nice_fraction,
     quasi_stationary,
     restart_process,
     return_mass,
@@ -79,7 +80,6 @@ def test_qsd_on_complete_digraph_is_uniform():
     assert sol.mu_star.values[0] == 0.0
     assert np.abs(sol.mu_star.values[1:] - 0.2).max() < 1e-12
     assert sol.iota == pytest.approx(0.2, abs=1e-12)
-    assert not sol.reducible
     assert sol.residual < 1e-12
     t = np.arange(31)
     curve = survival_curve(view, sol, 30)
@@ -94,7 +94,7 @@ def test_qsd_requires_survivor_states():
         quasi_stationary(view)
 
 
-def test_qsd_flags_reducible_survivor_kernel():
+def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
     # two aperiodic 3-cycles leaking to the gate at different rates; the
     # survivor kernel splits into two strongly connected pieces
     edges = [
@@ -115,7 +115,6 @@ def test_qsd_flags_reducible_survivor_kernel():
         d_rewired=np.array([0, 0, 0, 0, 0, 0, 1]),
     )
     sol = quasi_stationary(view)
-    assert sol.reducible
     assert 0.0 < sol.iota < 1.0
     # mass settles on the slower-leaking cycle
     assert sol.mu_star.values[:3].sum() > 0.99
@@ -308,7 +307,7 @@ def test_hitting_time_on_complete_digraph():
     t_mix, _ = mixing_time_estimate(merged, cap=50)
     mass = return_mass(merged, t_mix)
     est = hitting_time_estimates(view, mass)
-    assert est.gate_mass == pytest.approx(1 / 6)
+    assert view.gate_mass == pytest.approx(1 / 6)
     assert est.oracle == pytest.approx(25 / 6, rel=1e-10)
     assert est.estimate == pytest.approx(est.oracle, rel=0.5)
 
@@ -324,7 +323,7 @@ def test_hitting_time_estimate_tracks_oracle(small_community):
     # the ratio estimates the return cycle of the gate state; stationary
     # starts already inside the gates contribute zero to the oracle, so
     # the two differ by a (1 - gate mass) factor when mixing is fast
-    assert abs(est.estimate * (1.0 - est.gate_mass) / est.oracle - 1.0) < 0.1
+    assert abs(est.estimate * (1.0 - view.gate_mass) / est.oracle - 1.0) < 0.1
 
 
 def test_mixing_time_on_complete_digraph_is_one_step():
@@ -381,19 +380,20 @@ def test_mixing_time_cap_and_sampled_mode():
     assert t_mix == 1
 
 
-def test_nice_gates_classification(small_community):
+def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):
     graph, _, view = small_community
-    got = nice_gates(graph, view)
-    assert 0.0 <= got.fraction_nice <= 1.0
-    assert got.epsilon == pytest.approx(1.0 / math.sqrt(math.log(graph.n)))
-    assert np.intersect1d(got.nice_labels, got.bad_labels).size == 0
-    assert set(got.nice_labels) <= set(view.gate_labels)
-    # every nice gate owns exactly one rewired edge
-    assert np.all(view.d_rewired[got.nice_labels] == 1)
-    assert np.all(view.d_rewired[got.bad_labels] >= 2)
-    # a tiny window leaves nothing nice
-    strict = nice_gates(graph, view, epsilon=1e-9)
-    assert strict.fraction_nice <= got.fraction_nice
+    assert 0.0 <= nice_fraction(graph, view) <= 1.0
+    # window (1 +- eps) lambda log(n), eps = 1/sqrt(log n): about [11.2, 26.1] here
+    target = graph.params.lam * math.log(graph.n)
+    eps = 1.0 / math.sqrt(math.log(graph.n))
+    low, high = math.ceil((1 - eps) * target), math.floor((1 + eps) * target)
+    gate = view.gate_labels[:5]
+    d_out, d_rew = np.zeros(graph.n), np.zeros(graph.n)
+    # nice at both window edges; two rewired edges; just below; just above
+    d_out[gate] = [low, high, low, low - 1, high + 1]
+    d_rew[gate] = [1, 1, 2, 1, 1]
+    crafted = replace(view, gate_labels=gate, d_out_full=d_out, d_rewired=d_rew)
+    assert nice_fraction(graph, crafted) == 0.4
 
 
 def test_restart_first_success_is_geometric_with_sure_coins():
