@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom, kstest
 
 from dbmwalk.cli import main
 from dbmwalk.experiments import (
     ExperimentConfig,
     Verdict,
     _accepted_graph,
+    _ks_exp1,
     _new_manifest,
     _write_csv,
     analytic_entropic_time,
@@ -66,11 +72,67 @@ def read_csv_header(path: Path) -> list[str]:
     return path.read_text().splitlines()[0].split(",")
 
 
-def test_analytic_entropic_time_matches_direct_sum():
-    params = DbmParams(n=500, m=2, lam=3.0, alpha=0.1, seed=0)
-    k = np.arange(500)
-    h = float((binom.pmf(k, 499, params.p) * np.log(np.maximum(k, 1))).sum())
-    assert analytic_entropic_time(params) == pytest.approx(math.log(500) / h, rel=1e-12)
+DRAWN = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+def scipy_entropic_time(params: DbmParams) -> float:
+    k = np.arange(params.n)
+    h = float((binom.pmf(k, params.n - 1, params.p) * np.log(np.maximum(k, 1))).sum())
+    return math.log(params.n) / h
+
+
+@DRAWN
+@given(n=st.integers(3, 20000), lam=st.floats(1e-3, 20.0))
+@example(n=500, lam=3.0)
+@example(n=20000, lam=1e-3)  # n * p < 1: the mode is 0
+def test_analytic_entropic_time_matches_direct_sum(n, lam):
+    assume(lam * math.log(n) / n <= 1.0)
+    params = DbmParams(n=n, m=2, lam=lam, alpha=0.1, seed=0)
+    assert analytic_entropic_time(params) == pytest.approx(scipy_entropic_time(params), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [5, 50])
+def test_analytic_entropic_time_at_full_density(n):
+    # p = 1: every out-degree is n - 1, and the ratio recurrence never forms p/(1-p)
+    params = DbmParams.from_edge_probability(n=n, m=2, p=1.0, alpha=0.1, seed=0)
+    assert params.p == 1.0
+    assert analytic_entropic_time(params) == pytest.approx(math.log(n) / math.log(n - 1), rel=1e-15)
+
+
+@DRAWN
+@given(
+    size=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+    decimals=st.integers(0, 6),
+    zeros=st.integers(0, 5),
+)
+@example(size=1, seed=0, decimals=0, zeros=1)
+@example(size=5, seed=0, decimals=0, zeros=5)
+def test_ks_exp1_matches_kstest(size, seed, decimals, zeros):
+    # rounding makes ties, and the leading entries sit at x = 0
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.exponential(rng.uniform(0.2, 5.0), size), decimals)
+    x[:zeros] = 0.0
+    assert abs(_ks_exp1(x) - kstest(x, "expon").statistic) <= 1e-15
+
+
+def test_no_run_imports_scipy_stats():
+    # the test modules import scipy.stats themselves, so look in a fresh interpreter
+    code = "\n".join([
+        "import sys",
+        "import dbmwalk.cli",
+        "from dbmwalk.experiments import ExperimentConfig",
+        "from dbmwalk.graph import DbmParams",
+        "params = DbmParams(n=500, m=2, lam=3.0, alpha=0.02, seed=1)",
+        "ExperimentConfig(params=params, regime='supercritical', beta_grid=(0.5, 1.0))",
+        "ExperimentConfig.critical(n=500, m=2, lam=3.0, c=2.0, beta_grid=(0.5, 2.0))",
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))",
+        "assert not loaded, loaded",
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_subcritical_window():
