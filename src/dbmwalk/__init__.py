@@ -11,7 +11,7 @@ revealed-graph walk (``annealed``), two-scale surrogate measures
 __version__ = "0.1.0"
 
 from .graph import DbmParams, Digraph, degrees, generate
-from .meanfield import limiting_profile, meanfield_tv, q_matrix
+from .meanfield import limiting_profile, q_matrix
 from .walk import entropy_and_entropic_time, mixing_profile, stationary, tv_distance
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "degrees",
     "generate",
     "limiting_profile",
-    "meanfield_tv",
     "q_matrix",
     "entropy_and_entropic_time",
     "mixing_profile",

@@ -65,11 +65,15 @@ CRITICAL_MATCH_RTOL = 1e-6
 MAX_GRAPH_REJECTS = 5
 RESEED_STRIDE = 7_777_777  # retry k of seed s generates with s + k*stride
 
-# Per-regime profile tolerances (desk scale, config-visible).
-PROFILE_TOLERANCES = {
-    "subcritical": {"early_min": 0.8, "late_max": 0.25},
-    "critical": {"tail_abs": 0.15},
-    "supercritical": {"curve_abs": 0.1, "plateau_abs": 0.12},
+# Profile tolerances (desk scale).  The subcritical profile is checked
+# on either side of its step; every other limit by the gap |d - limit|
+# from a first beta on: (verdict prefix, first beta, tolerance, limit
+# as printed in the tolerance).
+PROFILE_TOLERANCES = {"subcritical": {"early_min": 0.8, "late_max": 0.25}}
+PROFILE_GAPS = {
+    "critical": ("tail_gap", 2.0, 0.15, "limit"),
+    "supercritical_alpha": ("curve_gap", 0.0, 0.1, "limit"),
+    "supercritical_ent": ("plateau_gap", 2.0, 0.12, "(m-1)/m"),
 }
 
 
@@ -490,69 +494,23 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
 def _profile_verdicts(
     config: ExperimentConfig, mean_dist: dict[float, float], manifest: RunManifest
 ) -> None:
-    tol = PROFILE_TOLERANCES[config.regime]
+    add = manifest.verdicts.append
     if config.regime == "subcritical":
+        tol = PROFILE_TOLERANCES["subcritical"]
+        early, late = tol["early_min"], tol["late_max"]
         for beta, d in mean_dist.items():
             if beta <= 0.75:
-                manifest.verdicts.append(
-                    Verdict(
-                        f"early_distance_beta_{beta:g}",
-                        d > tol["early_min"],
-                        d,
-                        f"> {tol['early_min']}",
-                    )
-                )
+                add(Verdict(f"early_distance_beta_{beta:g}", d > early, d, f"> {early}"))
             elif beta >= 1.25:
-                manifest.verdicts.append(
-                    Verdict(
-                        f"late_distance_beta_{beta:g}",
-                        d < tol["late_max"],
-                        d,
-                        f"< {tol['late_max']}",
-                    )
-                )
-    elif config.regime == "critical":
-        for beta, d in mean_dist.items():
-            if beta < 2.0:
-                continue  # pre-cutoff part of the curve is not checked
-            want = meanfield.limiting_profile("critical", beta, config.params.m, c=config.c)
-            gap = abs(d - want)
-            manifest.verdicts.append(
-                Verdict(
-                    f"tail_gap_beta_{beta:g}",
-                    gap < tol["tail_abs"],
-                    gap,
-                    f"|d - limit| < {tol['tail_abs']}",
-                )
-            )
-    elif config.timescale == "inverse_alpha":
-        for beta, d in mean_dist.items():
-            want = meanfield.limiting_profile(
-                "supercritical_alpha", beta, config.params.m
-            )
-            gap = abs(d - want)
-            manifest.verdicts.append(
-                Verdict(
-                    f"curve_gap_beta_{beta:g}",
-                    gap < tol["curve_abs"],
-                    gap,
-                    f"|d - limit| < {tol['curve_abs']}",
-                )
-            )
-    else:
-        for beta, d in mean_dist.items():
-            if beta < 2.0:
-                continue  # plateau only past the entropic step
-            target = meanfield.limiting_profile("supercritical_ent", beta, config.params.m)
-            gap = abs(d - target)
-            manifest.verdicts.append(
-                Verdict(
-                    f"plateau_gap_beta_{beta:g}",
-                    gap < tol["plateau_abs"],
-                    gap,
-                    f"|d - (m-1)/m| < {tol['plateau_abs']}",
-                )
-            )
+                add(Verdict(f"late_distance_beta_{beta:g}", d < late, d, f"< {late}"))
+        return
+    limit = config.limit_regime()
+    prefix, first_beta, tol, shown = PROFILE_GAPS[limit]
+    for beta, d in mean_dist.items():
+        if beta < first_beta:
+            continue  # the tail and the plateau come only past the step
+        gap = abs(d - meanfield.limiting_profile(limit, beta, config.params.m, config.c))
+        add(Verdict(f"{prefix}_beta_{beta:g}", gap < tol, gap, f"|d - {shown}| < {tol}"))
 
 
 # -- qsd -------------------------------------------------------------------

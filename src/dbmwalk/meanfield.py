@@ -41,18 +41,6 @@ def q_power_matrix(m: int, alpha: float, t: int) -> np.ndarray:
     return (1.0 + (m * np.eye(m) - 1) * b**t) / m
 
 
-def meanfield_tv(m: int, alpha: float, t: int) -> float:
-    """TV distance of a row of Q^t to the uniform distribution.
-
-    Equals ((m-1)/m) * |b|^t; the absolute value matters when
-    alpha > (m-1)/m and the contraction factor is negative.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    b = 1.0 - m * alpha / (m - 1)
-    return (m - 1) / m * abs(b) ** t
-
-
 def limiting_profile(
     regime: str, beta: float, m: int, c: float | None = None
 ) -> float:

@@ -333,8 +333,16 @@ class RestartSample:
 
     tau_rho: int | None
     sigma_list: np.ndarray
-    kappa_final: int
-    rho_final: int
+
+    @property
+    def kappa_final(self) -> int:
+        """Number of gate visits, one coin each."""
+        return int(self.sigma_list.size)
+
+    @property
+    def rho_final(self) -> int:
+        """1 if a coin succeeded before the cap, else 0."""
+        return int(self.tau_rho is not None)
 
 
 def _cdf_sampler(weights: np.ndarray):
@@ -355,79 +363,49 @@ def restart_process(
 ) -> list[RestartSample]:
     """Simulate the marked restart walk until its first marked success.
 
-    Every gate visit increments kappa and tosses a coin with success
-    probability (rewired out-degree / full out-degree) of the visited
-    gate; the walk restarts from (QSD one step forward) after each
-    visit.  Runs are censored at 100/iota steps.
+    Every gate visit tosses a coin with success probability (rewired
+    out-degree / full out-degree) of the visited gate; the walk restarts
+    from (QSD one step forward) after each visit.  Only the running
+    walkers are stepped, and each visit is recorded once as (walker, t).
+    Runs are censored at 100/iota steps.
     """
     cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
     rng = derived_rng(seed, NS_RESTART, view.i)
-    local = view.local
-    gate_mask = view.gate_mask
     coin_p = np.zeros(view.n)
     nz = view.d_out_full > 0
     coin_p[nz] = view.d_rewired[nz] / view.d_out_full[nz]
-
     draw_start = _cdf_sampler(solution.mu_star.values)
-    reinit_weights = transition_operator(view.local) @ solution.mu_star.values
-    draw_reinit = _cdf_sampler(reinit_weights)
+    draw_reinit = _cdf_sampler(transition_operator(view.local) @ solution.mu_star.values)
 
+    alive = np.arange(reps)
     pos = draw_start(rng, reps)
-    was_at_gate = np.zeros(reps, dtype=bool)  # gate visit at current time
-    alive = np.ones(reps, dtype=bool)
-    kappa = np.zeros(reps, dtype=np.int64)
-    last_visit = np.zeros(reps, dtype=np.int64)
-    tau = np.full(reps, -1, dtype=np.int64)
-    gaps: list[tuple[np.ndarray, np.ndarray]] = []
-
+    at_gate = np.zeros(reps, dtype=bool)
+    visitors, visit_times = [], []
     for t in range(1, cap + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+        # an empty group draws nothing (rng.random(0) leaves the stream as it was)
+        nxt = np.empty_like(pos)
+        nxt[at_gate] = draw_reinit(rng, np.count_nonzero(at_gate))
+        nxt[~at_gate] = _step_walkers(view.local, pos[~at_gate], rng)[0]
+        at_gate = view.gate_mask[nxt]
+        visitors.append(alive[at_gate])
+        visit_times.append(np.full(visitors[-1].size, t))
+        stop = np.zeros(alive.size, dtype=bool)
+        stop[at_gate] = rng.random(visitors[-1].size) < coin_p[nxt[at_gate]]
+        keep = ~stop
+        alive, pos, at_gate = alive[keep], nxt[keep], at_gate[keep]
+        if alive.size == 0:
             break
-        cur = pos[idx]
-        from_gate = was_at_gate[idx]
-        nxt = np.empty(idx.size, dtype=np.int64)
-        if from_gate.any():
-            nxt[from_gate] = draw_reinit(rng, int(from_gate.sum()))
-        walkers = ~from_gate
-        if walkers.any():
-            stepped, _ = _step_walkers(local, cur[walkers], rng)
-            nxt[walkers] = stepped
-        pos[idx] = nxt
 
-        hit = gate_mask[nxt]
-        was_at_gate[idx] = hit
-        if hit.any():
-            hit_idx = idx[hit]
-            kappa[hit_idx] += 1
-            gaps.append((hit_idx, t - last_visit[hit_idx]))
-            last_visit[hit_idx] = t
-            success = rng.random(hit_idx.size) < coin_p[nxt[hit]]
-            if success.any():
-                done = hit_idx[success]
-                tau[done] = t
-                alive[done] = False
-
-    rep_ids = (
-        np.concatenate([g[0] for g in gaps]) if gaps else np.empty(0, np.int64)
-    )
-    gap_vals = (
-        np.concatenate([g[1] for g in gaps]) if gaps else np.empty(0, np.int64)
-    )
-    order = np.argsort(rep_ids, kind="stable")
-    rep_ids, gap_vals = rep_ids[order], gap_vals[order]
-    bounds = np.searchsorted(rep_ids, np.arange(reps + 1))
-
+    # the walkers still running at the cap are the censored ones
+    censored = np.zeros(reps, dtype=bool)
+    censored[alive] = True
+    ids = np.concatenate(visitors)
+    order = np.argsort(ids, kind="stable")
+    times = np.concatenate(visit_times)[order]
+    bounds = np.searchsorted(ids[order], np.arange(reps + 1))
     out = []
     for r in range(reps):
-        sigma = gap_vals[bounds[r] : bounds[r + 1]]
-        censored = tau[r] < 0
-        out.append(
-            RestartSample(
-                tau_rho=None if censored else int(tau[r]),
-                sigma_list=sigma,
-                kappa_final=int(kappa[r]),
-                rho_final=0 if censored else 1,
-            )
-        )
+        run = times[bounds[r] : bounds[r + 1]]
+        tau = None if censored[r] else int(run[-1])
+        out.append(RestartSample(tau_rho=tau, sigma_list=np.diff(run, prepend=0)))
     return out

@@ -94,6 +94,18 @@ def dense_stationary(kernel: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def meanfield_tv(m: int, alpha: float, t: int) -> float:
+    """TV distance of a row of the community chain's Q^t to uniform.
+
+    Equals ((m-1)/m) * |b|^t with b = 1 - m*alpha/(m-1); the absolute
+    value matters when alpha > (m-1)/m and b is negative.
+    """
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    b = 1.0 - m * alpha / (m - 1)
+    return (m - 1) / m * abs(b) ** t
+
+
 @pytest.fixture(scope="session")
 def desk_graph():
     """One mid-size generated graph shared by read-only tests."""

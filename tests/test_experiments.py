@@ -22,6 +22,7 @@ from dbmwalk.experiments import (
     _accepted_graph,
     _ks_exp1,
     _new_manifest,
+    _profile_verdicts,
     _write_csv,
     analytic_entropic_time,
     run_annealed_experiment,
@@ -206,6 +207,46 @@ def test_time_grid_and_limit_regime():
     assert inv.time_grid() == {0.1: round(0.1 / 0.02), 0.4: round(0.4 / 0.02)}
     assert inv.limit_regime() == "supercritical_alpha"
     assert sub_config("unused").limit_regime() == "subcritical"
+
+
+def profile_verdicts(config: ExperimentConfig, mean_dist: dict[float, float]) -> list:
+    manifest = _new_manifest(config)
+    _profile_verdicts(config, mean_dist, manifest)
+    return [(v.name, v.passed, v.value, v.tolerance) for v in manifest.verdicts]
+
+
+def test_profile_verdicts_in_every_regime():
+    # hand-set seed means against the closed-form limits, one branch each
+    def gap(x):
+        return pytest.approx(abs(x), rel=1e-12)
+
+    sub = {0.5: 0.9, 0.75: 0.7, 1.0: 0.5, 1.25: 0.2, 2.0: 0.3}
+    assert profile_verdicts(sub_config("unused"), sub) == [
+        ("early_distance_beta_0.5", True, 0.9, "> 0.8"),
+        ("early_distance_beta_0.75", False, 0.7, "> 0.8"),
+        ("late_distance_beta_1.25", True, 0.2, "< 0.25"),
+        ("late_distance_beta_2", False, 0.3, "< 0.25"),
+    ]
+    # critical, m = 2, C = 2: limit (1/2) exp(-(beta / C) * m / (m - 1)) = exp(-beta) / 2
+    critical = ExperimentConfig.critical(
+        n=500, m=2, lam=3.0, c=2.0, beta_grid=(1.5, 2.0, 3.0), out_dir="unused"
+    )
+    assert profile_verdicts(critical, {1.5: 0.9, 2.0: 0.1, 3.0: 0.3}) == [
+        ("tail_gap_beta_2", True, gap(0.1 - math.exp(-2.0) / 2), "|d - limit| < 0.15"),
+        ("tail_gap_beta_3", False, gap(0.3 - math.exp(-3.0) / 2), "|d - limit| < 0.15"),
+    ]
+    # alpha time scale, m = 3: limit (2/3) exp(-beta * 3/2), checked from the first beta
+    inv = super_config("unused", m=3, timescale="inverse_alpha", beta_grid=(0.5, 1.0))
+    assert profile_verdicts(inv, {0.5: 0.3, 1.0: 0.6}) == [
+        ("curve_gap_beta_0.5", True, gap(0.3 - 2 / 3 * math.exp(-0.75)), "|d - limit| < 0.1"),
+        ("curve_gap_beta_1", False, gap(0.6 - 2 / 3 * math.exp(-1.5)), "|d - limit| < 0.1"),
+    ]
+    # entropic time scale, m = 3: plateau 2/3 from beta = 2 on
+    ent = super_config("unused", m=3, beta_grid=(0.5, 2.0, 3.0))
+    assert profile_verdicts(ent, {0.5: 0.99, 2.0: 0.6, 3.0: 0.4}) == [
+        ("plateau_gap_beta_2", True, gap(2 / 3 - 0.6), "|d - (m-1)/m| < 0.12"),
+        ("plateau_gap_beta_3", False, gap(2 / 3 - 0.4), "|d - (m-1)/m| < 0.12"),
+    ]
 
 
 def test_manifest_hash_and_verdicts():

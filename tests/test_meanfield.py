@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import meanfield_tv
 from dbmwalk.meanfield import (
     REGIMES,
     limiting_profile,
-    meanfield_tv,
     q_matrix,
     q_power_matrix,
 )

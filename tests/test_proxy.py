@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import dense_kernel
+from conftest import dense_kernel, meanfield_tv
 from dbmwalk.graph import DbmParams, generate
-from dbmwalk.meanfield import meanfield_tv
 from dbmwalk.proxy import (
     SurrogateMeasures,
     TwoScaleSchedule,

@@ -431,6 +431,35 @@ def test_restart_bookkeeping_invariants(small_community):
     assert hit > 250  # cap censors only a tail
 
 
+def test_restart_process_keeps_its_stream(small_community):
+    # values computed before the sampler stepped only its running walkers:
+    # the draws, their order and the per-run records are unchanged
+    _, _, view = small_community
+    samples = restart_process(view, quasi_stationary(view), 24, seed=13)
+    assert [s.tau_rho for s in samples] == [
+        29, 153, 5, 18, 65, 3, 12, 126, 10, 52, 4, 63,
+        28, 75, 6, 6, 56, 41, 56, 133, 173, 24, 7, 24,
+    ]
+    assert [s.kappa_final for s in samples] == [
+        10, 55, 2, 9, 19, 2, 6, 31, 4, 16, 1, 18, 11, 23, 3, 3, 10, 13, 19, 33, 59, 13, 2, 11
+    ]
+    assert all(s.rho_final == 1 for s in samples)
+    assert samples[0].sigma_list.tolist() == [2, 5, 1, 2, 1, 2, 3, 1, 1, 11]
+    assert samples[2].sigma_list.tolist() == [4, 1]
+    assert samples[3].sigma_list.tolist() == [2, 1, 2, 4, 3, 3, 1, 1, 1]
+    assert all(s.sigma_list.dtype == np.int64 for s in samples)
+    # rare coins: four of six runs are censored at ceil(100 / iota) = 501
+    # steps, and their gaps stop at the last gate visit
+    view = one_gate_complete_view(6, coin=0.002)
+    samples = restart_process(view, quasi_stationary(view), 6, seed=2)
+    assert [s.tau_rho for s in samples] == [None, 495, None, None, None, 1]
+    assert [s.rho_final for s in samples] == [0, 1, 0, 0, 0, 1]
+    assert [s.kappa_final for s in samples] == [104, 92, 93, 90, 107, 1]
+    assert [int(s.sigma_list.sum()) for s in samples] == [495, 495, 499, 497, 501, 1]
+    assert samples[0].sigma_list[:8].tolist() == [1, 4, 14, 3, 2, 9, 3, 3]
+    assert samples[1].sigma_list[-8:].tolist() == [4, 2, 10, 6, 2, 5, 1, 2]
+
+
 def test_restart_gap_mean_and_independence(small_community):
     _, _, view = small_community
     sol = quasi_stationary(view)

@@ -13,6 +13,10 @@ over its member arrays, because the archive stamps the write time.
 Whatever ``dbmwalk`` is on ``PYTHONPATH`` is the one measured, so two
 checkouts compare by running this script with each ``src`` in turn and
 diffing the outputs.  The whole digest takes about 10 s on one core.
+
+The exit status is 1 if any run has a failed verdict, after the whole
+digest is printed, and 0 otherwise, so a CI step running this script
+fails on a failed verdict as well as on a crash.
 """
 
 from __future__ import annotations
@@ -100,15 +104,17 @@ def _sha256(path: Path) -> str:
 
 def main() -> int:
     digest: dict[str, object] = {}
+    all_passed = True
     with tempfile.TemporaryDirectory() as tmp:
         for name, run in _runs(Path(tmp)):
             manifest = run()
             for f in manifest.files:
                 digest[f"{name}/{f}"] = _sha256(Path(tmp) / name / f)
             digest[f"{name}/verdicts"] = [[v.name, v.passed, v.value] for v in manifest.verdicts]
+            all_passed = all_passed and manifest.all_passed
     json.dump(digest, sys.stdout, indent=1, sort_keys=True)
     print()
-    return 0
+    return 0 if all_passed else 1
 
 
 if __name__ == "__main__":
