@@ -43,10 +43,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--regime", choices=REGIMES, help="coupling regime; critical derives alpha from --C"
     )
-    p.add_argument("--C", dest="c", type=float, help="critical-regime constant")
+    p.add_argument("--C", dest="c", type=float, help="constant of the critical regime only")
     p.add_argument("--betas", help="comma-separated scaled times")
     p.add_argument(
-        "--timescale", choices=TIMESCALES, help="how betas translate to step counts"
+        "--timescale",
+        choices=TIMESCALES,
+        help=(
+            "how betas translate to step counts: entropic (t / t_ent, every regime, "
+            "the default) or inverse_alpha (alpha * t, supercritical only)"
+        ),
     )
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
     p.add_argument(

@@ -40,7 +40,6 @@ from .walk import (
     SAMPLED_STARTS,
     ProbVector,
     community_mass,
-    entropy_and_entropic_time,
     mixing_profile,
     sample_tau_jump,
     select_starts,
@@ -135,6 +134,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.timescale not in TIMESCALES:
             raise ValueError(f"unknown timescale {self.timescale!r}")
+        # only the supercritical decay is stated on alpha*t, and only the
+        # critical limit has a constant; every other limit reads t/t_ent
+        if self.timescale == "inverse_alpha" and self.regime != "supercritical":
+            raise ValueError(f"timescale inverse_alpha is supercritical-only, not {self.regime}")
+        if self.c is not None and self.regime != "critical":
+            raise ValueError(f"the constant c is critical-only, got c={self.c} in {self.regime}")
         if self.start_policy not in ("sampled", "exhaustive"):
             raise ValueError(f"unknown start policy {self.start_policy!r}")
         if self.sample_starts < 1:
@@ -427,11 +432,10 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
         )
 
         limit_name = config.limit_regime()
+        steps = config.timescale == "entropic"  # every t/t_ent limit jumps at beta = 1
         curve_betas = [b / 100.0 for b in range(5, int(100 * (max(betas) + 0.5)) + 1, 5)]
-        if limit_name != "supercritical_alpha":
-            # the limit jumps at beta = 1; sample both sides instead
-            curve_betas = [b for b in curve_betas if abs(b - 1.0) > 1e-9]
-            curve_betas = sorted(curve_betas + [0.999, 1.001])
+        if steps:  # sample both sides of the jump instead
+            curve_betas = sorted([b for b in curve_betas if abs(b - 1.0) > 1e-9] + [0.999, 1.001])
         curve_values = np.array(
             [meanfield.limiting_profile(limit_name, b, prm.m, config.c) for b in curve_betas]
         )
@@ -450,32 +454,19 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
 
         fig = svg.Figure(
             title=f"mixing profile, {config.regime} (n={prm.n}, m={prm.m}, alpha={prm.alpha:g})",
-            xlabel="beta" + (" (time / t_ent)" if config.timescale == "entropic" else " (time * alpha)"),
+            xlabel="beta" + (" (time / t_ent)" if steps else " (time * alpha)"),
             ylabel="max-start TV distance",
         )
-        if limit_name != "supercritical_alpha":
-            left = curve_betas < 1.0
+        pieces = (curve_betas < 1.0, curve_betas > 1.0) if steps else (curve_betas > 0.0,)
+        for label, piece in zip(("limiting curve", "(after the step)"), pieces):
             fig.add(
                 svg.Series(
-                    "limiting curve",
-                    list(curve_betas[left]),
-                    list(curve_values[left]),
+                    label,
+                    list(curve_betas[piece]),
+                    list(curve_values[piece]),
                     kind="line",
                     color=svg.PALETTE[0],
                 )
-            )
-            fig.add(
-                svg.Series(
-                    "(after the step)",
-                    list(curve_betas[~left]),
-                    list(curve_values[~left]),
-                    kind="line",
-                    color=svg.PALETTE[0],
-                )
-            )
-        else:
-            fig.add(
-                svg.Series("limiting curve", list(curve_betas), list(curve_values), kind="line")
             )
         fig.add(
             svg.Series(
@@ -696,9 +687,8 @@ PROXY_IDENTITY_TOL = 1e-12
 
 
 def _proxy_seed(config: ExperimentConfig, seed: int):
-    graph, table, used = _accepted_graph(config, seed)
-    ent = entropy_and_entropic_time(table, config.params.n)
-    sch = TwoScaleSchedule.from_entropic_time(ent.t_ent)
+    graph, _, used = _accepted_graph(config, seed)
+    sch = TwoScaleSchedule.from_entropic_time(config.t_ent)
     sm = surrogate_measures(graph, sch)
     pi = stationary(graph)
     result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), mixture_identity_gap(sm))

@@ -15,6 +15,8 @@ from typing import Sequence
 
 PALETTE = ("#1f6feb", "#d1242f", "#2da44e", "#9a6700", "#8250df", "#57606a")
 
+_WIDTH = 640.0
+_HEIGHT = 420.0
 _MARGIN_L = 62.0
 _MARGIN_R = 16.0
 _MARGIN_T = 34.0
@@ -58,8 +60,6 @@ class Figure:
     xlabel: str
     ylabel: str
     series: list[Series] = field(default_factory=list)
-    width: float = 640.0
-    height: float = 420.0
 
     def add(self, s: Series) -> None:
         self.series.append(s)
@@ -101,8 +101,8 @@ def render(fig: Figure) -> str:
     pad_y = 0.06 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    plot_w = fig.width - _MARGIN_L - _MARGIN_R
-    plot_h = fig.height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
@@ -111,11 +111,11 @@ def render(fig: Figure) -> str:
         return _MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(fig.width)}" '
-        f'height="{_fmt(fig.height)}" viewBox="0 0 {_fmt(fig.width)} '
-        f'{_fmt(fig.height)}" font-family="sans-serif">',
-        f'<rect width="{_fmt(fig.width)}" height="{_fmt(fig.height)}" fill="#ffffff"/>',
-        f'<text x="{_fmt(fig.width / 2)}" y="20" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(_WIDTH)}" '
+        f'height="{_fmt(_HEIGHT)}" viewBox="0 0 {_fmt(_WIDTH)} '
+        f'{_fmt(_HEIGHT)}" font-family="sans-serif">',
+        f'<rect width="{_fmt(_WIDTH)}" height="{_fmt(_HEIGHT)}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2)}" y="20" text-anchor="middle" '
         f'font-size="14">{_escape(fig.title)}</text>',
     ]
     # axes box
@@ -144,7 +144,7 @@ def render(fig: Figure) -> str:
             f'font-size="11">{_fmt_tick(ty)}</text>'
         )
     out.append(
-        f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(fig.height - 10)}" '
+        f'<text x="{_fmt(_MARGIN_L + plot_w / 2)}" y="{_fmt(_HEIGHT - 10)}" '
         f'text-anchor="middle" font-size="12">{_escape(fig.xlabel)}</text>'
     )
     out.append(

@@ -32,6 +32,7 @@ from dbmwalk.experiments import (
     run_qsd_experiment,
 )
 from dbmwalk.graph import DbmParams, generate, load_binary
+from dbmwalk.proxy import TwoScaleSchedule
 
 
 def super_config(out_dir: str, **kw) -> ExperimentConfig:
@@ -194,6 +195,20 @@ def test_config_misc_guards():
     for size in (0, -5):
         with pytest.raises(ValueError, match="sampled start"):
             ExperimentConfig(**{**good, "sample_starts": size})
+    # the alpha*t clock belongs to the supercritical decay alone, and the
+    # constant c to the critical limit alone
+    sub = DbmParams(n=800, m=2, lam=3.0, alpha=0.3, seed=1)
+    clock = "^timescale inverse_alpha is supercritical-only, not"
+    with pytest.raises(ValueError, match=f"{clock} subcritical$"):
+        ExperimentConfig(
+            params=sub, regime="subcritical", beta_grid=(1.5,), timescale="inverse_alpha"
+        )
+    with pytest.raises(ValueError, match=f"{clock} critical$"):
+        ExperimentConfig.critical(
+            n=800, m=2, lam=3.0, c=2.0, beta_grid=(2.0, 3.0), timescale="inverse_alpha"
+        )
+    with pytest.raises(ValueError, match="^the constant c is critical-only, got c=2.0 in super"):
+        ExperimentConfig(**{**good, "c": 2.0})
 
 
 def test_time_grid_and_limit_regime():
@@ -473,6 +488,18 @@ def test_proxy_and_generate_runs(tmp_path):
     )
 
 
+def test_proxy_schedule_comes_from_the_exact_entropic_time(tmp_path):
+    # the exact t_ent (2.5103) admits the run and sets the schedule; this
+    # graph's empirical t_ent (2.4969) would give h_eps = s_eps = 1
+    config = sub_config(str(tmp_path), n=500, lam=2.0, seeds=(1,))
+    assert config.t_ent == pytest.approx(2.5103, abs=1e-4)
+    run_proxy_experiment(config)
+    sch = TwoScaleSchedule.from_entropic_time(config.t_ent)
+    assert (sch.burn_in, sch.long_leg) == (2, 2)
+    rows = (tmp_path / "proxy.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-2:] for row in rows] == [["2", "2"]] * config.params.m
+
+
 def test_generated_graph_files_record_their_own_seed(tmp_path):
     run_generate(super_config(str(tmp_path), n=200, seeds=(1, 2)))
     loaded = load_binary(str(tmp_path / "graph_seed2.npz"))
@@ -573,13 +600,20 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
         ({}, ["--threads", "-3"], "need at least one thread, got -3"),
         ({}, ["--seeds", "1,1", "--threads", "2"], r"seeds must be distinct, got \[1, 1\]"),
         ({"seeds": []}, [], "need at least one seed"),
+        (
+            {"regime": "subcritical", "alpha": 0.3, "timescale": "inverse_alpha"},
+            [],
+            "timescale inverse_alpha is supercritical-only, not subcritical",
+        ),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
-         "negative_threads", "duplicate_seeds", "empty_seeds"],
+         "negative_threads", "duplicate_seeds", "empty_seeds",
+         "subcritical_on_alpha_clock"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
-    # each of these used to run: truncated, recorded as given, or, for two
-    # threads on one seed, writing the same graph file twice
+    # each of these used to run: truncated, recorded as given, on a clock
+    # its regime's limit is not stated on, or, for two threads on one
+    # seed, writing the same graph file twice
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -154,6 +154,27 @@ def test_aggregated_stationary_matches_dense_oracle(m, alpha):
     ref = dense_stationary(dense_kernel(graph))
     assert np.abs(pi.values - ref).sum() < 1e-10
     assert pi.residual < 1e-12 and pi.iterations < 200
+
+
+@DIFFERENTIAL
+@given(
+    m=st.integers(2, 5),
+    lam=st.floats(2.0, 10.0),
+    log_alpha=st.floats(-3.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=2, lam=10.0, log_alpha=-3.0, seed=1)  # 8 rewired edges
+@example(m=5, lam=10.0, log_alpha=-3.0, seed=15)  # 11 rewired edges
+def test_stationary_matches_dense_oracle_on_drawn_dbm_graphs(m, lam, log_alpha, seed):
+    # about 200 vertices in m communities, coupled down to alpha = 1e-3,
+    # where the aggregation step carries the slow inter-community mode
+    params = DbmParams(n=200 // m, m=m, lam=lam, alpha=10.0**log_alpha, seed=seed)
+    graph, _ = generate(params)
+    assume(graph.is_strongly_connected())
+    pi = stationary(graph)
+    ref = dense_stationary(dense_kernel(graph))
+    assert np.abs(pi.values - ref).sum() < 1e-10
+    assert pi.residual < 1e-12
 
 
 def test_aggregated_stationary_on_an_arbitrary_partition():
