@@ -112,9 +112,10 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         out_dir=out_dir,
         threads=threads,
     )
-    if regime == "critical":
-        if c is None:
-            raise SystemExit("critical regime needs --C")
+    if regime == "critical" and c is None:
+        raise SystemExit("critical regime needs --C")
+    # a given alpha is checked against 1/(c*t_ent) by ExperimentConfig
+    if regime == "critical" and alpha is None:
         return ExperimentConfig.critical(n, m, lam, c, seed=base_seed, **common)
     if alpha is None:
         raise SystemExit("need --alpha (or --regime critical with --C)")

@@ -517,7 +517,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
     first_order = qsd.iota_first_order(prm)
     cap = math.ceil(6 * config.t_ent * math.log(prm.n))
     rows = []
-    diag = {"seed": used, "local_stationary": [], "mixing_time_exhaustive": []}
+    diag = {"seed": used, "local_stationary": [], "qsd": [], "mixing_time_exhaustive": []}
     for i in range(prm.m):
         view = qsd.community_view(graph, table, i)
         sol = qsd.quasi_stationary(view)
@@ -525,6 +525,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         rng = derived_rng(used, NS_EXPERIMENT, 1, i)
         t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng, config.start_count)
         diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
+        diag["qsd"].append({"iterations": sol.iterations, "residual": sol.residual})
         diag["mixing_time_exhaustive"].append(exhaustive)
         mass = qsd.return_mass(merged, t_mix)
         hit = qsd.hitting_time_estimates(view, mass)

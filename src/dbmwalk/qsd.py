@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bmat, csr_matrix, identity
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
 from .walk import (
     SAMPLED_STARTS,
+    STATIONARY_MAX_ITER,
+    STATIONARY_TOL,
     ProbVector,
     _step_walkers,
     local_stationary,
@@ -35,9 +37,6 @@ from .walk import (
 )
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
-QSD_STABLE_TOL = 1e-13
-QSD_STABLE_RUN = 50
-QSD_MAX_ITER = 10**5
 HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 
@@ -113,15 +112,14 @@ def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
 class MergedKernel:
     """Community kernel with all gates collapsed into one state.
 
-    States are the non-gate labels (in ``kept`` order) followed by the
-    merged gate state at index ``len(kept)``; ``operator`` is the
+    States are the non-gate labels (in ``view.kept`` order) followed by
+    the merged gate state at index ``n_states - 1``; ``operator`` is the
     transposed kernel P~^T.  ``pi_tilde`` restricts the community
     stationary distribution to the kept states and assigns the full gate
     mass to the merged state; it is exactly stationary.
     """
 
     operator: csr_matrix
-    kept: np.ndarray
     pi_tilde: ProbVector
 
     @property
@@ -130,33 +128,29 @@ class MergedKernel:
 
     @property
     def merged_index(self) -> int:
-        return int(self.kept.shape[0])
+        return self.n_states - 1
 
 
 def build_merged_kernel(view: CommunityView) -> MergedKernel:
-    pt = transition_operator(view.local)
-    kept = view.kept
-    gate = view.gate_labels
+    """Aggregated kernel P~ = D P A (Stewart 1994, sec. 6.3).
+
+    A lumps each label into its state; D enters a state uniformly on a
+    kept label and by pi_g / sum pi over the gates on the merged one.
+    The operator P~^T is ``lump @ P^T @ enter.T``, lump = A^T, enter = D.
+    """
+    n, kept, gate = view.n, view.kept, view.gate_labels
     pi = view.pi_local.values
-    w = pi[gate] / pi[gate].sum()  # entry distribution into the merged state
-
-    # column v holds P(v, g) over the gates g; a CSC column sum adds them
-    # in the order a row sum of P would
-    into_gate = pt[gate].tocsc()
-    to_gate = np.asarray(into_gate[:, kept].sum(axis=0)).ravel()
-    from_gate = pt[kept][:, gate] @ w
-    dd = float(w @ np.asarray(into_gate[:, gate].sum(axis=0)).ravel())
-
-    operator = bmat(
-        [
-            [view.survivor, csr_matrix(from_gate[:, None])],
-            [csr_matrix(to_gate[None, :]), np.array([[dd]])],
-        ],
-        format="csr",
-    )
+    state = np.full(n, kept.size)
+    state[kept] = np.arange(kept.size)
+    weight = np.ones(n)
+    weight[gate] = pi[gate] / pi[gate].sum()
+    shape = (kept.size + 1, n)
+    lump = csr_matrix((np.ones(n), (state, np.arange(n))), shape=shape)
+    enter = csr_matrix((weight, (state, np.arange(n))), shape=shape)
+    operator = lump @ transition_operator(view.local) @ enter.T
     values = np.concatenate([pi[kept], [pi[gate].sum()]])
     pi_tilde = ProbVector(values, f"merged:{view.i}")
-    return MergedKernel(operator=operator, kept=kept, pi_tilde=pi_tilde)
+    return MergedKernel(operator=operator, pi_tilde=pi_tilde)
 
 
 @dataclass
@@ -175,39 +169,36 @@ class QsdSolution:
 
 
 def quasi_stationary(view: CommunityView) -> QsdSolution:
-    """Power iteration for the QSD of the walk killed at the gates."""
+    """Power iteration for the QSD of the walk killed at the gates.
+
+    Iterates mu <- S mu / theta, theta = |S mu|_1, from uniform on the
+    survivor kernel S, and returns the first mu whose eigen-residual
+    ||S mu - theta mu||_1 is below STATIONARY_TOL, with iota = 1 - theta:
+    the stop rule of ``walk.stationary``.
+    """
     kept = view.kept
     if kept.size == 0:
         raise ValueError("every vertex is a gate; no survivor states")
     sub = view.survivor
     mu = np.full(kept.size, 1.0 / kept.size)
-    theta_prev = -1.0
-    stable = 0
-    iterations = 0
-    for iterations in range(1, QSD_MAX_ITER + 1):
+    for it in range(STATIONARY_MAX_ITER):
         nxt = sub @ mu
         theta = float(nxt.sum())
         if theta <= 0.0:
             raise RuntimeError("survivor kernel lost all mass; no QSD")
+        residual = float(np.abs(nxt - theta * mu).sum())
+        if residual < STATIONARY_TOL:
+            full = np.zeros(view.n)
+            full[kept] = mu
+            return QsdSolution(
+                mu_star=ProbVector(full, f"community:{view.i}"),
+                iota=1.0 - theta,
+                iterations=it,
+                residual=residual,
+            )
         mu = nxt / theta
-        if abs(theta - theta_prev) < QSD_STABLE_TOL:
-            stable += 1
-            if stable >= QSD_STABLE_RUN:
-                break
-        else:
-            stable = 0
-        theta_prev = theta
-    else:
-        raise RuntimeError(f"QSD iteration did not stabilize in {QSD_MAX_ITER} steps")
-
-    residual = float(np.abs(sub @ mu - theta * mu).sum())
-    full = np.zeros(view.n)
-    full[kept] = mu
-    return QsdSolution(
-        mu_star=ProbVector(full, f"community:{view.i}"),
-        iota=1.0 - theta,
-        iterations=iterations,
-        residual=residual,
+    raise RuntimeError(
+        f"QSD iteration did not reach residual {STATIONARY_TOL} in {STATIONARY_MAX_ITER} steps"
     )
 
 

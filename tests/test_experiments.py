@@ -33,6 +33,7 @@ from dbmwalk.experiments import (
 )
 from dbmwalk.graph import DbmParams, generate, load_binary
 from dbmwalk.proxy import TwoScaleSchedule
+from dbmwalk.walk import STATIONARY_TOL
 
 
 def super_config(out_dir: str, **kw) -> ExperimentConfig:
@@ -400,9 +401,11 @@ def test_qsd_run_artifacts(tmp_path):
     assert [r["seed"] for r in records] == [3, 4]
     for diag in records:
         assert sorted(diag) == [
-            "local_stationary", "mixing_time_exhaustive", "restart_censored",
+            "local_stationary", "mixing_time_exhaustive", "qsd", "restart_censored",
             "seed", "tau_jump_censored",
         ]
+        assert len(diag["qsd"]) == config.params.m
+        assert all(r["residual"] < STATIONARY_TOL and r["iterations"] > 0 for r in diag["qsd"])
         assert diag["mixing_time_exhaustive"] == [True] * config.params.m
         assert len(diag["local_stationary"]) == config.params.m
         assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
@@ -605,15 +608,21 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
             [],
             "timescale inverse_alpha is supercritical-only, not subcritical",
         ),
+        (
+            {"regime": "critical", "c": 2.0},
+            [],
+            r"critical regime pins alpha = 1/\(c\*t_ent\) = 0\.246087, config has 0\.02",
+        ),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds",
-         "subcritical_on_alpha_clock"],
+         "subcritical_on_alpha_clock", "critical_alpha_mismatch"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
-    # its regime's limit is not stated on, or, for two threads on one
-    # seed, writing the same graph file twice
+    # its regime's limit is not stated on, with an alpha the critical
+    # constant overrode, or, for two threads on one seed, writing the
+    # same graph file twice
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags

@@ -36,7 +36,7 @@ from dbmwalk.qsd import (
     return_mass,
     survival_curve,
 )
-from dbmwalk.walk import ProbVector, jump_target_frequencies, local_stationary
+from dbmwalk.walk import STATIONARY_TOL, ProbVector, jump_target_frequencies, local_stationary
 
 
 def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
@@ -94,6 +94,21 @@ def test_qsd_requires_survivor_states():
         quasi_stationary(view)
 
 
+def test_qsd_stops_on_the_stationary_residual_rule(small_community):
+    # the returned pair is the first one whose eigen-residual passed the
+    # rule walk.stationary stops on; a theta plateau of 50 steps is not
+    # waited for
+    _, _, view = small_community
+    sol = quasi_stationary(view)
+    mu = sol.mu_star.values[view.kept]
+    stepped = view.survivor @ mu
+    theta = float(stepped.sum())
+    assert sol.iota == 1.0 - theta
+    assert sol.residual == float(np.abs(stepped - theta * mu).sum())
+    assert sol.residual < STATIONARY_TOL
+    assert 0 < sol.iterations < 50
+
+
 def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
     # two aperiodic 3-cycles leaking to the gate at different rates; the
     # survivor kernel splits into two strongly connected pieces
@@ -147,7 +162,7 @@ def test_merged_kernel_single_gate_is_a_relabeling():
     merged = build_merged_kernel(view)
     assert merged.n_states == 6
     assert merged.merged_index == 5
-    order = np.concatenate([merged.kept, [0]])
+    order = np.concatenate([view.kept, [0]])
     want = view.kernel.toarray()[np.ix_(order, order)]
     assert np.abs(merged.operator.T.toarray() - want).max() < 1e-15
     assert np.abs(merged.pi_tilde.values - 1 / 6).max() < 1e-15
@@ -161,7 +176,7 @@ def test_merged_kernel_rows_and_exact_stationarity(small_community):
     assert np.abs(rows - 1.0).max() < 1e-12
     # non-gate block is the plain restriction of the community kernel
     dense = view.kernel.toarray()
-    kept = merged.kept
+    kept = view.kept
     block = mat.toarray()[: kept.size, : kept.size]
     assert np.abs(block - dense[np.ix_(kept, kept)]).max() < 1e-14
     # merging against the pi-proportional entry law keeps pi stationary
@@ -174,7 +189,7 @@ def test_merged_kernel_mass_conservation(small_community):
     _, _, view = small_community
     merged = build_merged_kernel(view)
     dense = view.kernel.toarray()
-    kept = merged.kept
+    kept = view.kept
     gate = view.gate_labels
     to_gate = merged.operator.T.toarray()[: kept.size, -1]
     want = dense[np.ix_(kept, gate)].sum(axis=1)
@@ -225,7 +240,9 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     want[k, k] = w @ p[np.ix_(gate, gate)].sum(axis=1)
 
     merged = build_merged_kernel(view)
-    assert np.array_equal(merged.kept, kept) and merged.merged_index == k
+    assert merged.n_states == k + 1 and merged.merged_index == k
+    # the kept block is the survivor kernel itself, entry for entry
+    assert np.array_equal(merged.operator[:k, :k].toarray(), view.survivor.toarray())
     assert np.abs(merged.operator.T.toarray() - want).max() < 1e-14
     pi_tilde = merged.pi_tilde.values
     assert np.array_equal(pi_tilde, np.append(pi[kept], pi[gate].sum()))
@@ -270,7 +287,6 @@ def test_return_mass_clamp_and_horizon_mechanics():
     matrix = np.array([[0.0, 1.0], [0.5, 0.5]])
     merged = MergedKernel(
         operator=csr_matrix(matrix.T),
-        kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.4, 0.6]), "merged:0"),
     )
     mass = return_mass(merged, t_mix=1)
@@ -355,7 +371,6 @@ def test_mixing_time_matches_dense_definition(small_community):
 def test_mixing_time_cap_and_sampled_mode():
     slow = MergedKernel(
         operator=csr_matrix(np.array([[0.99, 0.01], [0.01, 0.99]])),
-        kept=np.array([0]),
         pi_tilde=ProbVector(np.array([0.5, 0.5]), "merged:0"),
     )
     with pytest.raises(RuntimeError, match="cap"):
@@ -368,7 +383,6 @@ def test_mixing_time_cap_and_sampled_mode():
     ns = 2001
     absorbing = MergedKernel(
         operator=csr_matrix((np.ones(ns), (np.full(ns, ns - 1), np.arange(ns))), shape=(ns, ns)),
-        kept=np.arange(ns - 1),
         pi_tilde=delta(ns, ns - 1, "merged:0"),
     )
     with pytest.raises(ValueError, match="generator"):
