@@ -140,25 +140,46 @@ def _check_horizon(params: DbmParams, t: int) -> None:
         )
 
 
+def _binomial_se(freq: np.ndarray, reps: int) -> np.ndarray:
+    return np.sqrt(np.maximum(freq * (1 - freq), 1e-300) / reps)
+
+
 @dataclass(frozen=True)
 class CommunityLaw:
     """Monte Carlo community marginal of the revealed walk at time t.
 
-    ``joint`` estimates P(X_t in community i, no revisit by t); the
-    ``conditional`` row renormalizes within the no-revisit runs, which
+    ``counts[i]`` counts the cycle-free, unstuck runs in community i at
+    time t.  ``joint`` estimates P(X_t in community i, no revisit by t);
+    the ``conditional`` row renormalizes within the no-revisit runs, which
     cancels the common revisit deficit when comparing to the community
     mean-field row ``q_row``.  The ``stuck`` runs, which hit a
     zero-out-degree reveal, count as failures next to the revisiting ones.
     """
 
-    joint: np.ndarray
-    joint_se: np.ndarray
-    conditional: np.ndarray
-    conditional_se: np.ndarray
+    counts: np.ndarray
     q_row: np.ndarray
-    cycle_free_rate: float
     stuck: int
     reps: int
+
+    @property
+    def cycle_free_rate(self) -> float:
+        return int(self.counts.sum()) / self.reps
+
+    @property
+    def joint(self) -> np.ndarray:
+        return self.counts / self.reps
+
+    @property
+    def joint_se(self) -> np.ndarray:
+        return _binomial_se(self.joint, self.reps)
+
+    @property
+    def conditional(self) -> np.ndarray:
+        return self.counts / int(self.counts.sum())
+
+    @property
+    def conditional_se(self) -> np.ndarray:
+        return _binomial_se(self.conditional, int(self.counts.sum()))
 
 
 def annealed_community_law(
@@ -167,24 +188,12 @@ def annealed_community_law(
     """Estimate where the revealed walk sits at time t, community-wise."""
     _check_horizon(params, t)
     walks = annealed_walks(params, start, t, reps, derived_rng(seed, NS_ANNEALED, 0))
-    m = params.m
     ok = walks.cycle_free & ~walks.stuck
-    n_cf = int(ok.sum())
-    if n_cf == 0:
+    if not ok.any():
         raise RuntimeError("no cycle-free runs; horizon too long for this n")
-    counts = np.bincount(walks.path[ok, t] // params.n, minlength=m)
-    joint = counts / reps
-    joint_se = np.sqrt(np.maximum(joint * (1 - joint), 1e-300) / reps)
-    cond = counts / n_cf
-    cond_se = np.sqrt(np.maximum(cond * (1 - cond), 1e-300) / n_cf)
-    q_row = q_power_matrix(m, params.alpha, t)[start // params.n]
     return CommunityLaw(
-        joint=joint,
-        joint_se=joint_se,
-        conditional=cond,
-        conditional_se=cond_se,
-        q_row=q_row,
-        cycle_free_rate=n_cf / reps,
+        counts=np.bincount(walks.path[ok, t] // params.n, minlength=params.m),
+        q_row=q_power_matrix(params.m, params.alpha, t)[start // params.n],
         stuck=int(walks.stuck.sum()),
         reps=reps,
     )
@@ -194,15 +203,24 @@ def annealed_community_law(
 class JumpSurvival:
     """Empirical survival of the first rewired-edge time.
 
+    ``survivors[k]`` of the ``reps`` walks had not jumped by ``times[k]``.
     A ``stuck`` walk that had not jumped yet counts as surviving to the
     horizon; ``stuck`` says how many walks that concerns at most.
     """
 
     times: np.ndarray
-    survival: np.ndarray
-    stderr: np.ndarray
+    survivors: np.ndarray
     theory: np.ndarray
     stuck: int
+    reps: int
+
+    @property
+    def survival(self) -> np.ndarray:
+        return self.survivors / self.reps
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return _binomial_se(self.survival, self.reps)
 
 
 def annealed_jump_survival(params: DbmParams, t_max: int, reps: int, seed: int) -> JumpSurvival:
@@ -217,14 +235,11 @@ def annealed_jump_survival(params: DbmParams, t_max: int, reps: int, seed: int) 
     walks = annealed_walks(params, 0, t_max, reps, rng)
     # #{tau > t} = reps - #{tau <= t}; tau = t_max + 1 means no jump
     jumped_by = np.cumsum(np.bincount(walks.jump_time, minlength=t_max + 2))
-    survival = (reps - jumped_by[: t_max + 1]) / reps
-    stderr = np.sqrt(np.maximum(survival * (1 - survival), 1e-300) / reps)
     times = np.arange(t_max + 1)
-    theory = (1.0 - params.alpha) ** times
     return JumpSurvival(
         times=times,
-        survival=survival,
-        stderr=stderr,
-        theory=theory,
+        survivors=reps - jumped_by[: t_max + 1],
+        theory=(1.0 - params.alpha) ** times,
         stuck=int(walks.stuck.sum()),
+        reps=reps,
     )

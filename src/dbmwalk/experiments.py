@@ -18,7 +18,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -320,14 +320,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 @contextmanager
-def _run(config: ExperimentConfig, per_seed, seeds=None):
+def _run(config: ExperimentConfig, per_seed):
     """The skeleton every runner shares, as a ``with`` block.
 
     Creates the output directory and the manifest, then maps the
     module-level ``per_seed(config, seed) -> (diagnostics, result)`` over
-    the seeds (``config.seeds`` unless given) on ``config.threads``
-    threads.  The diagnostics records, whose ``seed`` entry is the seed
-    actually used, go to the manifest in seed order.  The block receives
+    every seed of ``config.seeds`` on ``config.threads`` threads.  The
+    diagnostics records, whose ``seed`` entry is the seed actually used,
+    go to the manifest in seed order.  The block receives
     (manifest, out_dir, results in seed order) and writes the artifacts
     and verdicts; on leaving it the total time is recorded and
     manifest.json is written.
@@ -337,12 +337,11 @@ def _run(config: ExperimentConfig, per_seed, seeds=None):
     manifest = _new_manifest(config)
     t0 = time.perf_counter()
     task = functools.partial(per_seed, config)
-    seeds = config.seeds if seeds is None else seeds
     if config.threads <= 1:
-        done = [task(s) for s in seeds]
+        done = [task(s) for s in config.seeds]
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            done = list(pool.map(task, seeds))
+            done = list(pool.map(task, config.seeds))
     manifest.seeds_used = [diag["seed"] for diag, _ in done]
     manifest.diagnostics["per_seed"] = [diag for diag, _ in done]
     manifest.timings["seed_sweep"] = time.perf_counter() - t0
@@ -648,13 +647,20 @@ def _annealed_seed(config: ExperimentConfig, seed: int, t: int, reps: int, t_max
     return diag, (law, surv)
 
 
+def _pooled(results, counts: str):
+    """The first of ``results`` with the count field ``counts``, ``stuck`` and ``reps`` summed."""
+    sums = {f: sum(getattr(r, f) for r in results) for f in (counts, "stuck", "reps")}
+    return replace(results[0], **sums)
+
+
 def run_annealed_experiment(
     config: ExperimentConfig, t: int = 10, reps: int = 100_000, t_max: int = 50
 ) -> RunManifest:
-    """Revealed-walk community law and jump survival tables (first seed only)."""
+    """Revealed-walk community law and jump survival tables from the counts of every seed."""
     seed_fn = functools.partial(_annealed_seed, t=t, reps=reps, t_max=t_max)
-    with _run(config, seed_fn, seeds=config.seeds[:1]) as (manifest, out_dir, per_seed):
-        ((law, surv),) = per_seed
+    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+        laws, survs = zip(*per_seed)
+        law, surv = _pooled(laws, "counts"), _pooled(survs, "survivors")
         law_rows = [
             [t, i, float(law.conditional[i]), float(law.conditional_se[i]), float(law.q_row[i])]
             for i in range(config.params.m)
@@ -669,9 +675,7 @@ def run_annealed_experiment(
         surv_csv = manifest.register(out_dir / "annealed_survival.csv")
         _write_csv(surv_csv, ["t", "survival", "stderr", "theory"], surv_rows)
 
-        dev = np.max(
-            np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300)
-        )
+        dev = np.max(np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300))
         manifest.verdicts.append(
             Verdict("community_law_max_dev_se", bool(dev < 3.0), float(dev), "< 3 SE")
         )

@@ -468,22 +468,17 @@ def path_mass_ratios(
 
 
 def _first_jumps(
-    graph: Digraph,
-    starts: np.ndarray,
-    reps: int,
-    rng: np.random.Generator,
-    horizon: int | None,
+    graph: Digraph, starts: np.ndarray, reps: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk ``reps`` walkers until each first traverses a rewired edge.
 
     Walkers start round-robin on ``starts``.  Returns each walker's jump
-    time and landing vertex; a walker that did not jump within
-    ``horizon`` steps (default 20/alpha, or 10^6 when alpha = 0) is
-    censored, with time 0 and landing vertex -1.
+    time and landing vertex; a walker that did not jump within the
+    horizon of 20/alpha steps (10^6 when alpha = 0) is censored, with
+    time 0 and landing vertex -1.
     """
-    if horizon is None:
-        alpha = graph.params.alpha
-        horizon = int(math.ceil(20.0 / alpha)) if alpha > 0.0 else 10**6
+    alpha = graph.params.alpha
+    horizon = int(math.ceil(20.0 / alpha)) if alpha > 0.0 else 10**6
     starts = np.asarray(starts, dtype=np.int64)
     times = np.zeros(reps, dtype=np.int64)
     landing = np.full(reps, -1, dtype=np.int64)
@@ -507,39 +502,31 @@ def _first_jumps(
 
 
 def sample_tau_jump(
-    graph: Digraph,
-    starts: np.ndarray,
-    reps: int,
-    seed: int,
-    horizon: int | None = None,
+    graph: Digraph, starts: np.ndarray, reps: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """First times a rewired edge is traversed, for ``reps`` walkers.
 
     Returns (samples, censored) where censored counts walkers that never
-    jumped within the horizon (default 20/alpha steps, or 10^6 when
-    alpha = 0 and every walker is censored); censored walkers are
-    excluded from the samples.
+    jumped within the horizon (20/alpha steps, or 10^6 when alpha = 0
+    and every walker is censored); censored walkers are excluded from
+    the samples.
     """
     if graph.params is None:
         raise ValueError("jump times need model parameters")
     rng = derived_rng(seed, NS_TRAJECTORY, 1)
-    times, _ = _first_jumps(graph, starts, reps, rng, horizon)
+    times, _ = _first_jumps(graph, starts, reps, rng)
     samples = times[times > 0]
     return samples, int(reps - samples.size)
 
 
 def jump_target_frequencies(
-    graph: Digraph,
-    starts: np.ndarray,
-    reps: int,
-    seed: int,
-    horizon: int | None = None,
+    graph: Digraph, starts: np.ndarray, reps: int, seed: int
 ) -> tuple[np.ndarray, int]:
     """Count the landing communities of the first rewired-edge jumps.
 
     All starts must share a community.  Returns (counts by community,
     censored walkers); the start community's count is structurally zero.
-    The default horizon is sample_tau_jump's.
+    The horizon is sample_tau_jump's.
     """
     starts = np.asarray(starts, dtype=np.int64)
     if np.unique(starts // graph.n).size != 1:
@@ -547,6 +534,6 @@ def jump_target_frequencies(
     if graph.params is None or graph.params.alpha <= 0.0:
         raise ValueError("jump targets need a rewired graph (alpha > 0)")
     rng = derived_rng(seed, NS_TRAJECTORY, 2)
-    times, landing = _first_jumps(graph, starts, reps, rng, horizon)
+    times, landing = _first_jumps(graph, starts, reps, rng)
     counts = np.bincount(landing[times > 0] // graph.n, minlength=graph.m)
     return counts, int(np.count_nonzero(times == 0))

@@ -274,6 +274,13 @@ def test_horizon_guard():
         annealed_jump_survival(prm, t_max=101, reps=10, seed=0)
 
 
+def test_community_law_refuses_when_no_run_is_cycle_free():
+    # four vertices of out-degree 1 cannot give five distinct positions
+    prm = DbmParams.from_edge_probability(n=2, m=2, p=1.0, alpha=0.3, seed=0)
+    with pytest.raises(RuntimeError, match="no cycle-free runs"):
+        annealed_community_law(prm, start=0, t=4, reps=50, seed=0)
+
+
 def test_jump_survival_extremes():
     sure = DbmParams.from_edge_probability(n=30, m=2, p=0.5, alpha=1.0, seed=0)
     surv = annealed_jump_survival(sure, t_max=3, reps=2000, seed=7)

@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
+from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import main
 from dbmwalk.experiments import (
     ExperimentConfig,
@@ -467,6 +468,38 @@ def test_annealed_run_artifacts(tmp_path):
     assert sorted(diag) == ["law_cycle_free_rate", "law_stuck", "seed", "survival_stuck"]
     assert diag["law_stuck"] == 0 and diag["survival_stuck"] == 0
     assert 0.9 < diag["law_cycle_free_rate"] < 1.0
+
+
+def test_annealed_run_pools_every_seed(tmp_path):
+    # the tables come from the law and survival counts summed over the seeds
+    def run(threads):
+        config = super_config(str(tmp_path / f"threads{threads}"), n=400, alpha=0.05,
+                              seeds=(2, 3), threads=threads)
+        return config, run_annealed_experiment(config, t=4, reps=4000, t_max=20)
+
+    config, manifest = run(1)
+    assert manifest.seeds_used == [2, 3]
+    assert len(manifest.diagnostics["per_seed"]) == 2
+    prm = config.params
+    laws = [annealed_community_law(prm, start=0, t=4, reps=4000, seed=s) for s in (2, 3)]
+    survs = [annealed_jump_survival(prm, t_max=20, reps=800, seed=s) for s in (2, 3)]
+    counts, survivors = laws[0].counts + laws[1].counts, survs[0].survivors + survs[1].survivors
+    freq, survival = counts / counts.sum(), survivors / 1600
+    law_table = np.column_stack([
+        np.full(2, 4), np.arange(2), freq, np.sqrt(freq * (1 - freq) / counts.sum()),
+        laws[0].q_row,
+    ])
+    surv_table = np.column_stack([
+        np.arange(21), survival, np.sqrt(np.maximum(survival * (1 - survival), 1e-300) / 1600),
+        survs[0].theory,
+    ])
+    out = Path(config.out_dir)
+    for name, table in (("annealed_law.csv", law_table), ("annealed_survival.csv", surv_table)):
+        assert np.array_equal(np.loadtxt(out / name, delimiter=",", skiprows=1), table)
+    assert not np.array_equal(freq, laws[0].conditional)  # neither seed alone
+    threaded = Path(run(2)[0].out_dir)
+    for name in ("annealed_law.csv", "annealed_survival.csv"):
+        assert (threaded / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_proxy_and_generate_runs(tmp_path):

@@ -28,6 +28,7 @@ from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     ProbVector,
+    _first_jumps,
     _step_walkers,
     community_mass,
     entropy_and_entropic_time,
@@ -349,9 +350,7 @@ def test_tau_jump_survival_tracks_geometric_law(desk_graph):
     graph, _ = desk_graph
     alpha = graph.params.alpha
     reps = 4000
-    samples, censored = sample_tau_jump(
-        graph, np.arange(graph.vertex_count), reps, seed=3, horizon=300
-    )
+    samples, censored = sample_tau_jump(graph, np.arange(graph.vertex_count), reps, seed=3)
     t = 50
     survived = censored + int((samples > t).sum())
     assert abs(survived / reps - (1.0 - alpha) ** t) < 0.05
@@ -359,14 +358,9 @@ def test_tau_jump_survival_tracks_geometric_law(desk_graph):
 
 def test_first_jump_samplers_keep_their_streams():
     # values computed before the two samplers shared one walker loop:
-    # each keeps its own stream, and both default to 20/alpha = 200 steps
+    # each keeps its own stream, and both walk up to 20/alpha = 200 steps
     graph, _ = generate(DbmParams(n=60, m=3, lam=3.0, alpha=0.1, seed=5), 5)
     starts = np.arange(60)
-    samples, censored = sample_tau_jump(graph, starts, 24, seed=7, horizon=15)
-    assert samples.tolist() == [14, 15, 11, 5, 5, 2, 6, 2, 13, 10, 5, 1, 3, 4, 7, 7, 8, 4]
-    assert censored == 6
-    counts, censored = jump_target_frequencies(graph, starts, 24, seed=7, horizon=15)
-    assert counts.tolist() == [0, 14, 8] and censored == 2
     samples, censored = sample_tau_jump(graph, starts, 24, seed=7)
     assert samples.tolist() == [
         42, 14, 15, 11, 5, 5, 2, 22, 6, 22, 2, 13, 10, 5, 1, 3, 4, 27, 33, 7, 7, 29, 8, 4
@@ -374,6 +368,26 @@ def test_first_jump_samplers_keep_their_streams():
     assert censored == 0
     counts, censored = jump_target_frequencies(graph, starts, 24, seed=7)
     assert counts.tolist() == [0, 15, 9] and censored == 0
+
+
+def test_first_jumps_censor_walkers_that_cannot_jump():
+    # 0 <-> 1 has no rewired edge; a walker on 2 <-> 3 leaves by 3 -> 4
+    # at each visit to 3 with probability 1/2, well within 20/alpha = 40 steps
+    prm = DbmParams.from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
+    edges = [(0, 1), (1, 0), (2, 3), (3, 2), (3, 4), (4, 5), (5, 4), (6, 7), (7, 6)]
+    graph = digraph_from_edges(8, edges, m=2, params=prm)
+    starts = np.arange(4)  # walker k starts on k % 4
+    times, landing = _first_jumps(graph, starts, 12, derived_rng(0, NS_TRAJECTORY, 1))
+    trapped = np.arange(12) % 4 < 2
+    assert np.all(times[trapped] == 0) and np.all(landing[trapped] == -1)
+    assert np.all(landing[~trapped] == 4)
+    # the walk sits on 3 at even times from 3 and at odd times from 2, so
+    # its jump 3 -> 4 comes at odd resp. even times
+    assert np.all(times[~trapped] % 2 == np.where(np.arange(12)[~trapped] % 4 == 2, 0, 1))
+    samples, censored = sample_tau_jump(graph, starts, 12, seed=0)
+    assert censored == 6 and np.array_equal(samples, times[~trapped])
+    counts, censored = jump_target_frequencies(graph, starts, 12, seed=0)
+    assert counts.tolist() == [0, 6] and censored == 6
 
 
 def test_mixing_profile_shape_and_t0():
