@@ -70,8 +70,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     raw: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config} holds no JSON object")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else raw.get(key, default)

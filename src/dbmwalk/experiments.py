@@ -537,7 +537,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
                 t_mix,
                 hit.estimate,
                 hit.oracle if hit.oracle is not None else float("nan"),
-                int(view.gate_mask.sum()),
+                view.gate_labels.size,
                 qsd.nice_fraction(graph, view),
             ]
         )

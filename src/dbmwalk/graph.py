@@ -242,13 +242,6 @@ def degrees(graph: Digraph) -> DegreeTable:
     return DegreeTable(d_out=d_out, d_rewired_out=d_rew, d_in_intra=d_in_intra)
 
 
-def gates(graph: Digraph, table: DegreeTable, i: int) -> np.ndarray:
-    """Vertices of community i with at least one rewired out-edge, sorted."""
-    lo, hi = i * graph.n, (i + 1) * graph.n
-    local = table.d_rewired_out[lo:hi]
-    return lo + np.flatnonzero(local > 0).astype(np.int64)
-
-
 def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
     """Community i's graph before rewiring, on label ids 0..n-1 (cached).
 
@@ -287,11 +280,20 @@ def save_binary(graph: Digraph, path: str) -> None:
     )
 
 
+def _member(data, key: str, kind: type = np.integer) -> np.ndarray:
+    """Archive member ``key``, refused unless its dtype is a ``kind``."""
+    array = data[key]
+    if not np.issubdtype(array.dtype, kind):
+        raise ValueError(f"{key} has dtype {array.dtype}, not {kind.__name__}")
+    return array
+
+
 def load_binary(path: str) -> Digraph:
     """Read a graph written by ``save_binary``.
 
-    A ValueError naming ``path`` rejects a broken archive, a broken graph,
-    and stored rewired flags other than the ones the targets imply.
+    A ValueError naming ``path`` rejects a broken archive, a member of a
+    dtype a cast would truncate, a broken graph, and stored rewired flags
+    other than the ones the targets imply.
     """
     try:
         archive = np.load(path)
@@ -299,16 +301,16 @@ def load_binary(path: str) -> Digraph:
         raise ValueError(f"{path}: not a DBM binary graph file") from exc
     try:
         with archive as data:
-            if "format_version" not in data or int(data["format_version"][0]) != FORMAT_VERSION:
-                raise ValueError("unsupported or missing format version")
-            n, m, seed = (int(x) for x in data["shape"])
+            if int(_member(data, "format_version")[0]) != FORMAT_VERSION:
+                raise ValueError("unsupported format version")
+            n, m, seed = (int(x) for x in _member(data, "shape"))
             lam, alpha = (float(x) for x in data["reals"])
             params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
-            graph = Digraph(n, m, data["indptr"], data["targets"], params=params)
-            stored = data["rewired"]
+            graph = Digraph(n, m, _member(data, "indptr"), _member(data, "targets"), params=params)
+            stored = _member(data, "rewired", np.bool_)
         graph.validate()
         if not np.array_equal(stored, graph.rewired):
             raise ValueError("stored rewired flags must mark exactly the cross-community edges")
-    except (KeyError, TypeError, ValueError) as exc:  # KeyError: a missing member
+    except (IndexError, KeyError, TypeError, ValueError) as exc:  # KeyError: a missing member
         raise ValueError(f"{path}: {exc}") from exc
     return graph

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
-from .graph import DbmParams, DegreeTable, Digraph, gates, pre_rewiring_subgraph
+from .graph import DbmParams, DegreeTable, Digraph, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
 from .walk import (
     SAMPLED_STARTS,
@@ -42,17 +42,15 @@ HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 @dataclass
 class CommunityView:
-    """Shared per-community working set: local graph, gates, pi.
+    """Shared per-community working set: local graph, pi, degree counts.
 
-    The kernel is ``transition_operator(local)``; ``survivor``, its
-    restriction to the ``kept`` non-gate labels, is built once, so the
-    gates must not change after it is first read.
+    ``gate_mask`` (the labels with a rewired out-edge) and ``survivor``
+    (the kernel ``transition_operator(local)`` on the ``kept`` labels)
+    are built once: ``d_rewired`` must not change after they are read.
     """
 
     i: int
     local: Digraph
-    gate_labels: np.ndarray
-    gate_mask: np.ndarray
     pi_local: ProbVector
     d_out_full: np.ndarray  # DBM out-degrees of this community's vertices
     d_rewired: np.ndarray
@@ -60,6 +58,14 @@ class CommunityView:
     @property
     def n(self) -> int:
         return self.local.n
+
+    @cached_property
+    def gate_mask(self) -> np.ndarray:
+        return self.d_rewired > 0
+
+    @property
+    def gate_labels(self) -> np.ndarray:
+        return np.flatnonzero(self.gate_mask)
 
     @property
     def gate_mass(self) -> float:
@@ -88,18 +94,13 @@ def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
     community without gates, from which the walk never escapes, is
     refused, as is one that is not strongly connected.
     """
-    gate_labels = gates(graph, table, i) - i * graph.n
-    if gate_labels.size == 0:
-        raise ValueError(f"community {i} has no rewired out-edge, so no gate to escape by")
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[gate_labels] = True
-    pi_local = local_stationary(graph, i)
     lo, hi = i * graph.n, (i + 1) * graph.n
+    if not table.d_rewired_out[lo:hi].any():
+        raise ValueError(f"community {i} has no rewired out-edge, so no gate to escape by")
+    pi_local = local_stationary(graph, i)
     view = CommunityView(
         i=i,
         local=pre_rewiring_subgraph(graph, i),
-        gate_labels=gate_labels,
-        gate_mask=mask,
         pi_local=pi_local,
         d_out_full=table.d_out[lo:hi],
         d_rewired=table.d_rewired_out[lo:hi],
@@ -362,9 +363,7 @@ def restart_process(
     """
     cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
     rng = derived_rng(seed, NS_RESTART, view.i)
-    coin_p = np.zeros(view.n)
-    nz = view.d_out_full > 0
-    coin_p[nz] = view.d_rewired[nz] / view.d_out_full[nz]
+    coin_p = view.d_rewired / view.d_out_full
     draw_start = _cdf_sampler(solution.mu_star.values)
     draw_reinit = _cdf_sampler(transition_operator(view.local) @ solution.mu_star.values)
 

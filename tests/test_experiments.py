@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
+from dbmwalk import qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import main
 from dbmwalk.experiments import (
@@ -443,6 +444,23 @@ def test_qsd_exhaustive_starts_cover_a_large_merged_space(tmp_path):
     assert diag["mixing_time_exhaustive"] == [True] * config.params.m
 
 
+def test_qsd_run_writes_nan_above_the_hitting_oracle_limit(tmp_path, monkeypatch):
+    # the exact hitting time is solved only up to HITTING_ORACLE_LIMIT
+    # vertices (escape-n20000 is above it); past it the row keeps every
+    # other column and writes nan for the oracle
+    def qsd_rows(out: Path) -> list[list[str]]:
+        run_qsd_experiment(super_config(str(out)))
+        return [row.split(",") for row in (out / "qsd_seed1.csv").read_text().splitlines()[1:]]
+
+    solved = qsd_rows(tmp_path / "solved")
+    monkeypatch.setattr(qsd, "HITTING_ORACLE_LIMIT", 499)
+    skipped = qsd_rows(tmp_path / "skipped")
+    assert [row[6] for row in skipped] == ["nan", "nan"]
+    assert all(math.isfinite(float(row[6])) for row in solved)
+    for a, b in zip(solved, skipped):
+        assert a[:6] + a[7:] == b[:6] + b[7:]
+
+
 def test_annealed_run_artifacts(tmp_path):
     config = super_config(str(tmp_path), n=400, alpha=0.05, seeds=(2,))
     manifest = run_annealed_experiment(config, t=4, reps=4000, t_max=20)
@@ -659,6 +677,26 @@ def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags
+    with pytest.raises(SystemExit, match=f"^invalid configuration: {message}$"):
+        main(argv)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read .*cfg.json: No such file or directory"),
+        ("[300, 2]", ".*cfg.json holds no JSON object"),
+        ("{\"n\": 300,", "Expecting .*"),
+    ],
+    ids=["missing_file", "json_list", "malformed_json"],
+)
+def test_cli_refuses_an_unreadable_config_file(tmp_path, text, message):
+    # the file is refused before any option is read, so nothing is written
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    argv = ["generate", "--config", str(cfg), "--alpha", "0.02", "--out", str(tmp_path / "run")]
     with pytest.raises(SystemExit, match=f"^invalid configuration: {message}$"):
         main(argv)
     assert not (tmp_path / "run").exists()

@@ -45,8 +45,6 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
     ``coin`` fixes the gate's rewired-edge fraction for restart runs.
     """
     local = complete_digraph(k)
-    mask = np.zeros(k, dtype=bool)
-    mask[0] = True
     d_rewired = np.zeros(k, dtype=np.int64)
     d_out = np.full(k, k - 1, dtype=np.int64)
     # gate coin = rewired / full out-degree
@@ -55,8 +53,6 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
     return CommunityView(
         i=0,
         local=local,
-        gate_labels=np.array([0], dtype=np.int64),
-        gate_mask=mask,
         pi_local=uniform(k, "community:0"),
         d_out_full=d_out,
         d_rewired=d_rewired,
@@ -88,8 +84,7 @@ def test_qsd_on_complete_digraph_is_uniform():
 
 def test_qsd_requires_survivor_states():
     view = one_gate_complete_view(4)
-    view.gate_mask[:] = True
-    view.gate_labels = np.arange(4)
+    view.d_rewired[:] = 1
     with pytest.raises(ValueError, match="gate"):
         quasi_stationary(view)
 
@@ -118,13 +113,9 @@ def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
         (6, 0),
     ]
     local = digraph_from_edges(7, edges)
-    mask = np.zeros(7, dtype=bool)
-    mask[6] = True
     view = CommunityView(
         i=0,
         local=local,
-        gate_labels=np.array([6]),
-        gate_mask=mask,
         pi_local=uniform(7, "community:0"),
         d_out_full=local.out_degree.copy(),
         d_rewired=np.array([0, 0, 0, 0, 0, 0, 1]),
@@ -224,8 +215,6 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     view = CommunityView(
         i=0,
         local=graph,
-        gate_labels=gate,
-        gate_mask=mask,
         pi_local=ProbVector(pi, "community:0"),
         d_out_full=graph.out_degree.copy(),
         d_rewired=mask.astype(np.int64),
@@ -406,7 +395,7 @@ def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_commu
     # nice at both window edges; two rewired edges; just below; just above
     d_out[gate] = [low, high, low, low - 1, high + 1]
     d_rew[gate] = [1, 1, 2, 1, 1]
-    crafted = replace(view, gate_labels=gate, d_out_full=d_out, d_rewired=d_rew)
+    crafted = replace(view, d_out_full=d_out, d_rewired=d_rew)
     assert nice_fraction(graph, crafted) == 0.4
 
 
