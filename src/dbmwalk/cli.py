@@ -2,8 +2,10 @@
 
 Subcommands map one-to-one onto the run_* functions in ``experiments``.
 A JSON config file can prefill any option; explicit flags win.  The
-exit code is 0 only when every acceptance verdict in the run's manifest
-passed, 1 when one failed, and 2 when ``report`` cannot read a manifest.
+exit code is 0 when every acceptance verdict in the run's manifest
+passed, 1 when one failed, and 2 when the input was refused: a config
+that cannot be read or is invalid, or a manifest ``report`` cannot read.
+A refusal prints one ``dbmwalk <command>: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -67,16 +69,21 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (default out/<command>)")
 
 
+def _read_json(path) -> object:
+    """The parsed contents of a JSON file; a ValueError names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.config}: {exc.strerror}") from exc
-        if not isinstance(raw, dict):
-            raise ValueError(f"{args.config} holds no JSON object")
+    raw = _read_json(args.config) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.config} holds no JSON object")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else raw.get(key, default)
@@ -92,38 +99,28 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     # an unknown regime gets no default grid; ExperimentConfig rejects it
     betas = pick(args.betas, "beta_grid", _DEFAULT_BETAS.get(regime, ()))
     if isinstance(betas, str):
-        betas = tuple(float(b) for b in betas.split(","))
-    else:
-        betas = tuple(float(b) for b in betas)
-    timescale = pick(args.timescale, "timescale", "entropic")
-    # a manifest's config block holds the policy name and the size apart
-    starts = pick(args.starts, "start_policy", "sampled")
-    sample_starts = raw.get("sample_starts", SAMPLED_STARTS)
-    if starts in ("sampled", "exhaustive"):
-        start_policy = starts
-    else:  # a sample size: the --starts string, or a number from the file
-        start_policy = "sampled"
-        sample_starts = int(starts) if isinstance(starts, str) else starts
+        betas = betas.split(",")
+    # a manifest's config block holds the policy name and the size apart;
+    # ExperimentConfig holds the default of every option left unset here
+    common = {
+        "timescale": pick(args.timescale, "timescale"),
+        "start_policy": pick(args.starts, "start_policy"),
+        "sample_starts": raw.get("sample_starts"),
+        "threads": pick(args.threads, "threads"),
+    }
+    if args.starts not in (None, "sampled", "exhaustive"):  # --starts k: a sample size
+        common.update(start_policy="sampled", sample_starts=int(args.starts))
+    common = {key: value for key, value in common.items() if value is not None}
     out_dir = pick(args.out, "out_dir", f"out/{command}")
-    threads = pick(args.threads, "threads", 1)
+    common.update(beta_grid=tuple(float(b) for b in betas), seeds=seeds, out_dir=out_dir)
     base_seed = seeds[0] if seeds else 0  # ExperimentConfig refuses an empty list
-
-    common = dict(
-        beta_grid=betas,
-        timescale=timescale,
-        start_policy=start_policy,
-        sample_starts=sample_starts,
-        seeds=seeds,
-        out_dir=out_dir,
-        threads=threads,
-    )
     if regime == "critical" and c is None:
-        raise SystemExit("critical regime needs --C")
+        raise ValueError("critical regime needs --C")
     # a given alpha is checked against 1/(c*t_ent) by ExperimentConfig
     if regime == "critical" and alpha is None:
         return ExperimentConfig.critical(n, m, lam, c, seed=base_seed, **common)
     if alpha is None:
-        raise SystemExit("need --alpha (or --regime critical with --C)")
+        raise ValueError("need --alpha (or --regime critical with --C)")
     params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=base_seed)
     return ExperimentConfig(params=params, regime=regime, c=c, **common)
 
@@ -138,23 +135,14 @@ def _finish(manifest: RunManifest) -> int:
 
 
 def _report(path: Path) -> int:
-    """Print a finished run's manifest; exit 2 when it cannot be read."""
+    """Print a finished run's manifest; exit 1 when a verdict failed."""
+    manifest = _read_json(path)
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
         passed = all(v["passed"] for v in manifest["verdicts"])
-    except OSError as exc:
-        return _cannot_report(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:
-        return _cannot_report(f"{path} is not valid JSON: {exc}")
-    except (KeyError, TypeError):
-        return _cannot_report(f"{path} has no valid list of verdicts")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path} has no valid list of verdicts") from exc
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0 if passed else 1
-
-
-def _cannot_report(message: str) -> int:
-    print(f"dbmwalk report: {message}", file=sys.stderr)
-    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -178,13 +166,14 @@ def main(argv: list[str] | None = None) -> int:
             _add_common(p)
 
     args = top.parse_args(argv)
-    if args.command == "report":
-        return _report(Path(args.out_dir) / "manifest.json")
-
     try:
+        if args.command == "report":
+            return _report(Path(args.out_dir) / "manifest.json")
         config = _build_config(args, args.command)
     except (TypeError, ValueError) as exc:  # TypeError: a config value of the wrong JSON type
-        raise SystemExit(f"invalid configuration: {exc}") from exc
+        why = exc if args.command == "report" else f"invalid configuration: {exc}"
+        print(f"dbmwalk {args.command}: {why}", file=sys.stderr)
+        return 2
     runner = {
         "generate": run_generate,
         "profile": run_profile_experiment,

@@ -150,6 +150,13 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        for a in self.seeds:  # a retry of seed a must not draw seed b's graph
+            for b in self.seeds:
+                if 0 < b - a <= MAX_GRAPH_REJECTS * RESEED_STRIDE and (b - a) % RESEED_STRIDE == 0:
+                    raise ValueError(
+                        f"seeds {a} and {b} can re-draw one graph: "
+                        f"retry k of seed s generates with s + k*{RESEED_STRIDE}"
+                    )
         if self.threads < 1:
             raise ValueError(f"need at least one thread, got {self.threads}")
         self.validate_regime()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,8 @@ from dbmwalk import qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import main
 from dbmwalk.experiments import (
+    MAX_GRAPH_REJECTS,
+    RESEED_STRIDE,
     ExperimentConfig,
     Verdict,
     _accepted_graph,
@@ -198,6 +201,12 @@ def test_config_misc_guards():
     for size in (0, -5):
         with pytest.raises(ValueError, match="sampled start"):
             ExperimentConfig(**{**good, "sample_starts": size})
+    # seed s re-draws as s + k*RESEED_STRIDE for k up to MAX_GRAPH_REJECTS
+    for k in (1, MAX_GRAPH_REJECTS):
+        with pytest.raises(ValueError, match=f"^seeds 2 and {2 + k * RESEED_STRIDE} can re-draw"):
+            ExperimentConfig(**{**good, "seeds": (7, 2 + k * RESEED_STRIDE, 2)})
+    far = (2, 2 + (MAX_GRAPH_REJECTS + 1) * RESEED_STRIDE, 3 + RESEED_STRIDE)
+    assert ExperimentConfig(**{**good, "seeds": far}).seeds == far
     # the alpha*t clock belongs to the supercritical decay alone, and the
     # constant c to the critical limit alone
     sub = DbmParams(n=800, m=2, lam=3.0, alpha=0.3, seed=1)
@@ -300,6 +309,22 @@ def test_accepted_graph_seed_passthrough_and_rejection():
     )
     with pytest.raises(RuntimeError, match="rejected"):
         _accepted_graph(sparse, 1)
+
+
+def test_a_redrawn_graph_records_its_redraw_seed(tmp_path):
+    # seed 5 draws a graph that is not strongly connected; its first
+    # re-draw, 5 + RESEED_STRIDE, is accepted and is the seed on record
+    params = DbmParams(n=40, m=2, lam=1.5, alpha=0.3, seed=5)
+    config = ExperimentConfig(
+        params=params, regime="subcritical", beta_grid=(1.0,), seeds=(5,), out_dir=str(tmp_path)
+    )
+    manifest = run_generate(config)
+    redrawn = 5 + RESEED_STRIDE
+    assert manifest.seeds_used == [redrawn]
+    diagnostics = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]
+    assert_solver_diagnostics(diagnostics, [redrawn])
+    assert manifest.files == ["graph_seed7777782.npz", "graphs.csv"]
+    assert load_binary(str(tmp_path / "graph_seed7777782.npz")).params.seed == redrawn
 
 
 def test_profile_run_artifacts(tmp_path):
@@ -583,25 +608,32 @@ def test_cli_proxy_run_and_report(tmp_path, capsys):
     assert payload["config"]["n"] == 500
 
 
-def test_cli_rejects_out_of_regime_parameters(tmp_path):
-    with pytest.raises(SystemExit, match="invalid configuration"):
-        main(
-            [
-                "profile", "--n", "800", "--m", "2", "--lambda", "3",
-                "--alpha", "0.01", "--regime", "subcritical",
-                "--out", str(tmp_path),
-            ]
-        )
+def assert_refused(capsys, argv: list[str], pattern: str) -> None:
+    """main refuses argv: exit 2, nothing on stdout, one stderr line.
+
+    The line reads ``dbmwalk <command>: <message>`` and the message
+    matches ``pattern`` (searched, as ``pytest.raises(match=...)`` does).
+    """
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = f"dbmwalk {argv[0]}: "
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1, err
+    assert re.search(pattern, err[len(prefix) : -1]), err
 
 
-def test_cli_critical_needs_constant(tmp_path):
-    with pytest.raises(SystemExit, match="--C"):
-        main(["profile", "--regime", "critical", "--out", str(tmp_path)])
+def test_cli_rejects_out_of_regime_parameters(tmp_path, capsys):
+    argv = ["profile", "--n", "800", "--m", "2", "--lambda", "3", "--alpha", "0.01"]
+    argv += ["--regime", "subcritical", "--out", str(tmp_path)]
+    assert_refused(capsys, argv, "invalid configuration")
 
 
-def test_cli_needs_alpha(tmp_path):
-    with pytest.raises(SystemExit, match="alpha"):
-        main(["profile", "--n", "500", "--out", str(tmp_path)])
+def test_cli_critical_needs_constant(tmp_path, capsys):
+    assert_refused(capsys, ["profile", "--regime", "critical", "--out", str(tmp_path)], "--C")
+
+
+def test_cli_needs_alpha(tmp_path, capsys):
+    assert_refused(capsys, ["profile", "--n", "500", "--out", str(tmp_path)], "alpha")
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -623,23 +655,21 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert (Path(out) / "graph_seed7.npz").exists()
 
 
-def test_cli_config_file_with_unknown_regime(tmp_path):
+def test_cli_config_file_with_unknown_regime(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"regime": "mixed", "alpha": 0.02}))
     argv = ["profile", "--config", str(cfg), "--out", str(tmp_path / "run")]
-    with pytest.raises(SystemExit, match="^invalid configuration: unknown regime 'mixed'$"):
-        main(argv)
+    assert_refused(capsys, argv, "^invalid configuration: unknown regime 'mixed'$")
 
 
 @pytest.mark.parametrize(
     "raw", [{"seeds": 3}, {"beta_grid": 0.5}, {"alpha": "0.02"}], ids=["seeds", "beta_grid", "alpha"]
 )
-def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
+def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": 0.02, **raw}))
     argv = ["generate", "--n", "300", "--config", str(cfg), "--out", str(tmp_path / "run")]
-    with pytest.raises(SystemExit, match="^invalid configuration: "):
-        main(argv)
+    assert_refused(capsys, argv, "^invalid configuration: ")
     assert not (tmp_path / "run").exists()
 
 
@@ -654,6 +684,7 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
         ({}, ["--threads", "-3"], "need at least one thread, got -3"),
         ({}, ["--seeds", "1,1", "--threads", "2"], r"seeds must be distinct, got \[1, 1\]"),
         ({"seeds": []}, [], "need at least one seed"),
+        ({"seeds": [5, 7777782]}, [], "seeds 5 and 7777782 can re-draw one graph: .*"),
         (
             {"regime": "subcritical", "alpha": 0.3, "timescale": "inverse_alpha"},
             [],
@@ -666,19 +697,18 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, raw):
         ),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
-         "negative_threads", "duplicate_seeds", "empty_seeds",
+         "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
          "subcritical_on_alpha_clock", "critical_alpha_mismatch"],
 )
-def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
+def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
     # its regime's limit is not stated on, with an alpha the critical
-    # constant overrode, or, for two threads on one seed, writing the
-    # same graph file twice
+    # constant overrode, or, for two threads on one seed or two seeds one
+    # re-draw apart, writing the same graph file twice
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags
-    with pytest.raises(SystemExit, match=f"^invalid configuration: {message}$"):
-        main(argv)
+    assert_refused(capsys, argv, f"^invalid configuration: {message}$")
     assert not (tmp_path / "run").exists()
 
 
@@ -687,26 +717,25 @@ def test_cli_config_is_validated_not_coerced(tmp_path, raw, flags, message):
     [
         (None, "cannot read .*cfg.json: No such file or directory"),
         ("[300, 2]", ".*cfg.json holds no JSON object"),
-        ("{\"n\": 300,", "Expecting .*"),
+        ("{\"n\": 300,", ".*cfg.json is not valid JSON: Expecting .*"),
     ],
     ids=["missing_file", "json_list", "malformed_json"],
 )
-def test_cli_refuses_an_unreadable_config_file(tmp_path, text, message):
+def test_cli_refuses_an_unreadable_config_file(tmp_path, capsys, text, message):
     # the file is refused before any option is read, so nothing is written
     cfg = tmp_path / "cfg.json"
     if text is not None:
         cfg.write_text(text)
     argv = ["generate", "--config", str(cfg), "--alpha", "0.02", "--out", str(tmp_path / "run")]
-    with pytest.raises(SystemExit, match=f"^invalid configuration: {message}$"):
-        main(argv)
+    assert_refused(capsys, argv, f"^invalid configuration: {message}$")
     assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("starts", ["0", "-5"])
-def test_cli_rejects_empty_or_negative_start_samples(tmp_path, starts):
+def test_cli_rejects_empty_or_negative_start_samples(tmp_path, capsys, starts):
     argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
-    with pytest.raises(SystemExit, match="invalid configuration: need at least one sampled start"):
-        main(argv + ["--starts", starts, "--out", str(tmp_path / "run")])
+    argv += ["--starts", starts, "--out", str(tmp_path / "run")]
+    assert_refused(capsys, argv, "invalid configuration: need at least one sampled start")
     assert not (tmp_path / "run").exists()
 
 
@@ -763,8 +792,17 @@ def test_cli_critical_config_comes_from_experiment_config(tmp_path):
     assert payload["config"] == want.to_dict()
 
 
-@pytest.mark.parametrize("case", ["no_directory", "no_manifest", "invalid_json", "no_verdicts"])
-def test_report_fails_cleanly_on_unreadable_runs(tmp_path, capsys, case):
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no_directory", "^cannot read .*manifest.json: No such file or directory$"),
+        ("no_manifest", "^cannot read .*manifest.json: No such file or directory$"),
+        ("invalid_json", "^.*manifest.json is not valid JSON: Expecting .*$"),
+        ("no_verdicts", "^.*manifest.json has no valid list of verdicts$"),
+    ],
+    ids=["no_directory", "no_manifest", "invalid_json", "no_verdicts"],
+)
+def test_report_fails_cleanly_on_unreadable_runs(tmp_path, capsys, case, message):
     run = tmp_path / "run"
     if case != "no_directory":
         run.mkdir()
@@ -772,11 +810,7 @@ def test_report_fails_cleanly_on_unreadable_runs(tmp_path, capsys, case):
         (run / "manifest.json").write_text("{not json")
     if case == "no_verdicts":
         (run / "manifest.json").write_text(json.dumps({"config": {"n": 5}}))
-    assert main(["report", str(run)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("dbmwalk report: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert_refused(capsys, ["report", str(run)], message)
 
 
 def test_report_exit_code_follows_verdicts(tmp_path, capsys):

@@ -36,7 +36,13 @@ from dbmwalk.qsd import (
     return_mass,
     survival_curve,
 )
-from dbmwalk.walk import STATIONARY_TOL, ProbVector, jump_target_frequencies, local_stationary
+from dbmwalk.walk import (
+    STATIONARY_TOL,
+    ProbVector,
+    jump_target_frequencies,
+    local_stationary,
+    stationary,
+)
 
 
 def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
@@ -554,6 +560,18 @@ def test_community_view_rejects_a_community_without_gates():
     graph, table = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.0, seed=1), 1)
     with pytest.raises(ValueError, match="^community 0 has no rewired out-edge"):
         community_view(graph, table, 0)
+
+
+def test_power_iterations_raise_at_their_cap(monkeypatch):
+    graph, table = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1), 1)
+    view = community_view(graph, table, 0)  # its local solve runs under the full cap
+    monkeypatch.setattr("dbmwalk.walk.STATIONARY_MAX_ITER", 2)
+    monkeypatch.setattr("dbmwalk.qsd.STATIONARY_MAX_ITER", 2)
+    capped = "iteration did not reach residual 1e-12 in 2 steps$"
+    with pytest.raises(RuntimeError, match=f"^stationary {capped}"):
+        stationary(graph)
+    with pytest.raises(RuntimeError, match=f"^QSD {capped}"):
+        quasi_stationary(view)
 
 
 def test_community_view_shares_the_cached_subgraph(small_community):
