@@ -80,6 +80,15 @@ def _read_json(path) -> object:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _number(option: str, text: object, kind: type) -> int | float:
+    """``kind(text)``; a ValueError names the flag or file key and the value."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{option}: {text!r} is not {noun}") from None
+
+
 def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
@@ -95,11 +104,16 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     c = pick(args.c, "c")
     alpha = pick(args.alpha, "alpha")
     seeds = pick(args.seeds, "seeds", "1,2,3")
-    seeds = tuple(int(s) for s in seeds.split(",")) if isinstance(seeds, str) else tuple(seeds)
+    if isinstance(seeds, str):
+        name = "--seeds" if args.seeds is not None else "seeds"
+        seeds = [_number(name, s, int) for s in seeds.split(",")]
+    seeds = tuple(seeds)
     # an unknown regime gets no default grid; ExperimentConfig rejects it
     betas = pick(args.betas, "beta_grid", _DEFAULT_BETAS.get(regime, ()))
     if isinstance(betas, str):
         betas = betas.split(",")
+    name = "--betas" if args.betas is not None else "beta_grid"
+    betas = tuple(_number(name, b, float) for b in betas)
     # a manifest's config block holds the policy name and the size apart;
     # ExperimentConfig holds the default of every option left unset here
     common = {
@@ -109,10 +123,10 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         "threads": pick(args.threads, "threads"),
     }
     if args.starts not in (None, "sampled", "exhaustive"):  # --starts k: a sample size
-        common.update(start_policy="sampled", sample_starts=int(args.starts))
+        common.update(start_policy="sampled", sample_starts=_number("--starts", args.starts, int))
     common = {key: value for key, value in common.items() if value is not None}
     out_dir = pick(args.out, "out_dir", f"out/{command}")
-    common.update(beta_grid=tuple(float(b) for b in betas), seeds=seeds, out_dir=out_dir)
+    common.update(beta_grid=betas, seeds=seeds, out_dir=out_dir)
     base_seed = seeds[0] if seeds else 0  # ExperimentConfig refuses an empty list
     if regime == "critical" and c is None:
         raise ValueError("critical regime needs --C")

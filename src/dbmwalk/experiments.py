@@ -414,6 +414,10 @@ def _profile_seed(config: ExperimentConfig, seed: int):
         "checkpoint": profile.checkpoint,
         "rank": profile.rank,
         "tv_bound": profile.tv_bound,
+        "tail": profile.step_matrix is not None,
+        "tail_spectrum": profile.tail_spectrum,
+        "meanfield_rate": meanfield.subdominant_eigenvalue(graph.m, config.params.alpha),
+        "col_steps": profile.col_steps,
     }
     diag = _solver_diagnostics(pi, seed=used, profile_compression=compression)
     return diag, dict(zip(profile.times, profile.distances))

@@ -27,17 +27,25 @@ def q_matrix(m: int, alpha: float) -> np.ndarray:
     return q
 
 
+def subdominant_eigenvalue(m: int, alpha: float) -> float:
+    """b = 1 - m*alpha/(m-1), the community kernel's eigenvalue off uniform.
+
+    The rate at which the community chain forgets its start.
+    """
+    return 1.0 - m * alpha / (m - 1)
+
+
 def q_power_matrix(m: int, alpha: float, t: int) -> np.ndarray:
     """Exact t-th power of the community kernel.
 
     The kernel has eigenvalue 1 on the uniform direction and
-    b = 1 - m*alpha/(m-1) on its complement, so
+    b = subdominant_eigenvalue(m, alpha) on its complement, so
     Q^t(i,j) = (1 + (m*[i==j] - 1) * b^t) / m.  Valid for all alpha in
     [0, 1], including b < 0 where entries oscillate.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    b = 1.0 - m * alpha / (m - 1)
+    b = subdominant_eigenvalue(m, alpha)
     return (1.0 + (m * np.eye(m) - 1) * b**t) / m
 
 

@@ -70,23 +70,36 @@ class EntropyResult:
 class MixingProfile:
     """Total-variation distance to a reference at recorded times.
 
-    When the start block was compressed, ``checkpoint`` is the step at
-    which it happened, ``rank`` the number of basis columns stepped from
-    there on, and ``tv_bound`` the certified bound on how far any later
-    value may lie from the uncompressed one (None, None and 0.0 when
-    every start was stepped to the end).
+    ``col_steps`` counts the column-steps of the sparse product actually
+    taken.  When the start block was compressed, ``checkpoint`` is the
+    step at which it happened, ``rank`` the number r of basis columns,
+    and ``tv_bound`` the certified bound on how far any later value may
+    lie from the uncompressed one (None, None and 0.0 when every start
+    was stepped to the end).  ``step_matrix`` is the r x r matrix C of
+    the mean-field tail when the basis was stepped only once and every
+    later column formed as B C^s a_x, and None otherwise.
     """
 
     times: np.ndarray
     per_start: np.ndarray  # shape (n_starts, n_times)
+    col_steps: int
     checkpoint: int | None = None
     rank: int | None = None
     tv_bound: float = 0.0
+    step_matrix: np.ndarray | None = None
 
     @property
     def distances(self) -> np.ndarray:
         """Worst-start distance at each time."""
         return self.per_start.max(axis=0)
+
+    @property
+    def tail_spectrum(self) -> list[float] | None:
+        """Moduli of the tail matrix's eigenvalues, largest first."""
+        if self.step_matrix is None:
+            return None
+        moduli = np.abs(np.linalg.eigvals(self.step_matrix))
+        return sorted((float(v) for v in moduli), reverse=True)
 
 
 def transition_operator(graph: Digraph) -> csr_matrix:
@@ -302,14 +315,18 @@ def mixing_profile(
     PROFILE_CHECKPOINT, twice that, four times that, ... before the last
     time, the block is offered to ``_interpolative``.  Once every column
     c_x lies within PROFILE_COMPRESS_TOL in L1 of B a_x, where B is
-    r <= min(K/4, checkpoint) of the block's own columns, only B is
-    stepped on and each later column is formed as B a_x.  Short grids
-    and fewer than four starts are never compressed, so they give the
-    plain values exactly.  P^T does not increase the L1 norm of a
-    signed vector, so each later value lies within e_x / 2 of the
-    uncompressed one, e_x = ||c_x - B a_x||_1; ``tv_bound`` is the
-    largest such bound.  Supercritical walks collapse onto the m local
-    equilibria after local mixing, so B then has about m columns.
+    r <= min(K/4, checkpoint) of the block's own columns, B is stepped
+    once more and ``_mean_field_tail`` fits the r x r matrix C with
+    B C ~ P^T B.  When its certificate allows, each later column is
+    formed as B C^s a_x, s steps past the checkpoint, and the sparse
+    product is not applied again; otherwise B is stepped on and each
+    later column is formed as B a_x.  Short grids and fewer than four
+    starts are never compressed, so they give the plain values exactly.
+    P^T does not increase the L1 norm of a signed vector, so each later
+    value lies within half the certified L1 misfit of the uncompressed
+    one; ``tv_bound`` is the largest such bound.  Supercritical walks
+    collapse onto the m local equilibria after local mixing, so B then
+    has about m columns and C is the m-state community chain.
     """
     times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
     if times.size and times[0] < 0:
@@ -346,19 +363,69 @@ def mixing_profile(
                 checkpoint = t
                 break
     if fit is None:
-        return MixingProfile(times=times, per_start=per_start)
+        return MixingProfile(times=times, per_start=per_start, col_steps=starts.size * last)
     picked, coef, residual = fit
-    cols = cols[:, picked]  # only the basis is stepped from here on
-    later = sorted(s for s in recorded if s > checkpoint)
-    for t, basis in zip(later, propagate(operator, cols, [s - checkpoint for s in later])):
-        record(t, _combine(basis, coef))
+    basis = cols[:, picked]
+    del cols  # only the basis is needed from here on
+    stepped = operator @ basis
+    later = [s - checkpoint for s in sorted(recorded) if s > checkpoint]
+    tail = _mean_field_tail(basis, stepped, coef, residual, later)
+    if tail is None:  # step the basis on, as if there were no tail
+        step_matrix, misfit, basis_steps = None, residual, later[-1]
+        blocks = (
+            _combine(b, coef) for b in propagate(operator, stepped, [s - 1 for s in later])
+        )
+    else:
+        step_matrix, powers, misfit = tail
+        basis_steps = 1
+        blocks = (_combine(basis, w) for w in powers)  # formed one at a time
+    for s, block in zip(later, blocks):
+        record(checkpoint + s, block)
     return MixingProfile(
         times=times,
         per_start=per_start,
+        col_steps=starts.size * checkpoint + len(picked) * basis_steps,
         checkpoint=checkpoint,
         rank=len(picked),
-        tv_bound=0.5 * float(residual.max()),
+        tv_bound=0.5 * float(misfit.max()),
+        step_matrix=step_matrix,
     )
+
+
+def _mean_field_tail(
+    basis: np.ndarray,
+    stepped: np.ndarray,
+    coef: np.ndarray,
+    residual: np.ndarray,
+    steps: list[int],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray] | None:
+    """Step the r x r restriction of P^T to the basis instead of the basis.
+
+    Fits C with basis @ C ~ stepped = P^T basis (Rayleigh-Ritz on an
+    approximately invariant subspace; Saad 2011, ch. 4) and measures each
+    basis column's misfit e_k = ||stepped_k - (basis C)_k||_1.  Since
+    (P^T)^s B - B C^s = sum_{j<s} (P^T)^(s-1-j) (P^T B - B C) C^j and P^T
+    does not increase the L1 norm, column x is within
+    residual_x + sum_{j<s} sum_k e_k |(C^j a_x)_k| of B C^s a_x at step s,
+    whatever C is.  Returns (C, [C^s a for s in steps], that total at the
+    last step) when it lies within PROFILE_COMPRESS_TOL for every column,
+    and None otherwise, a singular fit included.
+    """
+    wanted = set(steps)
+    with np.errstate(all="ignore"):  # a singular fit shows up as a NaN total
+        step_matrix = _least_squares(basis, stepped)
+        e = np.abs(stepped - _combine(basis, step_matrix)).sum(axis=0)
+        total = residual.copy()
+        power = coef
+        powers = []
+        for s in range(1, steps[-1] + 1):
+            total += (e[:, None] * np.abs(power)).sum(axis=0)
+            if not total.max() <= PROFILE_COMPRESS_TOL:  # NaN fails too
+                return None
+            power = _combine(step_matrix, power)
+            if s in wanted:
+                powers.append(power)
+    return step_matrix, powers, total
 
 
 def _interpolative(
@@ -411,6 +478,22 @@ def _pivoted_gram_schmidt(
         if np.abs(resid, out=work).sum(axis=1).max() <= tol:
             return picked, upper[: r + 1]
     return None
+
+
+def _least_squares(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x minimising every column's ||basis @ x - rhs||_2.
+
+    Modified Gram-Schmidt on the basis columns, held as rows with numpy
+    pairwise sums as in ``_pivoted_gram_schmidt``, then back substitution.
+    """
+    r = basis.shape[1]
+    rows = np.concatenate([basis.T, rhs.T])
+    upper = np.zeros((r, rows.shape[0]))
+    for i in range(r):
+        q = rows[i] / math.sqrt(np.square(rows[i]).sum())
+        upper[i] = (rows * q).sum(axis=1)
+        rows -= upper[i][:, None] * q
+    return _back_substitute(upper[:, :r], upper[:, r:])
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -356,9 +356,12 @@ def test_profile_run_artifacts(tmp_path):
     assert 0.999 in betas and 1.001 in betas
     assert_solver_diagnostics(payload["diagnostics"], [1, 2], extra=("profile_compression",))
     # a grid this short is never compressed, and the record says so
+    last = max(config.time_grid().values())
     for r in payload["diagnostics"]["per_seed"]:
         assert r["profile_compression"] == {
             "starts": 1600, "checkpoint": None, "rank": None, "tv_bound": 0.0,
+            "tail": False, "tail_spectrum": None, "meanfield_rate": 1.0 - 2 * 0.3,
+            "col_steps": 1600 * last,
         }
 
 
@@ -374,8 +377,10 @@ def assert_solver_diagnostics(diag: dict, seeds: list[int], extra: tuple = ()) -
 
 def test_compressed_profile_determinism_across_threads(tmp_path):
     # on the inverse-alpha clock the 400 start columns collapse onto a
-    # few after local mixing and only those are stepped on; the bytes
-    # must still not depend on the thread count
+    # few after local mixing, those are stepped once more, and the tail
+    # steps the rank x rank chain they span, whose second eigenvalue is
+    # near the mean field's 1 - 2 alpha; the bytes must still not depend
+    # on the thread count
     def run(tag: str, threads: int) -> bytes:
         config = super_config(
             str(tmp_path / tag), n=200, alpha=0.01, seeds=(1, 2, 3), threads=threads,
@@ -388,6 +393,11 @@ def test_compressed_profile_determinism_across_threads(tmp_path):
             assert record["checkpoint"] is not None
             assert record["rank"] < record["starts"] == 400
             assert record["tv_bound"] <= 0.5e-12
+            assert record["tail"] and len(record["tail_spectrum"]) == record["rank"]
+            assert record["meanfield_rate"] == 1.0 - 2 * 0.01
+            assert record["tail_spectrum"][0] == pytest.approx(1.0, abs=1e-12)
+            assert abs(record["tail_spectrum"][1] - record["meanfield_rate"]) < 5e-3
+            assert record["col_steps"] == 400 * record["checkpoint"] + record["rank"]
         return (tmp_path / tag / "profile.csv").read_bytes()
 
     assert run("flat", 1) == run("pooled", 4)
@@ -685,6 +695,10 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ({}, ["--seeds", "1,1", "--threads", "2"], r"seeds must be distinct, got \[1, 1\]"),
         ({"seeds": []}, [], "need at least one seed"),
         ({"seeds": [5, 7777782]}, [], "seeds 5 and 7777782 can re-draw one graph: .*"),
+        ({}, ["--seeds", "1,x"], "--seeds: 'x' is not an integer"),
+        ({}, ["--betas", "0.5,abc"], "--betas: 'abc' is not a number"),
+        ({}, ["--starts", "abc"], "--starts: 'abc' is not an integer"),
+        ({"beta_grid": [0.5, "abc"]}, [], "beta_grid: 'abc' is not a number"),
         (
             {"regime": "subcritical", "alpha": 0.3, "timescale": "inverse_alpha"},
             [],
@@ -698,13 +712,15 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
+         "bad_seed_flag", "bad_beta_flag", "bad_starts_flag", "bad_beta_key",
          "subcritical_on_alpha_clock", "critical_alpha_mismatch"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
     # its regime's limit is not stated on, with an alpha the critical
     # constant overrode, or, for two threads on one seed or two seeds one
-    # re-draw apart, writing the same graph file twice
+    # re-draw apart, writing the same graph file twice; a flag that is not
+    # a number is refused by its name
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags

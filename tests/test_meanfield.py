@@ -13,6 +13,7 @@ from dbmwalk.meanfield import (
     limiting_profile,
     q_matrix,
     q_power_matrix,
+    subdominant_eigenvalue,
 )
 
 
@@ -37,6 +38,14 @@ def test_closed_power_matches_repeated_multiplication():
                 want = np.linalg.matrix_power(q, t)
                 got = q_power_matrix(m, alpha, t)
                 assert np.abs(got - want).max() < 1e-12
+
+
+def test_subdominant_eigenvalue_is_the_kernels_second():
+    for m in (2, 3, 5):
+        for alpha in (0.002, 0.3, 1.0):
+            eigs = sorted(np.linalg.eigvals(q_matrix(m, alpha)).real, reverse=True)
+            assert eigs[0] == pytest.approx(1.0, abs=1e-14)
+            assert np.allclose(eigs[1:], subdominant_eigenvalue(m, alpha), atol=1e-14)
 
 
 def test_q_power_edge_cases():

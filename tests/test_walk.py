@@ -27,8 +27,12 @@ from dbmwalk.graph import DbmParams, Digraph, degrees, generate
 from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
+    PROFILE_COMPRESS_TOL,
     ProbVector,
+    _combine,
     _first_jumps,
+    _interpolative,
+    _mean_field_tail,
     _step_walkers,
     community_mass,
     entropy_and_entropic_time,
@@ -477,9 +481,87 @@ def test_profile_compresses_a_weakly_coupled_two_block_chain():
     want = plain_profile(graph, starts, times, ref)
     assert np.array_equal(prof.per_start[:, :2], want[:, :2])
     assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
+    # past the checkpoint the tail steps the 2 x 2 community chain, whose
+    # subdominant eigenvalue is the whole kernel's second one, 0.94934176...
+    assert prof.col_steps == 12 * prof.checkpoint + 2
+    kernel_moduli = sorted(np.abs(np.linalg.eigvals(dense_kernel(graph))), reverse=True)
+    assert abs(prof.tail_spectrum[1] - kernel_moduli[1]) <= 1e-12
+    assert want[:, -1].max() > 1e-9  # not yet mixed: rank 1 would not do
+
+
+@pytest.mark.parametrize("second", ["repeated", "zero"])
+def test_mean_field_tail_refuses_a_singular_fit(second):
+    # a basis whose second column adds nothing leaves the fit singular:
+    # the tail is refused, with no error and no floating-point warning
+    graph = two_block_digraph()
+    basis = np.zeros((12, 2))
+    basis[:6] = 1.0 / 6.0
+    if second == "zero":
+        basis[:, 1] = 0.0
+    stepped = transition_operator(graph) @ basis
+    assert _mean_field_tail(basis, stepped, np.eye(2), np.zeros(2), [3, 10]) is None
+
+
+def stepped_basis_profile(graph, starts, times, ref, checkpoint):
+    """TV per start at the times past ``checkpoint`` when the basis picked
+    there is stepped to the end and each start column formed from it."""
+    operator = transition_operator(graph)
+    cols = np.zeros((graph.vertex_count, starts.size))
+    cols[starts, np.arange(starts.size)] = 1.0
+    (block,) = propagate(operator, cols, [checkpoint])
+    picked, coef, _ = _interpolative(
+        block, min(starts.size // 4, checkpoint), PROFILE_COMPRESS_TOL
+    )
+    later = [t - checkpoint for t in times if t > checkpoint]
+    stepped = propagate(operator, block[:, picked], later)
+    return np.column_stack(
+        [0.5 * np.abs(_combine(b, coef) - ref.values[:, None]).sum(axis=0) for b in stepped]
+    )
+
+
+def test_profile_steps_the_basis_when_the_tail_is_not_certified():
+    # a rank-1 basis whose own misfit, summed over the 27 steps past the
+    # checkpoint, exceeds the budget: the basis is stepped on instead
+    graph = random_sc_digraph(np.random.default_rng(7), 8)
+    starts = np.arange(8)
+    times = [0, 40, 70, 91]
+    ref = ProbVector(dense_stationary(dense_kernel(graph)))
+    prof = mixing_profile(graph, starts, times, ref)
+    assert (prof.checkpoint, prof.rank, prof.step_matrix) == (64, 1, None)
+    assert prof.tail_spectrum is None and prof.col_steps == 8 * 64 + 91 - 64
+    want = plain_profile(graph, starts, times, ref)
+    assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
     # the basis columns are start columns stepped by the same product
     assert np.sum((prof.per_start == want).all(axis=1)) >= prof.rank
-    assert want[:, -1].max() > 1e-9  # not yet mixed: rank 1 would not do
+    later = np.asarray(times) > prof.checkpoint
+    assert np.array_equal(
+        prof.per_start[:, later], stepped_basis_profile(graph, starts, times, ref, 64)
+    )
+
+
+@DIFFERENTIAL
+@given(
+    n=st.integers(60, 100),
+    m=st.integers(2, 3),
+    lam=st.floats(3.0, 5.0),
+    alpha=st.floats(0.005, 0.02),
+    graph_seed=st.integers(0, 2**32 - 1),
+)
+def test_mean_field_tail_on_drawn_dbm_graphs(n, m, lam, alpha, graph_seed):
+    # supercritical graphs on the inverse-alpha clock: past local mixing
+    # the start columns collapse onto m local equilibria, the tail steps
+    # an m x m chain, and every value stays within its certificate
+    graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=graph_seed))
+    assume(graph.is_strongly_connected())
+    starts = np.arange(0, graph.vertex_count, 4)  # a quarter of every community
+    times = sorted({round(beta / alpha) for beta in (0.5, 1.0, 2.0)})
+    ref = stationary(graph)
+    prof = mixing_profile(graph, starts, times, ref)
+    assert prof.step_matrix is not None and prof.step_matrix.shape == (prof.rank,) * 2
+    assert prof.col_steps == starts.size * prof.checkpoint + prof.rank
+    assert prof.tv_bound <= 0.5e-12
+    want = plain_profile(graph, starts, times, ref)
+    assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
 
 
 def test_profile_is_not_compressed_on_short_grids_or_few_starts():
