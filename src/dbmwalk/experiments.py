@@ -527,7 +527,13 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
     first_order = qsd.iota_first_order(prm)
     cap = math.ceil(6 * config.t_ent * math.log(prm.n))
     rows = []
-    diag = {"seed": used, "local_stationary": [], "qsd": [], "mixing_time_exhaustive": []}
+    diag = {
+        "seed": used,
+        "local_stationary": [],
+        "qsd": [],
+        "mixing_time_exhaustive": [],
+        "return_mass_horizon": [],
+    }
     for i in range(prm.m):
         view = qsd.community_view(graph, table, i)
         sol = qsd.quasi_stationary(view)
@@ -538,6 +544,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         diag["qsd"].append({"iterations": sol.iterations, "residual": sol.residual})
         diag["mixing_time_exhaustive"].append(exhaustive)
         mass = qsd.return_mass(merged, t_mix)
+        diag["return_mass_horizon"].append(mass.t_horizon)
         hit = qsd.hitting_time_estimates(view, mass)
         rows.append(
             [

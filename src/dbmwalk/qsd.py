@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, DegreeTable, Digraph, pre_rewiring_subgraph
@@ -37,6 +37,15 @@ from .walk import (
 )
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
+# rounding allowance where a support bound or an earlier TV stands in for
+# the TV the dense loop computes: a step or a TV sum over 10^5 states is
+# off by about 1e-11, and a wider margin only keeps a column in the block,
+# or a TV check, for longer
+MIX_MARGIN = 1e-6
+# fill of the sparse start block past which it is stepped dense: a CSR
+# step cost as much as a dense one from about 5-10% fill, at 65 columns
+# on 19.2k states and at 2170 columns on 2170 states
+SPARSE_FILL_LIMIT = 0.05
 HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 
@@ -227,16 +236,45 @@ def mixing_time_estimate(
     as witness: every state when ``k`` is None or the merged space is
     small, otherwise k states drawn from ``rng``, which makes the result
     a lower estimate (flagged by the returned bool = False).
+
+    The answer is that of stepping every start as one dense block and
+    checking TV after each step; two things make it cheaper.  The
+    point-mass block is stepped as CSR until its fill passes
+    SPARSE_FILL_LIMIT: CSR times CSR sums each entry over the operator's
+    row in the dense product's order and leaves out only exact zeros, so
+    its columns are the dense ones bit for bit.  While it is sparse, the
+    TV check is skipped when some column's support misses more than
+    1/(2e) + MIX_MARGIN of pi~, as TV >= 1 - pi~(support).  And columns
+    whose TV is MIX_MARGIN below 1/(2e) leave the block once at most
+    half of it is left (narrowing copies the block): pi~ is stationary,
+    so TV from a fixed start never rises, and they cannot decide t.
     """
     ns = merged.n_states
     starts = select_starts(ns, rng, k, witnesses=[merged.merged_index])
-    cols = np.zeros((ns, starts.size))
-    cols[starts, np.arange(starts.size)] = 1.0
-    ref = merged.pi_tilde.values[:, None]
-    stepped = propagate(merged.operator, cols, range(1, cap + 1))
-    for t, cols in enumerate(stepped, start=1):
-        if 0.5 * np.abs(cols - ref).sum(axis=0).max() <= MIX_THRESHOLD:
+    pi = merged.pi_tilde.values
+    block = csr_matrix(
+        (np.ones(starts.size), (starts, np.arange(starts.size))), shape=(ns, starts.size)
+    )
+    for t in range(1, cap + 1):
+        block = merged.operator @ block
+        if issparse(block):
+            support = csr_matrix((np.ones(block.nnz), block.indices, block.indptr), block.shape)
+            unmixed = 1.0 - (support.T @ pi).min() > MIX_THRESHOLD + MIX_MARGIN
+            if not unmixed or block.nnz > SPARSE_FILL_LIMIT * ns * block.shape[1]:
+                block = block.toarray()
+            if unmixed:
+                continue
+        diff = block - pi[:, None]
+        tv = 0.5 * np.abs(diff, out=diff).sum(axis=0)
+        del diff  # freed before the block is narrowed
+        if tv.max() <= MIX_THRESHOLD:
             return t, starts.size == ns
+        # numpy sums axis 0 of a block two or more columns wide row by row,
+        # as it sums the full block, but a lone column pairwise: keep two
+        keep = tv > MIX_THRESHOLD - MIX_MARGIN
+        keep[np.argsort(tv)[-2:]] = True
+        if 2 * keep.sum() <= keep.size:
+            block = block[:, keep]
     raise RuntimeError(f"merged kernel did not mix within the cap of {cap} steps")
 
 

@@ -1,4 +1,4 @@
-"""Shared builders: synthetic digraphs and dense reference kernels.
+"""Shared builders: synthetic digraphs, dense reference kernels and loops.
 
 Everything here is an independent re-derivation used as an oracle; none
 of it calls back into the package's sparse fast paths beyond the plain
@@ -7,11 +7,18 @@ Digraph container.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dbmwalk.graph import DbmParams, Digraph, generate
 from dbmwalk.walk import ProbVector
+
+
+# a fixed, derandomised hypothesis example set: the same cases on every run
+DIFFERENTIAL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 def digraph_from_edges(n_vertices: int, edges: list[tuple[int, int]], m: int = 1,
@@ -92,6 +99,26 @@ def dense_stationary(kernel: np.ndarray) -> np.ndarray:
     b = np.zeros(k)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def dense_start_steps(operator, pi: np.ndarray, starts: np.ndarray, cap: int):
+    """Every start stepped as one dense block, as ``operator @ columns``.
+
+    Returns the blocks and their columns' TV to ``pi`` after steps
+    1, 2, ..., ending at the first step whose worst TV is at most
+    1/(2e), or at ``cap``: the reference the merged mixing time's
+    sparse and dropped-start steps must reproduce bit for bit.
+    """
+    cols = np.zeros((operator.shape[0], starts.size))
+    cols[starts, np.arange(starts.size)] = 1.0
+    blocks, tvs = [], []
+    for _ in range(cap):
+        cols = operator @ cols
+        blocks.append(cols)
+        tvs.append(0.5 * np.abs(cols - pi[:, None]).sum(axis=0))
+        if tvs[-1].max() <= 1.0 / (2.0 * math.e):
+            break
+    return blocks, tvs
 
 
 def meanfield_tv(m: int, alpha: float, t: int) -> float:

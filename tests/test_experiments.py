@@ -439,11 +439,18 @@ def test_qsd_run_artifacts(tmp_path):
     for diag in records:
         assert sorted(diag) == [
             "local_stationary", "mixing_time_exhaustive", "qsd", "restart_censored",
-            "seed", "tau_jump_censored",
+            "return_mass_horizon", "seed", "tau_jump_censored",
         ]
         assert len(diag["qsd"]) == config.params.m
         assert all(r["residual"] < STATIONARY_TOL and r["iterations"] > 0 for r in diag["qsd"])
         assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+        # the horizon return_mass used, t_mix * log(1 / min pi~) > t_mix,
+        # per community
+        csv = (tmp_path / f"qsd_seed{diag['seed']}.csv").read_text().splitlines()[1:]
+        t_mix = [int(row.split(",")[4]) for row in csv]
+        horizons = diag["return_mass_horizon"]
+        assert len(horizons) == config.params.m
+        assert all(isinstance(h, int) and h > t for h, t in zip(horizons, t_mix))
         assert len(diag["local_stationary"]) == config.params.m
         assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
         assert 0 <= diag["tau_jump_censored"] <= 600

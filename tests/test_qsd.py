@@ -7,22 +7,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from conftest import (
+    DIFFERENTIAL,
     complete_digraph,
     delta,
     dense_kernel,
     dense_stationary,
+    dense_start_steps,
     digraph_from_edges,
     random_sc_digraph,
     uniform,
 )
 from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
+    MIX_MARGIN,
+    MIX_THRESHOLD,
     CommunityView,
     MergedKernel,
     build_merged_kernel,
@@ -37,10 +41,12 @@ from dbmwalk.qsd import (
     survival_curve,
 )
 from dbmwalk.walk import (
+    START_STATE_LIMIT,
     STATIONARY_TOL,
     ProbVector,
     jump_target_frequencies,
     local_stationary,
+    select_starts,
     stationary,
 )
 
@@ -387,6 +393,118 @@ def test_mixing_time_cap_and_sampled_mode():
     )
     assert not exhaustive
     assert t_mix == 1
+
+
+class RecordingOperator:
+    """A merged operator that keeps every block it returns."""
+
+    def __init__(self, operator: csr_matrix):
+        self.operator, self.shape, self.products = operator, operator.shape, []
+
+    def __matmul__(self, block):
+        out = self.operator @ block
+        self.products.append(out)
+        return out
+
+
+def kept_columns(product: np.ndarray, reference: np.ndarray) -> list[int]:
+    """The reference columns ``product`` holds bit for bit, in order."""
+    kept, k = [], 0
+    for j in range(product.shape[1]):
+        while not np.array_equal(product[:, j], reference[:, k]):
+            k += 1  # an IndexError here is a column no start produces
+        kept.append(k)
+        k += 1
+    return kept
+
+
+def check_against_dense_loop(merged: MergedKernel, cap: int, seed: int) -> list[tuple[bool, int]]:
+    """``mixing_time_estimate`` against ``dense_start_steps`` on its starts.
+
+    Sparse products must be the whole dense block; dense ones a subset
+    of its columns, the others dropped only once their TV was MIX_MARGIN
+    below 1/(2e), and only where they stay mixed until t.  Returns, for
+    each step, whether its product was sparse and the block's width.
+    """
+    recorder = RecordingOperator(merged.operator)
+    got = mixing_time_estimate(
+        MergedKernel(recorder, merged.pi_tilde), cap, np.random.default_rng(seed)
+    )
+    starts = select_starts(
+        merged.n_states, np.random.default_rng(seed), witnesses=[merged.merged_index]
+    )
+    blocks, tvs = dense_start_steps(merged.operator, merged.pi_tilde.values, starts, cap)
+    assert tvs[-1].max() <= MIX_THRESHOLD
+    assert got == (len(blocks), starts.size == merged.n_states)
+    assert len(recorder.products) == len(blocks)
+    steps, kept = [], list(range(starts.size))
+    for s, product in enumerate(recorder.products):
+        if issparse(product):
+            assert np.array_equal(product.toarray(), blocks[s])
+            now = list(range(starts.size))
+        else:
+            now = kept_columns(product, blocks[s])
+        dropped = sorted(set(kept) - set(now))
+        assert set(now) <= set(kept)
+        # a column leaves once its TV is MIX_MARGIN below the threshold,
+        # and it stays mixed until t, so it could not have decided t
+        assert all(tvs[s - 1][k] <= MIX_THRESHOLD - MIX_MARGIN for k in dropped)
+        assert all(tv[k] <= MIX_THRESHOLD for tv in tvs[s - 1 :] for k in dropped)
+        if s and not issparse(recorder.products[s - 1]):
+            # a dense step is always checked, and the mixed columns but the
+            # two worst leave the block once at most half of it is left
+            tv = tvs[s - 1][kept]
+            worst = {kept[j] for j in np.argsort(tv)[-2:]}
+            left = {k for k, v in zip(kept, tv) if v > MIX_THRESHOLD - MIX_MARGIN} | worst
+            assert set(now) == (left if 2 * len(left) <= len(kept) else set(kept))
+        kept = now
+        steps.append((issparse(product), len(now)))
+    return steps
+
+
+def test_mixing_time_drops_a_start_that_has_mixed():
+    # P = (1 - a) I + a 1 pi^T mixes start x with TV (1 - pi_x) (1 - a)^t:
+    # starts 0 and 1 (pi 0.35) are at 0.1625 after two steps and leave
+    # the block, the others reach 0.10625 at t = 3
+    pi = np.array([0.35, 0.35, 0.15, 0.15])
+    kernel = 0.5 * np.eye(4) + 0.5 * np.outer(np.ones(4), pi)
+    merged = MergedKernel(operator=csr_matrix(kernel.T), pi_tilde=ProbVector(pi, "merged:0"))
+    assert check_against_dense_loop(merged, cap=10, seed=0) == [(True, 4), (False, 4), (False, 2)]
+    assert mixing_time_estimate(merged, cap=10) == (3, True)
+
+
+@DIFFERENTIAL
+@given(
+    sampled=st.booleans(),
+    graph_seed=st.integers(0, 2**31 - 1),
+    i=st.integers(0, 1),
+    data=st.data(),
+)
+def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_seed, i, data):
+    # exhaustive starts on small communities, 64 sampled starts plus the
+    # gate state once the merged space passes START_STATE_LIMIT
+    if sampled:
+        params = DbmParams(
+            n=data.draw(st.integers(2100, 2300)), m=2, lam=2.0, alpha=0.001, seed=graph_seed
+        )
+    else:
+        params = DbmParams(
+            n=data.draw(st.integers(60, 400)),
+            m=2,
+            lam=data.draw(st.floats(1.5, 3.0)),
+            alpha=data.draw(st.floats(0.005, 0.05)),
+            seed=graph_seed,
+        )
+    graph, table = generate(params, graph_seed)
+    lo = i * params.n
+    assume(table.d_rewired_out[lo : lo + params.n].any())
+    assume(pre_rewiring_subgraph(graph, i).is_strongly_connected())
+    merged = build_merged_kernel(community_view(graph, table, i))
+    assert (merged.n_states > START_STATE_LIMIT) == sampled
+    steps = check_against_dense_loop(merged, cap=200, seed=graph_seed)
+    # point masses are stepped sparse, and past 2000 states the block is
+    # still below the fill limit after one step
+    assert steps[0][0] and (steps[1][0] or not sampled)
 
 
 def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):

@@ -6,11 +6,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
+    DIFFERENTIAL,
     complete_digraph,
     cycle_digraph,
     delta,
@@ -50,9 +51,6 @@ from dbmwalk.walk import (
     transition_operator,
     tv_distance,
 )
-
-# a fixed, derandomised example set: the same cases on every run
-DIFFERENTIAL = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 def test_probvector_basics():
