@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the run_* functions in ``experiments``.
 A JSON config file can prefill any option; explicit flags win.  The
 exit code is 0 when every acceptance verdict in the run's manifest
-passed, 1 when one failed, and 2 when the input was refused: a config
-that cannot be read or is invalid, or a manifest ``report`` cannot read.
-A refusal prints one ``dbmwalk <command>: <message>`` line to stderr.
+passed, 1 when one failed, 2 when the input was refused: a config
+that cannot be read or is invalid, or a manifest ``report`` cannot read,
+and 3 when a valid run could not finish, such as when no acceptable
+graph could be drawn.  A refusal or an unfinished run prints one
+``dbmwalk <command>: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .experiments import (
     run_proxy_experiment,
     run_qsd_experiment,
 )
-from .graph import DbmParams
+from .graph import DbmParams, require_real
 from .walk import SAMPLED_STARTS, START_STATE_LIMIT
 
 _DEFAULT_BETAS = {
@@ -81,7 +83,13 @@ def _read_json(path) -> object:
 
 
 def _number(option: str, text: object, kind: type) -> int | float:
-    """``kind(text)``; a ValueError names the flag or file key and the value."""
+    """``kind(text)``; a ValueError names the flag or file key and the value.
+
+    A value that is not text came from the config file as a JSON value,
+    which must already be a number: ``kind`` would turn true into 1.
+    """
+    if not isinstance(text, str):
+        require_real(option, text)
     try:
         return kind(text)
     except ValueError:
@@ -195,7 +203,12 @@ def main(argv: list[str] | None = None) -> int:
         "annealed": run_annealed_experiment,
         "proxy": run_proxy_experiment,
     }[args.command]
-    return _finish(runner(config))
+    try:
+        manifest = runner(config)
+    except (RuntimeError, ValueError) as exc:  # e.g. no acceptable graph could be drawn
+        print(f"dbmwalk {args.command}: {exc}", file=sys.stderr)
+        return 3
+    return _finish(manifest)
 
 
 if __name__ == "__main__":

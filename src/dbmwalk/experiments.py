@@ -32,6 +32,7 @@ from .graph import (
     generate,
     pre_rewiring_subgraph,
     require_int,
+    require_real,
     save_binary,
 )
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
@@ -130,6 +131,10 @@ class ExperimentConfig:
             require_int("seed", seed)
         require_int("sample_starts", self.sample_starts)
         require_int("threads", self.threads)
+        if self.c is not None:
+            require_real("c", self.c)
+        for beta in self.beta_grid:
+            require_real("beta_grid", beta)
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.timescale not in TIMESCALES:

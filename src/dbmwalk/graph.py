@@ -34,6 +34,12 @@ def require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Refuse a parameter that is not a real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DbmParams:
     """Model parameters. ``lam`` is the edge-density constant lambda."""
@@ -47,6 +53,8 @@ class DbmParams:
     def __post_init__(self) -> None:
         require_int("n", self.n)
         require_int("m", self.m)
+        require_real("lambda", self.lam)
+        require_real("alpha", self.alpha)
         if self.n < 2:
             raise ValueError(f"community size n must be >= 2, got {self.n}")
         if self.m < 2:
@@ -292,7 +300,7 @@ def load_binary(path: str) -> Digraph:
     """Read a graph written by ``save_binary``.
 
     A ValueError naming ``path`` rejects a broken archive, a member of a
-    dtype a cast would truncate, a broken graph, and stored rewired flags
+    dtype a cast would truncate or misread, a broken graph, and stored rewired flags
     other than the ones the targets imply.
     """
     try:
@@ -304,7 +312,7 @@ def load_binary(path: str) -> Digraph:
             if int(_member(data, "format_version")[0]) != FORMAT_VERSION:
                 raise ValueError("unsupported format version")
             n, m, seed = (int(x) for x in _member(data, "shape"))
-            lam, alpha = (float(x) for x in data["reals"])
+            lam, alpha = (float(x) for x in _member(data, "reals", np.floating))
             params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
             graph = Digraph(n, m, _member(data, "indptr"), _member(data, "targets"), params=params)
             stored = _member(data, "rewired", np.bool_)

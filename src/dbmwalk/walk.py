@@ -72,12 +72,11 @@ class MixingProfile:
 
     ``col_steps`` counts the column-steps of the sparse product actually
     taken.  When the start block was compressed, ``checkpoint`` is the
-    step at which it happened, ``rank`` the number r of basis columns,
-    and ``tv_bound`` the certified bound on how far any later value may
-    lie from the uncompressed one (None, None and 0.0 when every start
-    was stepped to the end).  ``step_matrix`` is the r x r matrix C of
-    the mean-field tail when the basis was stepped only once and every
-    later column formed as B C^s a_x, and None otherwise.
+    step at which it happened, ``rank`` the number r of basis columns B,
+    ``step_matrix`` the r x r matrix C of the mean-field tail that formed
+    every later column as B C^s a_x, and ``tv_bound`` the certified bound
+    on how far any later value may lie from the uncompressed one.  When
+    every start was stepped to the end they are None, None, None and 0.0.
     """
 
     times: np.ndarray
@@ -313,18 +312,19 @@ def mixing_profile(
 
     The K start columns are stepped together.  At the checkpoints
     PROFILE_CHECKPOINT, twice that, four times that, ... before the last
-    time, the block is offered to ``_interpolative``.  Once every column
-    c_x lies within PROFILE_COMPRESS_TOL in L1 of B a_x, where B is
-    r <= min(K/4, checkpoint) of the block's own columns, B is stepped
-    once more and ``_mean_field_tail`` fits the r x r matrix C with
-    B C ~ P^T B.  When its certificate allows, each later column is
-    formed as B C^s a_x, s steps past the checkpoint, and the sparse
-    product is not applied again; otherwise B is stepped on and each
-    later column is formed as B a_x.  Short grids and fewer than four
-    starts are never compressed, so they give the plain values exactly.
-    P^T does not increase the L1 norm of a signed vector, so each later
-    value lies within half the certified L1 misfit of the uncompressed
-    one; ``tv_bound`` is the largest such bound.  Supercritical walks
+    time, the block is offered to ``_compress``.  It picks r <= min(K/4,
+    checkpoint) of the block's own columns B with every column c_x
+    within PROFILE_COMPRESS_TOL in L1 of B a_x, fits the r x r matrix C
+    with B C ~ P^T B, and certifies that every later column formed as
+    B C^s a_x, s steps past the checkpoint, stays within that tolerance
+    too.  The first certified checkpoint ends the sparse product: each
+    later column is formed from B and C alone.  A refused screen or tail
+    leaves the full block stepping on to the next checkpoint, and past
+    the last one to the end, so short grids, fewer than four starts and
+    uncertified tails give the plain values exactly.  P^T does not
+    increase the L1 norm of a signed vector, so each later value lies
+    within half the certified L1 misfit of the uncompressed one;
+    ``tv_bound`` is the largest such bound.  Supercritical walks
     collapse onto the m local equilibria after local mixing, so B then
     has about m columns and C is the m-state community chain.
     """
@@ -351,123 +351,109 @@ def mixing_profile(
         checkpoints.append(t)
         t *= 2
     schedule = sorted(recorded.union(checkpoints))
-    fit = None
     for t, cols in zip(schedule, propagate(operator, cols, schedule)):
         if t in recorded:
             record(t, cols)
         if t in checkpoints:
+            later = [s - t for s in sorted(recorded) if s > t]
             # capping r at t keeps a failed screen's O(n K r) within about
             # the cost of the t block steps already taken
-            fit = _interpolative(cols, min(max_rank, t), PROFILE_COMPRESS_TOL)
+            fit = _compress(operator, cols, min(max_rank, t), later)
             if fit is not None:
-                checkpoint = t
                 break
-    if fit is None:
-        return MixingProfile(times=times, per_start=per_start, col_steps=starts.size * last)
-    picked, coef, residual = fit
-    basis = cols[:, picked]
-    del cols  # only the basis is needed from here on
-    stepped = operator @ basis
-    later = [s - checkpoint for s in sorted(recorded) if s > checkpoint]
-    tail = _mean_field_tail(basis, stepped, coef, residual, later)
-    if tail is None:  # step the basis on, as if there were no tail
-        step_matrix, misfit, basis_steps = None, residual, later[-1]
-        blocks = (
-            _combine(b, coef) for b in propagate(operator, stepped, [s - 1 for s in later])
-        )
     else:
-        step_matrix, powers, misfit = tail
-        basis_steps = 1
-        blocks = (_combine(basis, w) for w in powers)  # formed one at a time
-    for s, block in zip(later, blocks):
-        record(checkpoint + s, block)
+        return MixingProfile(times=times, per_start=per_start, col_steps=starts.size * last)
+    del cols  # only the basis is needed from here on
+    basis, step_matrix, powers, misfit = fit
+    for s, power in zip(later, powers):
+        record(t + s, _combine(basis, power))  # formed one at a time
+    rank = basis.shape[1]
     return MixingProfile(
         times=times,
         per_start=per_start,
-        col_steps=starts.size * checkpoint + len(picked) * basis_steps,
-        checkpoint=checkpoint,
-        rank=len(picked),
+        col_steps=starts.size * t + rank,
+        checkpoint=t,
+        rank=rank,
         tv_bound=0.5 * float(misfit.max()),
         step_matrix=step_matrix,
     )
 
 
-def _mean_field_tail(
-    basis: np.ndarray,
-    stepped: np.ndarray,
-    coef: np.ndarray,
-    residual: np.ndarray,
-    steps: list[int],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray] | None:
-    """Step the r x r restriction of P^T to the basis instead of the basis.
+def _compress(
+    operator: csr_matrix, block: np.ndarray, max_rank: int, steps: list[int]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray] | None:
+    """Compress ``block`` onto a few of its columns and a mean-field tail.
 
-    Fits C with basis @ C ~ stepped = P^T basis (Rayleigh-Ritz on an
-    approximately invariant subspace; Saad 2011, ch. 4) and measures each
-    basis column's misfit e_k = ||stepped_k - (basis C)_k||_1.  Since
-    (P^T)^s B - B C^s = sum_{j<s} (P^T)^(s-1-j) (P^T B - B C) C^j and P^T
-    does not increase the L1 norm, column x is within
-    residual_x + sum_{j<s} sum_k e_k |(C^j a_x)_k| of B C^s a_x at step s,
-    whatever C is.  Returns (C, [C^s a for s in steps], that total at the
-    last step) when it lies within PROFILE_COMPRESS_TOL for every column,
-    and None otherwise, a singular fit included.
+    ``_pivoted_gram_schmidt`` picks the columns B = block[:, picked] at
+    the first rank whose least-squares residuals all lie within
+    PROFILE_COMPRESS_TOL in L1.  The coefficients a_x are solved from
+    its triangular factor (exact unit columns for the picks themselves),
+    and each column's residual is recomputed from them as it will be
+    formed.  C with B C ~ S = P^T B is the least-squares fit
+    (Rayleigh-Ritz on an approximately invariant subspace; Saad 2011,
+    ch. 4): S is projected onto the screen's orthonormal rows in the
+    same modified Gram-Schmidt order and solved with the same triangular
+    factor, whose diagonal holds the picks' positive residual norms.
+    With e_k = ||S_k - (B C)_k||_1 the misfit of each basis column,
+    (P^T)^s B - B C^s = sum_{j<s} (P^T)^(s-1-j) (S - B C) C^j, and P^T
+    does not increase the L1 norm, column x is within residual_x +
+    sum_{j<s} sum_k e_k |(C^j a_x)_k| of B C^s a_x at step s, whatever
+    C is.  Returns (B, C, [C^s a for s in steps], that total at the last
+    step) when it lies within PROFILE_COMPRESS_TOL for every column at
+    every step, and None otherwise.
     """
-    wanted = set(steps)
-    with np.errstate(all="ignore"):  # a singular fit shows up as a NaN total
-        step_matrix = _least_squares(basis, stepped)
-        e = np.abs(stepped - _combine(basis, step_matrix)).sum(axis=0)
-        total = residual.copy()
-        power = coef
-        powers = []
-        for s in range(1, steps[-1] + 1):
-            total += (e[:, None] * np.abs(power)).sum(axis=0)
-            if not total.max() <= PROFILE_COMPRESS_TOL:  # NaN fails too
-                return None
-            power = _combine(step_matrix, power)
-            if s in wanted:
-                powers.append(power)
-    return step_matrix, powers, total
-
-
-def _interpolative(
-    block: np.ndarray, max_rank: int, tol: float
-) -> tuple[list[int], np.ndarray, np.ndarray] | None:
-    """Interpolative decomposition block ~ block[:, picked] @ coef, or None.
-
-    ``_pivoted_gram_schmidt`` finds the first rank whose least-squares
-    residuals all lie within ``tol`` in L1.  The coefficients are then
-    solved from its triangular factor (exact unit columns for the picks
-    themselves), and each column's residual is recomputed from them as
-    the caller will form it.  Returns (picked, coef, residuals) if those
-    also lie within ``tol``.
-    """
-    screened = _pivoted_gram_schmidt(block, max_rank, tol)
+    screened = _pivoted_gram_schmidt(block, max_rank, PROFILE_COMPRESS_TOL)
     if screened is None:
         return None
-    picked, upper = screened
-    coef = _back_substitute(upper[:, picked], upper)
+    picked, upper, ortho = screened
+    triangle = upper[:, picked]
+    coef = _back_substitute(triangle, upper)
     coef[:, picked] = np.eye(len(picked))
-    approx = _combine(block[:, picked], coef)
-    residual = np.abs(np.subtract(block, approx, out=approx), out=approx).sum(axis=0)
-    return (picked, coef, residual) if residual.max() <= tol else None
+    basis = block[:, picked]
+    approx = _combine(basis, coef)
+    total = np.abs(np.subtract(block, approx, out=approx), out=approx).sum(axis=0)
+    if not total.max() <= PROFILE_COMPRESS_TOL:
+        return None
+    stepped = operator @ basis
+    rows = stepped.T.copy()
+    projected = np.zeros((len(picked), rows.shape[0]))
+    for i, q in enumerate(ortho):
+        projected[i] = (rows * q).sum(axis=1)
+        rows -= projected[i][:, None] * q
+    step_matrix = _back_substitute(triangle, projected)
+    e = np.abs(stepped - _combine(basis, step_matrix)).sum(axis=0)
+    wanted = set(steps)
+    power = coef
+    powers = []
+    for s in range(1, steps[-1] + 1):
+        total += (e[:, None] * np.abs(power)).sum(axis=0)
+        if not total.max() <= PROFILE_COMPRESS_TOL:  # NaN fails too
+            return None
+        power = _combine(step_matrix, power)
+        if s in wanted:
+            powers.append(power)
+    return basis, step_matrix, powers, total
 
 
 def _pivoted_gram_schmidt(
     block: np.ndarray, max_rank: int, tol: float
-) -> tuple[list[int], np.ndarray] | None:
+) -> tuple[list[int], np.ndarray, list[np.ndarray]] | None:
     """Pick columns by column-pivoted modified Gram-Schmidt.
 
     After r picks, the residual left in each column is its least-squares
     misfit on the picks, so screening every rank up to ``max_rank`` costs
     O(n K max_rank) in all.  Stops at the first rank whose residuals all
     lie within ``tol`` in L1 and returns (picked, rows of the upper
-    triangular factor), or None.  The columns are held as rows, so every
-    inner product is a numpy pairwise sum: more accurate than a running
-    sum over n, and independent of the BLAS thread count.
+    triangular factor, the orthonormal rows in pick order), or None.
+    The columns are held as rows, so every inner product is a numpy
+    pairwise sum: more accurate than a running sum over n, and
+    independent of the BLAS thread count.
     """
     resid = block.T.copy()
     work = np.empty_like(resid)
     upper = np.zeros((max_rank, block.shape[1]))
     picked: list[int] = []
+    ortho: list[np.ndarray] = []
     for r in range(max_rank):
         norms = np.square(resid, out=work).sum(axis=1)
         pick = int(np.argmax(norms))
@@ -475,25 +461,10 @@ def _pivoted_gram_schmidt(
         upper[r] = np.multiply(resid, q, out=work).sum(axis=1)
         resid -= np.multiply(upper[r][:, None], q, out=work)
         picked.append(pick)
+        ortho.append(q)
         if np.abs(resid, out=work).sum(axis=1).max() <= tol:
-            return picked, upper[: r + 1]
+            return picked, upper[: r + 1], ortho
     return None
-
-
-def _least_squares(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The x minimising every column's ||basis @ x - rhs||_2.
-
-    Modified Gram-Schmidt on the basis columns, held as rows with numpy
-    pairwise sums as in ``_pivoted_gram_schmidt``, then back substitution.
-    """
-    r = basis.shape[1]
-    rows = np.concatenate([basis.T, rhs.T])
-    upper = np.zeros((r, rows.shape[0]))
-    for i in range(r):
-        q = rows[i] / math.sqrt(np.square(rows[i]).sum())
-        upper[i] = (rows * q).sum(axis=1)
-        rows -= upper[i][:, None] * q
-    return _back_substitute(upper[:, :r], upper[:, r:])
 
 
 def _back_substitute(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:

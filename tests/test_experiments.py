@@ -716,11 +716,15 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
             [],
             r"critical regime pins alpha = 1/\(c\*t_ent\) = 0\.246087, config has 0\.02",
         ),
+        ({"lambda": True}, [], "lambda must be a real number, got True"),
+        ({"regime": "critical", "c": True}, [], "c must be a real number, got True"),
+        ({"beta_grid": [True, 2]}, [], "beta_grid must be a real number, got True"),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
          "bad_seed_flag", "bad_beta_flag", "bad_starts_flag", "bad_beta_key",
-         "subcritical_on_alpha_clock", "critical_alpha_mismatch"],
+         "subcritical_on_alpha_clock", "critical_alpha_mismatch",
+         "bool_lambda", "bool_c", "bool_beta"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
@@ -733,6 +737,16 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags
     assert_refused(capsys, argv, f"^invalid configuration: {message}$")
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_run_that_cannot_finish_exits_3(tmp_path, capsys):
+    # at lambda = 1 an n = 300 graph sits at the connectivity threshold,
+    # and every re-draw of seed 1 is rejected: a valid config, no run
+    argv = ["generate", "--n", "300", "--lambda", "1", "--alpha", "0.02", "--seeds", "1"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "dbmwalk generate: graph rejected 6 consecutive times (seed 1)\n"
 
 
 @pytest.mark.parametrize(

@@ -317,6 +317,14 @@ def integer_flags(a):
     a["rewired"] = a["rewired"].astype(np.int64)
 
 
+def bool_reals(a):
+    a["reals"] = a["reals"].astype(np.bool_)
+
+
+def string_reals(a):
+    a["reals"] = a["reals"].astype("<U3")
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -333,12 +341,14 @@ def integer_flags(a):
         (fractional_n, "shape has dtype float64, not integer"),
         (float_version, "format_version has dtype float64, not integer"),
         (integer_flags, "rewired has dtype int64, not bool"),
+        (bool_reals, "reals has dtype bool, not floating"),
+        (string_reals, "reals has dtype <U3, not floating"),
     ],
     ids=[
         "self_loop", "unsorted_targets", "target_out_of_range", "flag_mismatch",
         "short_indptr", "missing_member", "short_shape", "empty_version",
         "fractional_indptr", "fractional_targets", "fractional_n", "float_version",
-        "integer_flags",
+        "integer_flags", "bool_reals", "string_reals",
     ],
 )
 def test_load_binary_rejects_broken_graphs(tmp_path, corrupt, message):

@@ -30,10 +30,9 @@ from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     PROFILE_COMPRESS_TOL,
     ProbVector,
-    _combine,
+    _compress,
     _first_jumps,
-    _interpolative,
-    _mean_field_tail,
+    _pivoted_gram_schmidt,
     _step_walkers,
     community_mass,
     entropy_and_entropic_time,
@@ -487,54 +486,31 @@ def test_profile_compresses_a_weakly_coupled_two_block_chain():
     assert want[:, -1].max() > 1e-9  # not yet mixed: rank 1 would not do
 
 
-@pytest.mark.parametrize("second", ["repeated", "zero"])
-def test_mean_field_tail_refuses_a_singular_fit(second):
-    # a basis whose second column adds nothing leaves the fit singular:
-    # the tail is refused, with no error and no floating-point warning
+def test_compression_fit_is_the_least_squares_step_matrix():
+    # C is fitted from the screen's own orthonormal rows and triangular
+    # factor; it is the least-squares solution of B C = P^T B
     graph = two_block_digraph()
-    basis = np.zeros((12, 2))
-    basis[:6] = 1.0 / 6.0
-    if second == "zero":
-        basis[:, 1] = 0.0
-    stepped = transition_operator(graph) @ basis
-    assert _mean_field_tail(basis, stepped, np.eye(2), np.zeros(2), [3, 10]) is None
-
-
-def stepped_basis_profile(graph, starts, times, ref, checkpoint):
-    """TV per start at the times past ``checkpoint`` when the basis picked
-    there is stepped to the end and each start column formed from it."""
     operator = transition_operator(graph)
-    cols = np.zeros((graph.vertex_count, starts.size))
-    cols[starts, np.arange(starts.size)] = 1.0
-    (block,) = propagate(operator, cols, [checkpoint])
-    picked, coef, _ = _interpolative(
-        block, min(starts.size // 4, checkpoint), PROFILE_COMPRESS_TOL
-    )
-    later = [t - checkpoint for t in times if t > checkpoint]
-    stepped = propagate(operator, block[:, picked], later)
-    return np.column_stack(
-        [0.5 * np.abs(_combine(b, coef) - ref.values[:, None]).sum(axis=0) for b in stepped]
-    )
+    (block,) = propagate(operator, np.eye(12), [32])
+    basis, step_matrix, _, _ = _compress(operator, block, 3, [68])
+    want, *_ = np.linalg.lstsq(basis, operator @ basis, rcond=None)
+    assert basis.shape[1] == 2 and np.abs(step_matrix - want).max() <= 1e-12
 
 
-def test_profile_steps_the_basis_when_the_tail_is_not_certified():
-    # a rank-1 basis whose own misfit, summed over the 27 steps past the
-    # checkpoint, exceeds the budget: the basis is stepped on instead
+def test_profile_is_not_compressed_when_the_tail_is_not_certified():
+    # the screen at 64 passes with rank 1, but that basis column's own
+    # misfit, summed over the 27 steps past the checkpoint, exceeds the
+    # budget: the full block steps on to the end, as if never screened
     graph = random_sc_digraph(np.random.default_rng(7), 8)
     starts = np.arange(8)
     times = [0, 40, 70, 91]
     ref = ProbVector(dense_stationary(dense_kernel(graph)))
+    (block,) = propagate(transition_operator(graph), np.eye(8), [64])
+    assert _pivoted_gram_schmidt(block, 2, PROFILE_COMPRESS_TOL)[0] == [1]
     prof = mixing_profile(graph, starts, times, ref)
-    assert (prof.checkpoint, prof.rank, prof.step_matrix) == (64, 1, None)
-    assert prof.tail_spectrum is None and prof.col_steps == 8 * 64 + 91 - 64
-    want = plain_profile(graph, starts, times, ref)
-    assert np.abs(prof.per_start - want).max() <= prof.tv_bound + 1e-15
-    # the basis columns are start columns stepped by the same product
-    assert np.sum((prof.per_start == want).all(axis=1)) >= prof.rank
-    later = np.asarray(times) > prof.checkpoint
-    assert np.array_equal(
-        prof.per_start[:, later], stepped_basis_profile(graph, starts, times, ref, 64)
-    )
+    assert (prof.checkpoint, prof.rank, prof.step_matrix) == (None, None, None)
+    assert prof.tail_spectrum is None and prof.col_steps == 8 * 91
+    assert np.array_equal(prof.per_start, plain_profile(graph, starts, times, ref))
 
 
 @DIFFERENTIAL
