@@ -20,7 +20,7 @@ from .rng import NS_TRAJECTORY, derived_rng
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
-PROFILE_CHECKPOINT = 16  # first step at which a profile block may be compressed
+PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
 SAMPLED_STARTS = 64  # starts drawn on a larger space unless the policy is exhaustive
@@ -75,8 +75,11 @@ class MixingProfile:
     step at which it happened, ``rank`` the number r of basis columns B,
     ``step_matrix`` the r x r matrix C of the mean-field tail that formed
     every later column as B C^s a_x, and ``tv_bound`` the certified bound
-    on how far any later value may lie from the uncompressed one.  When
-    every start was stepped to the end they are None, None, None and 0.0.
+    on how far any later value may lie from the uncompressed one in exact
+    arithmetic; the rounding of the two stepped paths, up to t gamma_d in
+    L1 for t steps of length-d dot products (Higham 2002, sec. 3.1), is
+    not in it.  When every start was stepped to the end they are None,
+    None, None and 0.0.
     """
 
     times: np.ndarray
@@ -322,11 +325,14 @@ def mixing_profile(
     leaves the full block stepping on to the next checkpoint, and past
     the last one to the end, so short grids, fewer than four starts and
     uncertified tails give the plain values exactly.  P^T does not
-    increase the L1 norm of a signed vector, so each later value lies
-    within half the certified L1 misfit of the uncompressed one;
-    ``tv_bound`` is the largest such bound.  Supercritical walks
-    collapse onto the m local equilibria after local mixing, so B then
-    has about m columns and C is the m-state community chain.
+    increase the L1 norm of a signed vector, so in exact arithmetic each
+    later value lies within half the certified L1 misfit of the
+    uncompressed one; ``tv_bound`` is the largest such bound.  The
+    first checkpoint is 32, not 16: a screen at 16 failed on every
+    measured profile run (README), each one a wasted Gram-Schmidt pass.
+    Supercritical walks collapse onto the m local equilibria after local
+    mixing, so B then has about m columns and C is the m-state community
+    chain.
     """
     times = np.asarray(sorted(int(t) for t in times), dtype=np.int64)
     if times.size and times[0] < 0:
@@ -399,8 +405,7 @@ def _compress(
     does not increase the L1 norm, column x is within residual_x +
     sum_{j<s} sum_k e_k |(C^j a_x)_k| of B C^s a_x at step s, whatever
     C is.  Returns (B, C, [C^s a for s in steps], that total at the last
-    step) when it lies within PROFILE_COMPRESS_TOL for every column at
-    every step, and None otherwise.
+    step) when ``_certify_tail`` accepts it, and None otherwise.
     """
     screened = _pivoted_gram_schmidt(block, max_rank, PROFILE_COMPRESS_TOL)
     if screened is None:
@@ -422,17 +427,39 @@ def _compress(
         rows -= projected[i][:, None] * q
     step_matrix = _back_substitute(triangle, projected)
     e = np.abs(stepped - _combine(basis, step_matrix)).sum(axis=0)
+    tail = _certify_tail(step_matrix, coef, e, total, steps)
+    return None if tail is None else (basis, step_matrix, *tail)
+
+
+def _certify_tail(
+    step_matrix: np.ndarray,
+    coef: np.ndarray,
+    misfit: np.ndarray,
+    residual: np.ndarray,
+    steps: list[int],
+) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """([C^s a for s in steps], total) if the tail's total is within tolerance.
+
+    total_x = residual_x + sum_{j<S} sum_k misfit_k |(C^j a_x)_k| at the
+    last step S.  It never decreases in s, so one test after the last
+    step refuses whatever a test at every step would; only the r x K sum
+    of |C^j a| is kept, never the whole power sequence.
+    """
     wanted = set(steps)
     power = coef
     powers = []
-    for s in range(1, steps[-1] + 1):
-        total += (e[:, None] * np.abs(power)).sum(axis=0)
-        if not total.max() <= PROFILE_COMPRESS_TOL:  # NaN fails too
-            return None
-        power = _combine(step_matrix, power)
-        if s in wanted:
-            powers.append(power)
-    return basis, step_matrix, powers, total
+    magnitude = np.zeros_like(coef)
+    # a diverging C may overflow before the one test refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(1, steps[-1] + 1):
+            magnitude += np.abs(power)
+            power = _combine(step_matrix, power)
+            if s in wanted:
+                powers.append(power)
+        total = residual + (misfit[:, None] * magnitude).sum(axis=0)
+    if not total.max() <= PROFILE_COMPRESS_TOL:  # NaN fails too
+        return None
+    return powers, total
 
 
 def _pivoted_gram_schmidt(

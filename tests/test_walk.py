@@ -28,8 +28,11 @@ from dbmwalk.graph import DbmParams, Digraph, degrees, generate
 from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
+    PROFILE_CHECKPOINT,
     PROFILE_COMPRESS_TOL,
     ProbVector,
+    _certify_tail,
+    _combine,
     _compress,
     _first_jumps,
     _pivoted_gram_schmidt,
@@ -473,7 +476,7 @@ def test_profile_compresses_a_weakly_coupled_two_block_chain():
     times = [0, 5, 40, 100, 300]
     ref = stationary(graph)
     prof = mixing_profile(graph, starts, times, ref)
-    assert prof.checkpoint in (16, 32) and prof.rank == 2
+    assert prof.checkpoint == PROFILE_CHECKPOINT and prof.rank == 2
     assert 0.0 < prof.tv_bound <= 0.5e-12
     want = plain_profile(graph, starts, times, ref)
     assert np.array_equal(prof.per_start[:, :2], want[:, :2])
@@ -495,6 +498,114 @@ def test_compression_fit_is_the_least_squares_step_matrix():
     basis, step_matrix, _, _ = _compress(operator, block, 3, [68])
     want, *_ = np.linalg.lstsq(basis, operator @ basis, rcond=None)
     assert basis.shape[1] == 2 and np.abs(step_matrix - want).max() <= 1e-12
+
+
+def test_compression_is_offered_at_the_doubling_checkpoints(monkeypatch):
+    # the block is offered at 32, 64, 128, ... strictly before the last
+    # time, and at no other step; the checkpoint is the last time minus
+    # the longest tail step it is offered
+    offered = []
+
+    def recording(operator, block, max_rank, steps, refuse):
+        offered.append(last - steps[-1])
+        return None if refuse else _compress(operator, block, max_rank, steps)
+
+    graph = two_block_digraph()
+    starts = np.arange(12)
+    ref = stationary(graph)
+    for refuse in (True, False):
+        monkeypatch.setattr(
+            "dbmwalk.walk._compress", lambda *a, refuse=refuse: recording(*a, refuse)
+        )
+        for last in (31, 32, 33, 64, 65, 300):
+            offered.clear()
+            times = [0, 5, last]
+            prof = mixing_profile(graph, starts, times, ref)
+            due = [32 * 2**k for k in range(4) if 32 * 2**k < last]
+            if refuse:
+                assert offered == due and prof.checkpoint is None
+                assert np.array_equal(prof.per_start, plain_profile(graph, starts, times, ref))
+            else:
+                # the two-block chain's first screen passes with the tail
+                assert offered == due[:1] and prof.checkpoint == (due[0] if due else None)
+
+
+def test_tail_certificate_returns_the_stepped_powers():
+    # one pass keeps the powers of the step-by-step loop bit for bit, and
+    # its total is the per-step running sum up to rounding
+    graph = two_block_digraph()
+    operator = transition_operator(graph)
+    (block,) = propagate(operator, np.eye(12), [32])
+    _, step_matrix, _, _ = _compress(operator, block, 3, [68])
+    coef = np.random.default_rng(3).uniform(0.0, 1.0, size=(2, 12))
+    misfit = np.array([1e-16, 3e-16])
+    residual = np.full(12, 1e-14)
+    steps = [1, 5, 68, 268]
+    powers, total = _certify_tail(step_matrix, coef, misfit, residual, steps)
+    power, want, running = coef, [], residual.copy()
+    for s in range(1, steps[-1] + 1):
+        running += (misfit[:, None] * np.abs(power)).sum(axis=0)
+        power = _combine(step_matrix, power)
+        if s in steps:
+            want.append(power)
+    assert len(powers) == len(want)
+    assert all(np.array_equal(p, w) for p, w in zip(powers, want))
+    assert np.allclose(total, running, rtol=1e-12, atol=0.0)
+
+
+def test_tail_certificate_refuses_nan_and_diverging_matrices():
+    coef = np.array([[1.0, 0.5], [0.0, 0.5]])
+    misfit = np.zeros(2)
+    residual = np.zeros(2)
+    nan = np.array([[0.9, np.nan], [0.1, 1.0]])
+    assert _certify_tail(nan, coef, misfit, residual, [3]) is None
+    # powers of 1e3 overflow long before step 400; no warning escapes
+    diverging = np.array([[1e3, 0.0], [0.0, 1.0]])
+    assert _certify_tail(diverging, coef, np.full(2, 1e-20), residual, [400]) is None
+
+
+def test_tail_certificate_refuses_a_total_over_the_tolerance_only_at_the_last_step():
+    # C = 1 and a = 1 add the misfit 2^-42 once per step: 4 steps total
+    # 9.09e-13, within the tolerance, and the fifth takes it to 1.14e-12
+    one = np.ones((1, 1))
+    misfit = np.array([2.0**-42])
+    powers, total = _certify_tail(one, one, misfit, np.zeros(1), [4])
+    assert total[0] == 4 * 2.0**-42 <= PROFILE_COMPRESS_TOL
+    assert len(powers) == 1 and np.array_equal(powers[0], one)
+    assert _certify_tail(one, one, misfit, np.zeros(1), [5]) is None
+    assert _certify_tail(one, one, misfit, np.zeros(1), [1, 2, 5]) is None
+
+
+def test_tv_bound_leaves_out_the_rounding_of_the_stepped_paths():
+    # a drawn case whose value lies 5e-15 outside tv_bound: 1.79e-14
+    # against 1.29e-14, compressed at 64 with rank 1 and 161 tail steps.
+    # Rounding allowance: both sides share the bits of the first 64
+    # steps.  Past the checkpoint the plain block is stepped by P^T in
+    # dot products of length at most d, the largest in-degree, and the
+    # tail's coefficients by C in dot products of length r.  One
+    # rounded step of a probability column moves it by at most
+    # gamma_d = d u / (1 - d u) in L1 (Higham 2002, sec. 3.1), P^T does
+    # not increase L1 and C is within 1e-12 of 1 here, so after t steps
+    # the plain path is off by at most t gamma_d and the tail by
+    # t gamma_r; the misfit was measured against S = P^T B, itself one
+    # rounded step, which adds t gamma_d more.  TV halves L1.
+    graph = random_sc_digraph(np.random.default_rng(1767174), 12)
+    starts = np.array([1, 6, 7, 9])
+    times = [225]
+    ref = ProbVector(dense_stationary(dense_kernel(graph)))
+    prof = mixing_profile(graph, starts, times, ref)
+    assert (prof.checkpoint, prof.rank) == (64, 1)
+    assert abs(prof.step_matrix[0, 0] - 1.0) <= 1e-12
+
+    def gamma(d):
+        u = np.finfo(float).eps / 2
+        return d * u / (1 - d * u)
+
+    d = int(np.bincount(graph.targets, minlength=graph.vertex_count).max())
+    t = times[-1] - prof.checkpoint
+    allowance = 0.5 * t * (2 * gamma(d) + gamma(prof.rank))
+    dev = np.abs(prof.per_start - plain_profile(graph, starts, times, ref)).max()
+    assert dev <= prof.tv_bound + allowance
 
 
 def test_profile_is_not_compressed_when_the_tail_is_not_certified():
@@ -543,7 +654,8 @@ def test_profile_is_not_compressed_on_short_grids_or_few_starts():
     # than four starts leave no rank <= K/4; both give the plain values
     graph = two_block_digraph()
     ref = stationary(graph)
-    for starts, times in ((np.arange(12), [0, 3, 16]), (np.array([0, 6, 7]), [0, 40, 300])):
+    short = (np.arange(12), [0, 3, PROFILE_CHECKPOINT])
+    for starts, times in (short, (np.array([0, 6, 7]), [0, 40, 300])):
         prof = mixing_profile(graph, starts, times, ref)
         assert (prof.checkpoint, prof.rank, prof.tv_bound) == (None, None, 0.0)
         assert np.array_equal(prof.per_start, plain_profile(graph, starts, times, ref))
