@@ -1,13 +1,14 @@
 """Command-line front end for the experiment harness.
 
-Subcommands map one-to-one onto the run_* functions in ``experiments``.
-A JSON config file can prefill any option; explicit flags win.  The
-exit code is 0 when every acceptance verdict in the run's manifest
-passed, 1 when one failed, 2 when the input was refused: a config
-that cannot be read or is invalid, or a manifest ``report`` cannot read,
-and 3 when a valid run could not finish, such as when no acceptable
-graph could be drawn.  A refusal or an unfinished run prints one
-``dbmwalk <command>: <message>`` line to stderr.
+Subcommands map one-to-one onto the run_* functions in ``experiments``
+through the ``_COMMANDS`` table, plus ``report``.  A JSON config file can
+prefill any option; explicit flags win.  The exit code is 0 when every
+acceptance verdict in the run's manifest passed, 1 when one failed, 2
+when the input was refused: a config that cannot be read or is invalid,
+or a manifest ``report`` cannot read, and 3 when a valid run could not
+finish, such as when no acceptable graph could be drawn or ``--out``
+names a file or a path under one.  A refusal or an unfinished run
+prints one ``dbmwalk <command>: <message>`` line to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ from .experiments import (
 from .graph import DbmParams, require_real
 from .walk import SAMPLED_STARTS, START_STATE_LIMIT
 
+_COMMANDS = {
+    "generate": (run_generate, "generate graphs and a degree summary"),
+    "profile": (run_profile_experiment, "empirical mixing profile vs the limiting curve"),
+    "qsd": (run_qsd_experiment, "per-community escape pipeline and jump statistics"),
+    "annealed": (run_annealed_experiment, "revealed-walk community law and jump survival"),
+    "proxy": (run_proxy_experiment, "two-scale surrogate measures"),
+}
 _DEFAULT_BETAS = {
     "subcritical": "0.5,1.5",
     "critical": "0.5,2,3",
@@ -173,19 +181,10 @@ def main(argv: list[str] | None = None) -> int:
         description="simulation harness for random walks on the directed block model",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("generate", "generate graphs and a degree summary"),
-        ("profile", "empirical mixing profile vs the limiting curve"),
-        ("qsd", "per-community escape pipeline and jump statistics"),
-        ("annealed", "revealed-walk community law and jump survival"),
-        ("proxy", "two-scale surrogate measures"),
-        ("report", "print the manifest of a finished run"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        if name == "report":
-            p.add_argument("out_dir", help="run directory holding manifest.json")
-        else:
-            _add_common(p)
+    for name, (_, blurb) in _COMMANDS.items():
+        _add_common(sub.add_parser(name, help=blurb))
+    report = sub.add_parser("report", help="print the manifest of a finished run")
+    report.add_argument("out_dir", help="run directory holding manifest.json")
 
     args = top.parse_args(argv)
     try:
@@ -196,16 +195,10 @@ def main(argv: list[str] | None = None) -> int:
         why = exc if args.command == "report" else f"invalid configuration: {exc}"
         print(f"dbmwalk {args.command}: {why}", file=sys.stderr)
         return 2
-    runner = {
-        "generate": run_generate,
-        "profile": run_profile_experiment,
-        "qsd": run_qsd_experiment,
-        "annealed": run_annealed_experiment,
-        "proxy": run_proxy_experiment,
-    }[args.command]
+    runner, _ = _COMMANDS[args.command]
     try:
         manifest = runner(config)
-    except (RuntimeError, ValueError) as exc:  # e.g. no acceptable graph could be drawn
+    except (OSError, RuntimeError, ValueError) as exc:  # no acceptable graph, an unusable --out
         print(f"dbmwalk {args.command}: {exc}", file=sys.stderr)
         return 3
     return _finish(manifest)

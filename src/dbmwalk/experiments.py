@@ -127,6 +127,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for seed in self.seeds:
             require_int("seed", seed)
         require_int("sample_starts", self.sample_starts)
@@ -279,9 +281,12 @@ class Verdict:
 
 @dataclass
 class RunManifest:
+    """What a run wrote and found; every CSV and ``<`` verdict goes through it."""
+
     config: dict
     config_hash: str
     version: str
+    out_dir: Path
     seeds_used: list[int] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -292,7 +297,23 @@ class RunManifest:
         self.files.append(path.name)
         return path
 
-    def write(self, out_dir: Path) -> Path:
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        """Write and register ``name``; every float, Python or numpy, as repr(float(v))."""
+        with open(self.register(self.out_dir / name), "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                for row in rows
+            )
+
+    def check(self, name: str, value, bound: float, shown: str | None = None, **extra) -> None:
+        """Append the verdict ``value < bound``; its tolerance reads ``shown``, or ``< bound``."""
+        self.verdicts.append(
+            Verdict(name, bool(value < bound), float(value), shown or f"< {bound}", **extra)
+        )
+
+    def write(self) -> Path:
         payload = {
             "config": self.config,
             "config_hash": self.config_hash,
@@ -303,7 +324,7 @@ class RunManifest:
             "verdicts": [v.__dict__ for v in self.verdicts],
             "files": self.files,
         }
-        path = out_dir / "manifest.json"
+        path = self.out_dir / "manifest.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -320,33 +341,25 @@ def _new_manifest(config: ExperimentConfig) -> RunManifest:
         config=config.to_dict(),
         config_hash=hashlib.sha256(blob).hexdigest()[:16],
         version=__version__,
+        out_dir=Path(config.out_dir),
     )
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
 @contextmanager
 def _run(config: ExperimentConfig, per_seed):
     """The skeleton every runner shares, as a ``with`` block.
 
-    Creates the output directory and the manifest, then maps the
+    Creates the manifest and its output directory, then maps the
     module-level ``per_seed(config, seed) -> (diagnostics, result)`` over
     every seed of ``config.seeds`` on ``config.threads`` threads.  The
     diagnostics records, whose ``seed`` entry is the seed actually used,
     go to the manifest in seed order.  The block receives
-    (manifest, out_dir, results in seed order) and writes the artifacts
-    and verdicts; on leaving it the total time is recorded and
-    manifest.json is written.
+    (manifest, results in seed order) and writes the artifacts and
+    verdicts through the manifest; on leaving it the total time is
+    recorded and manifest.json is written.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = _new_manifest(config)
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     task = functools.partial(per_seed, config)
     if config.threads <= 1:
@@ -357,9 +370,9 @@ def _run(config: ExperimentConfig, per_seed):
     manifest.seeds_used = [diag["seed"] for diag, _ in done]
     manifest.diagnostics["per_seed"] = [diag for diag, _ in done]
     manifest.timings["seed_sweep"] = time.perf_counter() - t0
-    yield manifest, out_dir, [result for _, result in done]
+    yield manifest, [result for _, result in done]
     manifest.timings["total"] = time.perf_counter() - t0
-    manifest.write(out_dir)
+    manifest.write()
 
 
 def _solver_diagnostics(pi: ProbVector, **extra) -> dict:
@@ -419,7 +432,6 @@ def _profile_seed(config: ExperimentConfig, seed: int):
         "checkpoint": profile.checkpoint,
         "rank": profile.rank,
         "tv_bound": profile.tv_bound,
-        "tail": profile.step_matrix is not None,
         "tail_spectrum": profile.tail_spectrum,
         "meanfield_rate": meanfield.subdominant_eigenvalue(graph.m, config.params.alpha),
         "col_steps": profile.col_steps,
@@ -430,18 +442,17 @@ def _profile_seed(config: ExperimentConfig, seed: int):
 
 def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
     """Empirical mixing profile vs the limiting curve, with verdicts."""
-    with _run(config, _profile_seed) as (manifest, out_dir, per_seed):
+    with _run(config, _profile_seed) as (manifest, per_seed):
         grid = config.time_grid()
         betas = sorted(grid)
         prm = config.params
         rows = [
-            [grid[b], float(d[grid[b]]), "max", prm.n, prm.m, prm.lam, prm.alpha, used, "stationary"]
+            [grid[b], d[grid[b]], "max", prm.n, prm.m, prm.lam, prm.alpha, used, "stationary"]
             for used, d in zip(manifest.seeds_used, per_seed)
             for b in betas
         ]
-        profile_csv = manifest.register(out_dir / "profile.csv")
-        _write_csv(
-            profile_csv,
+        manifest.write_csv(
+            "profile.csv",
             ["t", "distance", "aggregation", "n", "m", "lambda", "alpha", "seed", "reference"],
             rows,
         )
@@ -456,11 +467,10 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
         )
         curve_betas = np.asarray(curve_betas)
         theory_rows = [
-            [float(b), float(v), limit_name, prm.m, float(config.c) if config.c else 0.0]
+            [b, v, limit_name, prm.m, float(config.c) if config.c else 0.0]
             for b, v in zip(curve_betas, curve_values)
         ]
-        theory_csv = manifest.register(out_dir / "theory.csv")
-        _write_csv(theory_csv, ["beta", "value", "regime", "m", "C"], theory_rows)
+        manifest.write_csv("theory.csv", ["beta", "value", "regime", "m", "C"], theory_rows)
 
         mean_dist = {
             beta: float(np.mean([d[grid[beta]] for d in per_seed])) for beta in betas
@@ -492,23 +502,22 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
                 color=svg.PALETTE[1],
             )
         )
-        svg_path = manifest.register(out_dir / "profile.svg")
-        svg.write(fig, str(svg_path))
+        svg.write(fig, str(manifest.register(manifest.out_dir / "profile.svg")))
     return manifest
 
 
 def _profile_verdicts(
     config: ExperimentConfig, mean_dist: dict[float, float], manifest: RunManifest
 ) -> None:
-    add = manifest.verdicts.append
     if config.regime == "subcritical":
         tol = PROFILE_TOLERANCES["subcritical"]
         early, late = tol["early_min"], tol["late_max"]
         for beta, d in mean_dist.items():
             if beta <= 0.75:
-                add(Verdict(f"early_distance_beta_{beta:g}", d > early, d, f"> {early}"))
+                verdict = Verdict(f"early_distance_beta_{beta:g}", d > early, d, f"> {early}")
+                manifest.verdicts.append(verdict)
             elif beta >= 1.25:
-                add(Verdict(f"late_distance_beta_{beta:g}", d < late, d, f"< {late}"))
+                manifest.check(f"late_distance_beta_{beta:g}", d, late)
         return
     limit = config.limit_regime()
     prefix, first_beta, tol, shown = PROFILE_GAPS[limit]
@@ -516,7 +525,7 @@ def _profile_verdicts(
         if beta < first_beta:
             continue  # the tail and the plateau come only past the step
         gap = abs(d - meanfield.limiting_profile(limit, beta, config.params.m, config.c))
-        add(Verdict(f"{prefix}_beta_{beta:g}", gap < tol, gap, f"|d - {shown}| < {tol}"))
+        manifest.check(f"{prefix}_beta_{beta:g}", gap, tol, f"|d - {shown}| < {tol}")
 
 
 # -- qsd -------------------------------------------------------------------
@@ -585,7 +594,7 @@ def _ks_exp1(x: np.ndarray) -> float:
 
 def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
     """Per-community escape pipeline plus restart/jump statistics."""
-    with _run(config, _qsd_seed) as (manifest, out_dir, per_seed):
+    with _run(config, _qsd_seed) as (manifest, per_seed):
         header = [
             "i",
             "iota",
@@ -598,8 +607,7 @@ def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
             "nice_fraction",
         ]
         for used, (rows, _, _) in zip(manifest.seeds_used, per_seed):
-            path = manifest.register(out_dir / f"qsd_seed{used}.csv")
-            _write_csv(path, header, rows)
+            manifest.write_csv(f"qsd_seed{used}.csv", header, rows)
 
         restarts = [s for _, rs, _ in per_seed for s in rs]
         restart_rows = [
@@ -611,19 +619,16 @@ def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
             ]
             for k, s in enumerate(restarts)
         ]
-        restart_csv = manifest.register(out_dir / "restart.csv")
-        _write_csv(restart_csv, ["rep", "tau_rho", "kappa", "rho"], restart_rows)
+        manifest.write_csv("restart.csv", ["rep", "tau_rho", "kappa", "rho"], restart_rows)
 
         first_order = qsd.iota_first_order(config.params)
         iotas = np.array([row[1] for rows, _, _ in per_seed for row in rows])
         rel = np.abs(iotas / first_order - 1.0)
-        manifest.verdicts.append(
-            Verdict(
-                "iota_first_order_relerr",
-                bool(np.median(rel) < QSD_IOTA_RELERR_TOL),
-                float(np.median(rel)),
-                f"median < {QSD_IOTA_RELERR_TOL}",
-            )
+        manifest.check(
+            "iota_first_order_relerr",
+            np.median(rel),
+            QSD_IOTA_RELERR_TOL,
+            f"median < {QSD_IOTA_RELERR_TOL}",
         )
         # the KS tests see the uncensored samples; each verdict counts the rest
         records = manifest.diagnostics["per_seed"]
@@ -640,21 +645,19 @@ def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
         for name, (arr, censored) in samples.items():
             if arr.size == 0:
                 continue
-            ks = _ks_exp1(config.params.alpha * arr)
-            manifest.verdicts.append(
-                Verdict(
-                    f"ks_alpha_{name}_exp1",
-                    bool(ks < QSD_KS_TOL),
-                    float(ks),
-                    f"< {QSD_KS_TOL}",
-                    censored=censored,
-                    censoring_bound=censored / (arr.size + censored),
-                )
+            manifest.check(
+                f"ks_alpha_{name}_exp1",
+                _ks_exp1(config.params.alpha * arr),
+                QSD_KS_TOL,
+                censored=censored,
+                censoring_bound=censored / (arr.size + censored),
             )
     return manifest
 
 
 # -- annealed ---------------------------------------------------------------
+
+ANNEALED_MAX_SE = 3.0  # largest deviation, in standard errors, of either verdict
 
 
 def _annealed_seed(config: ExperimentConfig, seed: int, t: int, reps: int, t_max: int):
@@ -681,31 +684,24 @@ def run_annealed_experiment(
 ) -> RunManifest:
     """Revealed-walk community law and jump survival tables from the counts of every seed."""
     seed_fn = functools.partial(_annealed_seed, t=t, reps=reps, t_max=t_max)
-    with _run(config, seed_fn) as (manifest, out_dir, per_seed):
+    with _run(config, seed_fn) as (manifest, per_seed):
         laws, survs = zip(*per_seed)
         law, surv = _pooled(laws, "counts"), _pooled(survs, "survivors")
         law_rows = [
-            [t, i, float(law.conditional[i]), float(law.conditional_se[i]), float(law.q_row[i])]
+            [t, i, law.conditional[i], law.conditional_se[i], law.q_row[i]]
             for i in range(config.params.m)
         ]
-        law_csv = manifest.register(out_dir / "annealed_law.csv")
-        _write_csv(law_csv, ["t", "community", "frequency", "stderr", "q_closed_form"], law_rows)
+        law_header = ["t", "community", "frequency", "stderr", "q_closed_form"]
+        manifest.write_csv("annealed_law.csv", law_header, law_rows)
+        surv_rows = zip(surv.times, surv.survival, surv.stderr, surv.theory)
+        surv_header = ["t", "survival", "stderr", "theory"]
+        manifest.write_csv("annealed_survival.csv", surv_header, surv_rows)
 
-        surv_rows = [
-            [int(tt), float(s), float(se), float(th)]
-            for tt, s, se, th in zip(surv.times, surv.survival, surv.stderr, surv.theory)
-        ]
-        surv_csv = manifest.register(out_dir / "annealed_survival.csv")
-        _write_csv(surv_csv, ["t", "survival", "stderr", "theory"], surv_rows)
-
+        shown = f"< {ANNEALED_MAX_SE:g} SE"
         dev = np.max(np.abs(law.conditional - law.q_row) / np.maximum(law.conditional_se, 1e-300))
-        manifest.verdicts.append(
-            Verdict("community_law_max_dev_se", bool(dev < 3.0), float(dev), "< 3 SE")
-        )
+        manifest.check("community_law_max_dev_se", dev, ANNEALED_MAX_SE, shown)
         end_dev = abs(surv.survival[-1] - surv.theory[-1]) / max(surv.stderr[-1], 1e-300)
-        manifest.verdicts.append(
-            Verdict("jump_survival_end_dev_se", bool(end_dev < 3.0), float(end_dev), "< 3 SE")
-        )
+        manifest.check("jump_survival_end_dev_se", end_dev, ANNEALED_MAX_SE, shown)
     return manifest
 
 
@@ -725,24 +721,15 @@ def _proxy_seed(config: ExperimentConfig, seed: int):
 
 def run_proxy_experiment(config: ExperimentConfig) -> RunManifest:
     """Two-scale surrogate sweep: spread and distance to stationarity."""
-    with _run(config, _proxy_seed) as (manifest, out_dir, per_seed):
+    with _run(config, _proxy_seed) as (manifest, per_seed):
         rows = [
-            [i, float(tv_to_nu[i]), float(tv_pi), float(sch.eps), sch.burn_in, sch.long_leg]
+            [i, tv_to_nu[i], tv_pi, sch.eps, sch.burn_in, sch.long_leg]
             for sch, tv_to_nu, tv_pi, _ in per_seed
             for i in range(config.params.m)
         ]
-        proxy_csv = manifest.register(out_dir / "proxy.csv")
-        _write_csv(proxy_csv, ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"], rows)
-
-        worst_gap = max(gap for *_, gap in per_seed)
-        manifest.verdicts.append(
-            Verdict(
-                "mixture_identity_gap",
-                worst_gap < PROXY_IDENTITY_TOL,
-                worst_gap,
-                f"< {PROXY_IDENTITY_TOL}",
-            )
-        )
+        header = ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"]
+        manifest.write_csv("proxy.csv", header, rows)
+        manifest.check("mixture_identity_gap", max(gap for *_, gap in per_seed), PROXY_IDENTITY_TOL)
     return manifest
 
 
@@ -754,17 +741,16 @@ def _generate_seed(config: ExperimentConfig, seed: int):
     path = Path(config.out_dir) / f"graph_seed{used}.npz"
     save_binary(graph, str(path))
     pi = stationary(graph)
-    dev = float(np.max(np.abs(community_mass(graph, pi) - 1 / config.params.m)))
+    dev = np.max(np.abs(community_mass(graph, pi) - 1 / config.params.m))
     return _solver_diagnostics(pi, seed=used), (path, graph.edge_count, dev)
 
 
 def run_generate(config: ExperimentConfig) -> RunManifest:
     """Generate graphs and a degree/connectivity summary, no walks."""
-    with _run(config, _generate_seed) as (manifest, out_dir, per_seed):
+    with _run(config, _generate_seed) as (manifest, per_seed):
         rows = []
         for used, (path, edges, dev) in zip(manifest.seeds_used, per_seed):
             manifest.register(path)
             rows.append([used, edges, dev])
-        summary = manifest.register(out_dir / "graphs.csv")
-        _write_csv(summary, ["seed", "edges", "community_mass_dev"], rows)
+        manifest.write_csv("graphs.csv", ["seed", "edges", "community_mass_dev"], rows)
     return manifest

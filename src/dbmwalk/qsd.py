@@ -81,11 +81,6 @@ class CommunityView:
         return float(self.pi_local.values[self.gate_mask].sum())
 
     @property
-    def kernel(self):
-        """Row-stochastic walk kernel P (rows = sources), a view of P^T."""
-        return transition_operator(self.local).T
-
-    @property
     def kept(self) -> np.ndarray:
         return np.flatnonzero(~self.gate_mask)
 

@@ -165,7 +165,7 @@ def test_criterion_03_qsd_geometric_law():
             view = community_view(graph, table, i)
             sol = quasi_stationary(view)
             keep = np.flatnonzero(~view.gate_mask)
-            sub = view.kernel[keep][:, keep]
+            sub = dense_kernel(view.local)[np.ix_(keep, keep)]
             mu = sol.mu_star.values[keep]
             worst_eig = max(
                 worst_eig, float(np.abs(sub.T @ mu - (1.0 - sol.iota) * mu).sum())

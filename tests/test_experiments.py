@@ -28,7 +28,6 @@ from dbmwalk.experiments import (
     _ks_exp1,
     _new_manifest,
     _profile_verdicts,
-    _write_csv,
     analytic_entropic_time,
     run_annealed_experiment,
     run_generate,
@@ -289,12 +288,37 @@ def test_manifest_hash_and_verdicts():
 
 
 def test_write_csv_keeps_float_precision(tmp_path):
-    path = tmp_path / "t.csv"
+    manifest = _new_manifest(super_config(str(tmp_path)))
     value = 0.1 + 0.2  # not representable as a short decimal
-    _write_csv(path, ["a", "b"], [[1, value]])
-    lines = path.read_text().splitlines()
+    manifest.write_csv("t.csv", ["a", "b"], [[1, value]])
+    lines = (tmp_path / "t.csv").read_text().splitlines()
     assert lines[0] == "a,b"
     assert float(lines[1].split(",")[1]) == value
+    assert manifest.files == ["t.csv"]
+
+
+def test_write_csv_writes_numpy_floats_as_their_digits(tmp_path):
+    # under numpy 2, repr(np.float64(0.1)) is 'np.float64(0.1)'; a cell
+    # holds the digits whatever the float's type, and an int as itself
+    manifest = _new_manifest(super_config(str(tmp_path)))
+    row = [np.int64(3), np.float64(0.1), np.float32(0.5), 0.1 + 0.2, "max"]
+    manifest.write_csv("t.csv", ["i", "a", "b", "c", "s"], [row])
+    assert (tmp_path / "t.csv").read_text() == "i,a,b,c,s\n3,0.1,0.5,0.30000000000000004,max\n"
+
+
+def test_check_stores_python_types_and_shows_its_bound(tmp_path):
+    manifest = _new_manifest(super_config(str(tmp_path)))
+    manifest.check("a", np.float64(0.5), 1.0)
+    manifest.check("b", np.float32(2.0), 1.0, "|d| < 1", censored=3, censoring_bound=0.25)
+    a, b = manifest.verdicts
+    assert a == Verdict("a", True, 0.5, "< 1.0")
+    assert b == Verdict("b", False, 2.0, "|d| < 1", censored=3, censoring_bound=0.25)
+    assert [type(v.passed) for v in manifest.verdicts] == [bool, bool]
+    assert [type(v.value) for v in manifest.verdicts] == [float, float]
+    assert not manifest.all_passed
+    manifest.write()
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    assert payload["verdicts"] == [a.__dict__, b.__dict__]
 
 
 def test_accepted_graph_seed_passthrough_and_rejection():
@@ -360,7 +384,7 @@ def test_profile_run_artifacts(tmp_path):
     for r in payload["diagnostics"]["per_seed"]:
         assert r["profile_compression"] == {
             "starts": 1600, "checkpoint": None, "rank": None, "tv_bound": 0.0,
-            "tail": False, "tail_spectrum": None, "meanfield_rate": 1.0 - 2 * 0.3,
+            "tail_spectrum": None, "meanfield_rate": 1.0 - 2 * 0.3,
             "col_steps": 1600 * last,
         }
 
@@ -393,7 +417,7 @@ def test_compressed_profile_determinism_across_threads(tmp_path):
             assert record["checkpoint"] is not None
             assert record["rank"] < record["starts"] == 400
             assert record["tv_bound"] <= 0.5e-12
-            assert record["tail"] and len(record["tail_spectrum"]) == record["rank"]
+            assert len(record["tail_spectrum"]) == record["rank"]
             assert record["meanfield_rate"] == 1.0 - 2 * 0.01
             assert record["tail_spectrum"][0] == pytest.approx(1.0, abs=1e-12)
             assert abs(record["tail_spectrum"][1] - record["meanfield_rate"]) < 5e-3
@@ -719,24 +743,28 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ({"lambda": True}, [], "lambda must be a real number, got True"),
         ({"regime": "critical", "c": True}, [], "c must be a real number, got True"),
         ({"beta_grid": [True, 2]}, [], "beta_grid must be a real number, got True"),
+        ({"out_dir": 5}, [], "out_dir must be a string, got 5"),
+        ({"out_dir": None}, [], "out_dir must be a string, got None"),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
          "bad_seed_flag", "bad_beta_flag", "bad_starts_flag", "bad_beta_key",
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
-         "bool_lambda", "bool_c", "bool_beta"],
+         "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
     # its regime's limit is not stated on, with an alpha the critical
     # constant overrode, or, for two threads on one seed or two seeds one
     # re-draw apart, writing the same graph file twice; a flag that is not
-    # a number is refused by its name
+    # a number is refused by its name; an out_dir that is not a string
+    # used to end in a TypeError traceback
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
-    argv = ["generate", "--config", str(cfg), "--out", str(tmp_path / "run")] + flags
+    out = [] if "out_dir" in raw else ["--out", str(tmp_path / "run")]
+    argv = ["generate", "--config", str(cfg)] + out + flags
     assert_refused(capsys, argv, f"^invalid configuration: {message}$")
-    assert not (tmp_path / "run").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_cli_run_that_cannot_finish_exits_3(tmp_path, capsys):
@@ -747,6 +775,23 @@ def test_cli_run_that_cannot_finish_exits_3(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "dbmwalk generate: graph rejected 6 consecutive times (seed 1)\n"
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+def test_cli_out_that_cannot_be_created_exits_3(tmp_path, capsys, under):
+    # an --out naming an existing file, or a path under one, used to end
+    # in a FileExistsError or NotADirectoryError traceback with exit 1,
+    # the failed-verdict code
+    blocker = tmp_path / "x"
+    blocker.write_text("kept\n")
+    argv = ["generate", "--n", "200", "--alpha", "0.05", "--seeds", "1"]
+    assert main(argv + ["--out", str(blocker / under)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dbmwalk generate: ") and err.count("\n") == 1, err
+    assert re.search("File exists|Not a directory", err), err
+    assert [p.name for p in tmp_path.iterdir()] == ["x"]
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(

@@ -166,7 +166,7 @@ def test_merged_kernel_single_gate_is_a_relabeling():
     assert merged.n_states == 6
     assert merged.merged_index == 5
     order = np.concatenate([view.kept, [0]])
-    want = view.kernel.toarray()[np.ix_(order, order)]
+    want = dense_kernel(view.local)[np.ix_(order, order)]
     assert np.abs(merged.operator.T.toarray() - want).max() < 1e-15
     assert np.abs(merged.pi_tilde.values - 1 / 6).max() < 1e-15
 
@@ -178,7 +178,7 @@ def test_merged_kernel_rows_and_exact_stationarity(small_community):
     rows = np.asarray(mat.sum(axis=1)).ravel()
     assert np.abs(rows - 1.0).max() < 1e-12
     # non-gate block is the plain restriction of the community kernel
-    dense = view.kernel.toarray()
+    dense = dense_kernel(view.local)
     kept = view.kept
     block = mat.toarray()[: kept.size, : kept.size]
     assert np.abs(block - dense[np.ix_(kept, kept)]).max() < 1e-14
@@ -191,7 +191,7 @@ def test_merged_kernel_rows_and_exact_stationarity(small_community):
 def test_merged_kernel_mass_conservation(small_community):
     _, _, view = small_community
     merged = build_merged_kernel(view)
-    dense = view.kernel.toarray()
+    dense = dense_kernel(view.local)
     kept = view.kept
     gate = view.gate_labels
     to_gate = merged.operator.T.toarray()[: kept.size, -1]
