@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the run_* functions in ``experiments``
 through the ``_COMMANDS`` table, plus ``report``.  A JSON config file can
-prefill any option; explicit flags win.  The exit code is 0 when every
+prefill any option, and a key it does not know is refused; explicit
+flags win.  The exit code is 0 when every
 acceptance verdict in the run's manifest passed, 1 when one failed, 2
 when the input was refused: a config that cannot be read or is invalid,
 or a manifest ``report`` cannot read, and 3 when a valid run could not
@@ -38,6 +39,12 @@ _COMMANDS = {
     "qsd": (run_qsd_experiment, "per-community escape pipeline and jump statistics"),
     "annealed": (run_annealed_experiment, "revealed-walk community law and jump survival"),
     "proxy": (run_proxy_experiment, "two-scale surrogate measures"),
+}
+# the keys _build_config reads, plus the base_seed a manifest's config
+# block holds (the first seed is the base seed)
+_CONFIG_KEYS = {
+    "n", "m", "lambda", "alpha", "regime", "c", "seeds", "beta_grid", "timescale",
+    "start_policy", "sample_starts", "threads", "out_dir", "base_seed",
 }
 _DEFAULT_BETAS = {
     "subcritical": "0.5,1.5",
@@ -109,6 +116,9 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
     raw = _read_json(args.config) if args.config else {}
     if not isinstance(raw, dict):
         raise ValueError(f"{args.config} holds no JSON object")
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"{args.config}: unknown key {unknown[0]!r}")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else raw.get(key, default)

@@ -131,6 +131,8 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for seed in self.seeds:
             require_int("seed", seed)
+            if seed < 0:
+                raise ValueError(f"seed must be non-negative, got {seed}")
         require_int("sample_starts", self.sample_starts)
         require_int("threads", self.threads)
         if self.c is not None:
@@ -219,6 +221,9 @@ class ExperimentConfig:
         n: int, m: int, lam: float, c: float, **kw
     ) -> "ExperimentConfig":
         """Build a critical-regime config with alpha pinned to 1/(c*t_ent)."""
+        require_real("c", c)  # checked before alpha is derived from it
+        if not c > 0:
+            raise ValueError("critical regime needs a positive constant c")
         probe = DbmParams(n=n, m=m, lam=lam, alpha=0.0, seed=0)
         alpha = 1.0 / (c * analytic_entropic_time(probe))
         params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=kw.pop("seed", 0))

@@ -16,6 +16,7 @@ source's community, so the rewired flags are derived from the targets.
 from __future__ import annotations
 
 import math
+import sys
 import zipfile
 from dataclasses import dataclass, replace
 
@@ -35,9 +36,11 @@ def require_int(name: str, value) -> None:
 
 
 def require_real(name: str, value) -> None:
-    """Refuse a parameter that is not a real number (a bool is not one)."""
+    """Refuse a parameter that is not a finite real number (a bool is not one)."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or an int past every float
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -168,14 +171,13 @@ class Digraph:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """Per-vertex degree statistics.
+    """Per-vertex degree counts that ``Digraph.out_degree`` does not give.
 
-    ``d_rewired_out`` counts the rewired share of ``d_out``, and
+    ``d_rewired_out`` counts the rewired share of the out-degree, and
     ``d_in_intra`` counts in-edges of the pre-rewiring graph
     (same-community sources aiming at this label).
     """
 
-    d_out: np.ndarray
     d_rewired_out: np.ndarray
     d_in_intra: np.ndarray
 
@@ -243,11 +245,10 @@ def degrees(graph: Digraph) -> DegreeTable:
     """Recompute the degree table from the edge arrays."""
     nv = graph.vertex_count
     src = graph.sources()
-    d_out = np.bincount(src, minlength=nv).astype(np.int64)
     d_rew = np.bincount(src[graph.rewired], minlength=nv).astype(np.int64)
     pre_target = (src // graph.n) * graph.n + (graph.targets % graph.n)
     d_in_intra = np.bincount(pre_target, minlength=nv).astype(np.int64)
-    return DegreeTable(d_out=d_out, d_rewired_out=d_rew, d_in_intra=d_in_intra)
+    return DegreeTable(d_rewired_out=d_rew, d_in_intra=d_in_intra)
 
 
 def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:

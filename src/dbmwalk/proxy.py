@@ -19,7 +19,7 @@ import numpy as np
 
 from .graph import Digraph
 from .meanfield import q_power_matrix
-from .walk import ProbVector, evolve_batch, tv_distance
+from .walk import ProbVector, propagate, transition_operator, tv_distance
 
 BURN_IN_EPS = 0.2  # share eps of the entropic time given to the burn-in
 
@@ -76,7 +76,7 @@ def surrogate_measures(
     cols = np.zeros((big_n, m))
     for k in range(m):
         cols[k * n : (k + 1) * n, k] = 1.0 / n
-    burned = evolve_batch(graph, cols, schedule.burn_in)
+    (burned,) = propagate(transition_operator(graph), cols, [schedule.burn_in])
     weights = q_power_matrix(m, graph.params.alpha, schedule.long_leg + 1)
     mixed = burned @ weights.T  # column i: sum_k weights[i,k] * burned[:,k]
     average = ProbVector(burned.mean(axis=1))

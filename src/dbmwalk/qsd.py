@@ -51,17 +51,18 @@ HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 
 @dataclass
 class CommunityView:
-    """Shared per-community working set: local graph, pi, degree counts.
+    """Shared per-community working set: local graph, pi, rewired counts.
 
-    ``gate_mask`` (the labels with a rewired out-edge) and ``survivor``
-    (the kernel ``transition_operator(local)`` on the ``kept`` labels)
-    are built once: ``d_rewired`` must not change after they are read.
+    Rewiring keeps each vertex's edges, so ``local.out_degree`` is the
+    full DBM out-degree of the community's vertices.  ``gate_mask`` (the
+    labels with a rewired out-edge) and ``survivor`` (the kernel
+    ``transition_operator(local)`` on the ``kept`` labels) are built
+    once: ``d_rewired`` must not change after they are read.
     """
 
     i: int
     local: Digraph
     pi_local: ProbVector
-    d_out_full: np.ndarray  # DBM out-degrees of this community's vertices
     d_rewired: np.ndarray
 
     @property
@@ -106,7 +107,6 @@ def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
         i=i,
         local=pre_rewiring_subgraph(graph, i),
         pi_local=pi_local,
-        d_out_full=table.d_out[lo:hi],
         d_rewired=table.d_rewired_out[lo:hi],
     )
     view.survivor  # build the community kernel here, where it is traced
@@ -341,7 +341,7 @@ def nice_fraction(graph: Digraph, view: CommunityView) -> float:
     epsilon = 1.0 / math.sqrt(math.log(n))
     target = graph.params.lam * math.log(n)
     gate = view.gate_labels
-    deg = view.d_out_full[gate]
+    deg = view.local.out_degree[gate]
     in_window = (deg >= (1 - epsilon) * target) & (deg <= (1 + epsilon) * target)
     return float(((view.d_rewired[gate] == 1) & in_window).mean())
 
@@ -396,7 +396,7 @@ def restart_process(
     """
     cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
     rng = derived_rng(seed, NS_RESTART, view.i)
-    coin_p = view.d_rewired / view.d_out_full
+    coin_p = view.d_rewired / view.local.out_degree
     draw_start = _cdf_sampler(solution.mu_star.values)
     draw_reinit = _cdf_sampler(transition_operator(view.local) @ solution.mu_star.values)
 

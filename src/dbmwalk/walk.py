@@ -2,8 +2,9 @@
 
 Distributions are row vectors evolved by mu -> mu P where P(x, y) =
 1/deg_out(x) on every edge (x, y).  The transition operator is kept as a
-cached scipy CSR matrix (transposed, so evolution is a CSR matvec).  All
-samplers draw from explicit generators or derived streams.
+cached scipy CSR matrix (transposed, so evolution is a CSR matvec), and
+it is the only code that forms 1/deg_out.  All samplers draw from
+explicit generators or derived streams.
 """
 
 from __future__ import annotations
@@ -105,11 +106,18 @@ class MixingProfile:
 
 
 def transition_operator(graph: Digraph) -> csr_matrix:
-    """Transposed walk kernel P^T as CSR (cached on the graph)."""
+    """Transposed walk kernel P^T as CSR (cached on the graph).
+
+    The one place out-degrees become step probabilities.  A graph with a
+    sink is refused, since its kernel loses the mass that reaches it.
+    """
     if "PT" not in graph._cache:
         n = graph.vertex_count
-        src = graph.sources()
         deg = graph.out_degree
+        sinks = np.flatnonzero(deg == 0)
+        if sinks.size:
+            raise ValueError(f"walk kernel loses mass at sink vertex {int(sinks[0])}")
+        src = graph.sources()
         data = 1.0 / deg[src]
         pt = csr_matrix((data, (graph.targets, src)), shape=(n, n))
         graph._cache["PT"] = pt
@@ -131,22 +139,6 @@ def propagate(
             columns = operator @ columns
         now = t
         yield columns
-
-
-def _check_no_sinks(graph: Digraph) -> None:
-    sinks = np.flatnonzero(graph.out_degree == 0)
-    if sinks.size:
-        raise ValueError(f"walk kernel loses mass at sink vertex {int(sinks[0])}")
-
-
-def evolve_batch(graph: Digraph, columns: np.ndarray, t: int) -> np.ndarray:
-    """Evolve several distributions at once (columns of an N x K array).
-
-    A graph with a sink is refused, since its kernel loses mass.
-    """
-    _check_no_sinks(graph)
-    (out,) = propagate(transition_operator(graph), columns, [t])
-    return out
 
 
 def stationary(graph: Digraph, domain: str = "global") -> ProbVector:
@@ -173,12 +165,9 @@ def stationary(graph: Digraph, domain: str = "global") -> ProbVector:
     m = graph.m
     if m > 1:
         # P(v, d): each vertex's one-step probability into each community
-        src = graph.sources()
-        to_block = np.bincount(
-            src * m + graph.targets // graph.n,
-            weights=1.0 / graph.out_degree[src],
-            minlength=n * m,
-        ).reshape(m, graph.n, m)
+        labels = np.arange(n)
+        indicator = csr_matrix((np.ones(n), (labels // graph.n, labels)), shape=(m, n))
+        to_block = np.ascontiguousarray((indicator @ pt).toarray().T).reshape(m, graph.n, m)
     for it in range(STATIONARY_MAX_ITER):
         stepped = pt @ mu
         residual = float(np.abs(stepped - mu).sum())
@@ -268,17 +257,16 @@ def indegree_approximation(
     return IndegreeApproximation(rel_err=np.abs(raw[keep] / pi_local.values[keep] - 1.0))
 
 
-def entropy_and_entropic_time(table: DegreeTable, n: int) -> EntropyResult:
-    """Mean log out-degree H and the time scale log(n)/H.
+def entropy_and_entropic_time(graph: Digraph) -> EntropyResult:
+    """Mean log out-degree H and the time scale log(n)/H, n the community width.
 
     H averages log(deg v 1) over all vertices; the exact Binomial(n-1, p)
     expectation is ``experiments.analytic_entropic_time``.
     """
-    logs = np.log(np.maximum(table.d_out, 1))
-    h = float(logs.mean())
+    h = float(np.log(np.maximum(graph.out_degree, 1)).mean())
     if h <= 0.0:
         raise ValueError("mean log out-degree is zero; no entropic time scale")
-    return EntropyResult(h=h, t_ent=math.log(n) / h)
+    return EntropyResult(h=h, t_ent=math.log(graph.n) / h)
 
 
 def select_starts(
@@ -338,7 +326,6 @@ def mixing_profile(
     if times.size and times[0] < 0:
         raise ValueError("times must be non-negative")
     starts = np.asarray(starts, dtype=np.int64)
-    _check_no_sinks(graph)
     operator = transition_operator(graph)
     cols = np.zeros((graph.vertex_count, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
@@ -525,19 +512,14 @@ def _step_walkers(
 
 
 def path_mass_ratios(
-    graph: Digraph,
-    table: DegreeTable,
-    starts: np.ndarray,
-    t: int,
-    reps: int,
-    seed: int,
+    graph: Digraph, starts: np.ndarray, t: int, reps: int, seed: int
 ) -> np.ndarray:
     """Normalized log path masses -log m(path) / (H t) for sampled walks.
 
     Walks start round-robin on ``starts``; the ratio concentrates at 1
     when the walk's step entropy matches the graph average H.
     """
-    ent = entropy_and_entropic_time(table, graph.n)
+    ent = entropy_and_entropic_time(graph)
     rng = derived_rng(seed, NS_TRAJECTORY, 0)
     starts = np.asarray(starts, dtype=np.int64)
     cur = starts[np.arange(reps) % starts.size]

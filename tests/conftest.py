@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.sparse import csr_matrix
 
 from dbmwalk.graph import DbmParams, Digraph, generate
 from dbmwalk.walk import ProbVector
@@ -99,6 +100,41 @@ def dense_stationary(kernel: np.ndarray) -> np.ndarray:
     b = np.zeros(k)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
+
+
+def bincount_stationary(graph: Digraph) -> tuple[np.ndarray, int]:
+    """Aggregated lazy power iteration with P(v, d) summed by ``bincount``.
+
+    A copy of the loop ``walk.stationary`` runs on m > 1 communities, as
+    it stood when it summed P(v, d), the step probability from v into
+    community d, as a ``bincount`` of 1/deg(v) over v's edges instead of
+    reading it from the kernel.  Returns (mu, iterations).
+    """
+    n, m = graph.vertex_count, graph.m
+    deg = np.diff(graph.indptr)
+    src = np.repeat(np.arange(n), deg)
+    pt = csr_matrix((1.0 / deg[src], (graph.targets, src)), shape=(n, n))
+    to_block = np.bincount(
+        src * m + graph.targets // graph.n, weights=1.0 / deg[src], minlength=n * m
+    ).reshape(m, graph.n, m)
+    mu = np.full(n, 1.0 / n)
+    for it in range(10**6):
+        stepped = pt @ mu
+        if float(np.abs(stepped - mu).sum()) < 1e-12:
+            return mu, it
+        mu = 0.5 * (mu + stepped)
+        blocks = mu.reshape(m, graph.n)
+        w = blocks.sum(axis=1)
+        coupling = np.einsum("cv,cvd->cd", blocks, to_block) / w[:, None]
+        gen = coupling - np.diag(np.diag(coupling))
+        gen -= np.diag(gen.sum(axis=1))
+        lhs = gen.T
+        lhs[-1, :] = 1.0
+        rhs = np.zeros(m)
+        rhs[-1] = 1.0
+        xi = np.linalg.solve(lhs, rhs)
+        mu = (blocks * (xi / w)[:, None]).ravel()
+    raise AssertionError("reference iteration did not converge")
 
 
 def dense_start_steps(operator, pi: np.ndarray, starts: np.ndarray, cap: int):

@@ -25,7 +25,7 @@ from dbmwalk.annealed import (
     annealed_walks,
 )
 from dbmwalk.experiments import ExperimentConfig, _accepted_graph, analytic_entropic_time
-from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
+from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.meanfield import limiting_profile, q_matrix, q_power_matrix
 from dbmwalk.proxy import TwoScaleSchedule, surrogate_measures
 from dbmwalk.qsd import (
@@ -338,10 +338,9 @@ def test_criterion_15_path_mass_concentration():
     params = DbmParams(n=10_000, m=2, lam=2.0, alpha=0.0, seed=5)
     graph, _ = generate(params, 5)
     sub = pre_rewiring_subgraph(graph, 0)
-    table = degrees(sub)
-    ent = entropy_and_entropic_time(table, sub.n)
+    ent = entropy_and_entropic_time(sub)
     t = max(1, round(5 * ent.t_ent))
-    ratios = path_mass_ratios(sub, table, np.arange(sub.n), t, reps=10_000, seed=5)
+    ratios = path_mass_ratios(sub, np.arange(sub.n), t, reps=10_000, seed=5)
     med = float(np.median(ratios))
     cover = float(np.mean((ratios >= 0.7) & (ratios <= 1.3)))
     elapsed = time.perf_counter() - t0

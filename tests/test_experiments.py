@@ -745,12 +745,26 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ({"beta_grid": [True, 2]}, [], "beta_grid must be a real number, got True"),
         ({"out_dir": 5}, [], "out_dir must be a string, got 5"),
         ({"out_dir": None}, [], "out_dir must be a string, got None"),
+        ({}, ["--betas", "inf"], "beta_grid must be finite, got inf"),
+        ({"beta_grid": [math.inf]}, [], "beta_grid must be finite, got inf"),
+        ({}, ["--betas", "nan"], "beta_grid must be finite, got nan"),
+        ({"regime": "critical", "alpha": None}, ["--C", "nan"], "c must be finite, got nan"),
+        ({"regime": "critical", "alpha": None}, ["--C", "inf"], "c must be finite, got inf"),
+        (
+            {"regime": "critical", "alpha": None},
+            ["--C", "0"],
+            "critical regime needs a positive constant c",
+        ),
+        ({}, ["--seeds", "-1"], "seed must be non-negative, got -1"),
+        ({"thread": 2}, [], r".*cfg\.json: unknown key 'thread'"),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
          "bad_seed_flag", "bad_beta_flag", "bad_starts_flag", "bad_beta_key",
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
-         "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir"],
+         "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir",
+         "inf_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
+         "inf_critical_c", "zero_critical_c", "negative_seed", "unknown_key"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
@@ -758,7 +772,11 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     # constant overrode, or, for two threads on one seed or two seeds one
     # re-draw apart, writing the same graph file twice; a flag that is not
     # a number is refused by its name; an out_dir that is not a string
-    # used to end in a TypeError traceback
+    # used to end in a TypeError traceback; an infinite beta or a critical
+    # constant of zero used to end in a traceback, a NaN beta or constant
+    # or an infinite constant in a failed run (exit 3), a negative seed in
+    # numpy's refusal after the output directory was made, and an unknown
+    # key (here a misspelt "threads") was silently ignored
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     out = [] if "out_dir" in raw else ["--out", str(tmp_path / "run")]

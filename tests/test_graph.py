@@ -58,7 +58,7 @@ def test_alpha_one_everything_rewired():
     assert graph.rewired.all()
     src_comm = np.repeat(np.arange(graph.vertex_count) // prm.n, graph.out_degree)
     assert (src_comm != graph.targets // prm.n).all()
-    assert np.array_equal(table.d_rewired_out > 0, table.d_out >= 1)
+    assert np.array_equal(table.d_rewired_out > 0, graph.out_degree >= 1)
 
 
 def test_edge_count_within_four_sigma():
@@ -85,7 +85,7 @@ def test_out_degree_chisquare():
     # pool out-degrees over seeds and compare to Binomial(n-1, p)
     prm = DbmParams(n=300, m=2, lam=1.5, alpha=0.3, seed=0)
     pooled = np.concatenate(
-        [generate(prm, seed=s)[1].d_out for s in range(1, 11)]
+        [generate(prm, seed=s)[0].out_degree for s in range(1, 11)]
     )
     ks = np.arange(prm.n)
     pmf = stats.binom.pmf(ks, prm.n - 1, prm.p)
@@ -102,13 +102,12 @@ def test_out_degree_chisquare():
 def test_degree_table_identities():
     prm = DbmParams(n=400, m=3, lam=2.0, alpha=0.25, seed=6)
     graph, table = generate(prm)
-    assert np.array_equal(table.d_out, graph.out_degree)
-    assert table.d_out.sum() == graph.edge_count
+    assert graph.out_degree.sum() == graph.edge_count
     assert table.d_rewired_out.sum() == graph.rewired.sum()
-    assert np.all(table.d_rewired_out <= table.d_out)
+    assert np.all(table.d_rewired_out <= graph.out_degree)
     for i in range(prm.m):
         sl = slice(i * prm.n, (i + 1) * prm.n)
-        assert table.d_out[sl].sum() == table.d_in_intra[sl].sum()
+        assert graph.out_degree[sl].sum() == table.d_in_intra[sl].sum()
 
 
 def test_pre_rewiring_subgraph_structure():
@@ -118,7 +117,7 @@ def test_pre_rewiring_subgraph_structure():
         sub = pre_rewiring_subgraph(graph, i)
         sub.validate()
         sl = slice(i * prm.n, (i + 1) * prm.n)
-        assert np.array_equal(sub.out_degree, table.d_out[sl])
+        assert np.array_equal(sub.out_degree, graph.out_degree[sl])
         in_deg = np.bincount(sub.targets, minlength=prm.n)
         assert np.array_equal(in_deg, table.d_in_intra[sl])
 
@@ -398,15 +397,15 @@ def test_degree_extremes_interval_from_pmf():
     for seed in range(1, 21):
         graph, table = generate(prm, seed=seed)
         d_in = np.bincount(graph.targets, minlength=graph.vertex_count)
-        families = (table.d_out, d_in, table.d_in_intra)
+        families = (graph.out_degree, d_in, table.d_in_intra)
         if all(lo <= d.min() and d.max() <= hi for d in families):
             ok += 1
     assert ok >= 19
 
 
 def test_degree_extremes_regular_and_empty():
-    table = degrees(k_regular_digraph(30, 4))
-    for d in (table.d_out, table.d_in_intra):
+    regular = k_regular_digraph(30, 4)
+    for d in (regular.out_degree, degrees(regular).d_in_intra):
         assert d.min() == d.max() == 4  # constant degrees
-    empty = degrees(digraph_from_edges(10, []))
-    assert empty.d_out.max() == empty.d_in_intra.max() == 0
+    empty = digraph_from_edges(10, [])
+    assert empty.out_degree.max() == degrees(empty).d_in_intra.max() == 0

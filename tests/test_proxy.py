@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import dense_kernel, meanfield_tv
+from conftest import dense_kernel, digraph_from_edges, meanfield_tv
 from dbmwalk.graph import DbmParams, generate
 from dbmwalk.proxy import (
     SurrogateMeasures,
@@ -102,3 +102,12 @@ def test_surrogates_are_probability_vectors(fast_forgetting):
     # reported TVs are the actual distances
     for nu, tv in zip(meas.per_community, meas.tv_to_average):
         assert tv == pytest.approx(tv_distance(nu, meas.average), abs=1e-15)
+
+
+def test_surrogates_refuse_a_graph_with_a_sink():
+    # vertex 3 has no out-edges: the burn-in's kernel would lose the mass
+    # that reaches it, so the kernel builder refuses the graph
+    params = DbmParams(n=2, m=2, lam=2.0, alpha=0.5, seed=1)
+    graph = digraph_from_edges(4, [(0, 1), (1, 0), (2, 0)], m=2, params=params)
+    with pytest.raises(ValueError, match="^walk kernel loses mass at sink vertex 3$"):
+        surrogate_measures(graph, TwoScaleSchedule.from_entropic_time(2.0))

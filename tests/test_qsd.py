@@ -57,16 +57,14 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
     ``coin`` fixes the gate's rewired-edge fraction for restart runs.
     """
     local = complete_digraph(k)
-    d_rewired = np.zeros(k, dtype=np.int64)
-    d_out = np.full(k, k - 1, dtype=np.int64)
-    # gate coin = rewired / full out-degree
-    d_rewired[0] = 1
-    d_out[0] = int(round(1 / coin))
+    # gate coin = rewired / full out-degree, k - 1 here; the rewired count
+    # is a float, since coin * (k - 1) need not be an integer
+    d_rewired = np.zeros(k)
+    d_rewired[0] = coin * (k - 1)
     return CommunityView(
         i=0,
         local=local,
         pi_local=uniform(k, "community:0"),
-        d_out_full=d_out,
         d_rewired=d_rewired,
     )
 
@@ -129,7 +127,6 @@ def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
         i=0,
         local=local,
         pi_local=uniform(7, "community:0"),
-        d_out_full=local.out_degree.copy(),
         d_rewired=np.array([0, 0, 0, 0, 0, 0, 1]),
     )
     sol = quasi_stationary(view)
@@ -228,7 +225,6 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
         i=0,
         local=graph,
         pi_local=ProbVector(pi, "community:0"),
-        d_out_full=graph.out_degree.copy(),
         d_rewired=mask.astype(np.int64),
     )
     kept = np.flatnonzero(~mask)
@@ -515,11 +511,15 @@ def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_commu
     eps = 1.0 / math.sqrt(math.log(graph.n))
     low, high = math.ceil((1 - eps) * target), math.floor((1 + eps) * target)
     gate = view.gate_labels[:5]
-    d_out, d_rew = np.zeros(graph.n), np.zeros(graph.n)
+    d_out, d_rew = np.zeros(graph.n, dtype=np.int64), np.zeros(graph.n)
     # nice at both window edges; two rewired edges; just below; just above
     d_out[gate] = [low, high, low, low - 1, high + 1]
     d_rew[gate] = [1, 1, 2, 1, 1]
-    crafted = replace(view, d_out_full=d_out, d_rewired=d_rew)
+    # a local graph whose gates have exactly these out-degrees
+    edges = [(v, (v + j) % graph.n) for v in gate for j in range(1, d_out[v] + 1)]
+    local = digraph_from_edges(graph.n, edges)
+    assert np.array_equal(local.out_degree, d_out)
+    crafted = replace(view, local=local, d_rewired=d_rew)
     assert nice_fraction(graph, crafted) == 0.4
 
 
@@ -527,7 +527,6 @@ def test_restart_first_success_is_geometric_with_sure_coins():
     # coin probability one at the single gate: tau_rho is the first gate
     # visit, geometric with rate 1/(k-1) from the uniform QSD
     view = one_gate_complete_view(6, coin=1.0)
-    view.d_rewired[0] = view.d_out_full[0]
     sol = quasi_stationary(view)
     reps = 5000
     samples = restart_process(view, sol, reps, seed=3)
@@ -657,9 +656,10 @@ def test_community_view_consistency(small_community):
     assert view.gate_mask.sum() == view.gate_labels.size
     assert view.pi_local.domain == "community:0"
     # rewiring redirects edges without changing out-degrees, so the full
-    # out-degrees coincide with the restored local ones
-    assert np.array_equal(view.d_out_full, view.local.out_degree)
-    assert np.all(view.d_rewired <= view.d_out_full)
+    # out-degrees, which the nice-gate window and the restart coins read
+    # from the local graph, coincide with the restored local ones
+    assert np.array_equal(graph.out_degree[:n], view.local.out_degree)
+    assert np.all(view.d_rewired <= view.local.out_degree)
     assert view.d_rewired.sum() > 0
     assert 0.0 < view.gate_mass < 1.0
 

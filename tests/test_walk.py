@@ -12,6 +12,7 @@ from scipy import stats
 
 from conftest import (
     DIFFERENTIAL,
+    bincount_stationary,
     complete_digraph,
     cycle_digraph,
     delta,
@@ -39,7 +40,6 @@ from dbmwalk.walk import (
     _step_walkers,
     community_mass,
     entropy_and_entropic_time,
-    evolve_batch,
     indegree_approximation,
     jump_target_frequencies,
     local_stationary,
@@ -76,8 +76,8 @@ def test_probvector_basics():
     data=st.data(),
 )
 def test_evolution_matches_dense_powers(size, graph_seed, t, data):
-    # sparse batch evolution and the profile built on it, against dense
-    # powers of the kernel on random strongly connected digraphs
+    # sparse batch evolution by propagate and the profile built on it,
+    # against dense powers of the kernel on random strongly connected digraphs
     graph = random_sc_digraph(np.random.default_rng(graph_seed), size)
     kernel = dense_kernel(graph)
     starts = np.array(
@@ -86,7 +86,8 @@ def test_evolution_matches_dense_powers(size, graph_seed, t, data):
     cols = np.zeros((size, starts.size))
     cols[starts, np.arange(starts.size)] = 1.0
     power = np.linalg.matrix_power(kernel, t)
-    assert np.abs(evolve_batch(graph, cols, t) - power[starts].T).max() < 1e-12
+    (stepped,) = propagate(transition_operator(graph), cols, [t])
+    assert np.abs(stepped - power[starts].T).max() < 1e-12
 
     times = sorted(data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=4)) + [t])
     ref = ProbVector(dense_stationary(kernel))
@@ -98,29 +99,27 @@ def test_evolution_matches_dense_powers(size, graph_seed, t, data):
     assert np.array_equal(prof.distances, prof.per_start.max(axis=0))
 
 
-def test_evolve_batch_matches_single_columns():
+def test_batch_evolution_matches_single_columns():
     rng = np.random.default_rng(11)
     graph = random_sc_digraph(rng, 31)
     starts = np.array([0, 5, 17, 30])
     cols = np.zeros((31, 4))
     cols[starts, np.arange(4)] = 1.0
-    out = evolve_batch(graph, cols, 6)
+    operator = transition_operator(graph)
+    (out,) = propagate(operator, cols, [6])
     for j in range(4):
-        ref = evolve_batch(graph, cols[:, j : j + 1], 6)
+        (ref,) = propagate(operator, cols[:, j : j + 1], [6])
         assert np.abs(out[:, j] - ref[:, 0]).max() < 1e-13
 
 
 def test_evolution_rejects_sink_mass():
     # vertex 3 has no out-edges, so the kernel loses the mass that reaches
-    # it; evolution refuses the graph up front, even when no start column
-    # has mass there yet
+    # it; the kernel builder refuses the graph up front, before any
+    # column is stepped, and on every later call too (nothing is cached)
     graph = digraph_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    cols = np.zeros((4, 2))
-    cols[[0, 3], [0, 1]] = 1.0
-    with pytest.raises(ValueError, match="sink vertex 3"):
-        evolve_batch(graph, cols, 1)
-    with pytest.raises(ValueError, match="sink vertex 3"):
-        evolve_batch(graph, cols[:, :1], 1)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^walk kernel loses mass at sink vertex 3$"):
+            transition_operator(graph)
     with pytest.raises(ValueError, match="sink vertex 3"):
         mixing_profile(graph, np.array([0]), [2], uniform(4))
 
@@ -180,6 +179,18 @@ def test_stationary_matches_dense_oracle_on_drawn_dbm_graphs(m, lam, log_alpha, 
     ref = dense_stationary(dense_kernel(graph))
     assert np.abs(pi.values - ref).sum() < 1e-10
     assert pi.residual < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 1.0])
+def test_stationary_bytes_match_the_bincount_aggregation(m, alpha):
+    # P(v, d) read from the kernel sums the same 1/deg(v) terms as the
+    # bincount over v's edges did, so the solve is unchanged bit for bit
+    graph = accepted_dbm(300, m, alpha)
+    pi = stationary(graph)
+    want, iterations = bincount_stationary(graph)
+    assert pi.values.tobytes() == want.tobytes()
+    assert pi.iterations == iterations
 
 
 def test_aggregated_stationary_on_an_arbitrary_partition():
@@ -244,7 +255,7 @@ def test_tv_distance_cases():
 
 def test_entropy_on_regular_graph_is_exact():
     graph = k_regular_digraph(64, 4)
-    ent = entropy_and_entropic_time(degrees(graph), 64)
+    ent = entropy_and_entropic_time(graph)
     assert ent.h == pytest.approx(math.log(4), rel=1e-15)
     assert ent.t_ent == pytest.approx(math.log(64) / math.log(4), rel=1e-15)
 
@@ -258,8 +269,8 @@ def test_entropy_analytic_small_binomial():
 
 
 def test_entropy_empirical_concentrates(desk_graph):
-    graph, table = desk_graph
-    ent = entropy_and_entropic_time(table, graph.n)
+    graph, _ = desk_graph
+    ent = entropy_and_entropic_time(graph)
     h_exact = math.log(graph.n) / analytic_entropic_time(graph.params)
     assert abs(ent.h - h_exact) < 0.02
     assert ent.t_ent == pytest.approx(math.log(graph.n) / ent.h)
@@ -271,7 +282,7 @@ def test_entropy_empirical_concentrates(desk_graph):
 def test_entropy_rejects_degenerate_degrees():
     graph = cycle_digraph(6)
     with pytest.raises(ValueError, match="entropic"):
-        entropy_and_entropic_time(degrees(graph), 6)
+        entropy_and_entropic_time(graph)
 
 
 def walk_paths(graph: Digraph, starts: np.ndarray, t: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +299,6 @@ def test_trajectory_log_mass_identity():
     # the walkers path_mass_ratios draws follow out-edges, and the ratio
     # is minus the log path mass over H t
     graph = generate(DbmParams(n=200, m=2, lam=3.0, alpha=0.3, seed=5), 5)[0]
-    table = degrees(graph)
     starts = np.arange(0, 400, 25)
     paths, flags = walk_paths(graph, starts, 12, derived_rng(4, NS_TRAJECTORY, 0))
     for path, rew in zip(paths, flags):
@@ -298,8 +308,8 @@ def test_trajectory_log_mass_identity():
             # the flag marks exactly the edges that leave the community
             assert r == graph.rewired[edge] == (u // graph.n != v // graph.n)
     log_mass = -np.log(graph.out_degree[paths[:, :-1]]).sum(axis=1)
-    h = entropy_and_entropic_time(table, graph.n).h
-    ratios = path_mass_ratios(graph, table, starts, 12, starts.size, seed=4)
+    h = entropy_and_entropic_time(graph).h
+    ratios = path_mass_ratios(graph, starts, 12, starts.size, seed=4)
     assert np.abs(ratios - (-log_mass / (h * 12))).max() < 1e-12
 
 
@@ -679,7 +689,8 @@ def test_community_mass_follows_two_state_chain(desk_graph):
         np.concatenate([np.full(graph.n, 1.0 / graph.n), np.zeros(graph.n)])
     )
     t = 20
-    out = ProbVector(evolve_batch(graph, mu.values[:, None], t)[:, 0])
+    (stepped,) = propagate(transition_operator(graph), mu.values[:, None], [t])
+    out = ProbVector(stepped[:, 0])
     want = q_power_matrix(graph.m, graph.params.alpha, t)[0]
     assert np.abs(community_mass(graph, out) - want).max() < 0.05
 
@@ -693,13 +704,13 @@ def test_stationary_masses_nearly_balanced(desk_graph):
 
 def test_path_mass_ratio_is_one_on_regular_graph():
     graph = k_regular_digraph(120, 3)
-    ratios = path_mass_ratios(graph, degrees(graph), np.array([0, 40]), 9, 64, seed=4)
+    ratios = path_mass_ratios(graph, np.array([0, 40]), 9, 64, seed=4)
     assert np.abs(ratios - 1.0).max() < 1e-12
 
 
 def test_path_mass_ratio_concentrates(desk_graph):
-    graph, table = desk_graph
-    ratios = path_mass_ratios(graph, table, np.arange(64), 60, 256, seed=5)
+    graph, _ = desk_graph
+    ratios = path_mass_ratios(graph, np.arange(64), 60, 256, seed=5)
     assert abs(np.median(ratios) - 1.0) < 0.1
     assert (np.abs(ratios - 1.0) < 0.35).mean() > 0.9
 
