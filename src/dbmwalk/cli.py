@@ -31,7 +31,7 @@ from .experiments import (
     run_qsd_experiment,
 )
 from .graph import DbmParams, require_real
-from .walk import SAMPLED_STARTS, START_STATE_LIMIT
+from .walk import SAMPLED_STARTS
 
 _COMMANDS = {
     "generate": (run_generate, "generate graphs and a degree summary"),
@@ -40,11 +40,10 @@ _COMMANDS = {
     "annealed": (run_annealed_experiment, "revealed-walk community law and jump survival"),
     "proxy": (run_proxy_experiment, "two-scale surrogate measures"),
 }
-# the keys _build_config reads, plus the base_seed a manifest's config
-# block holds (the first seed is the base seed)
+# the keys _build_config reads: a manifest's config block plus out_dir
 _CONFIG_KEYS = {
     "n", "m", "lambda", "alpha", "regime", "c", "seeds", "beta_grid", "timescale",
-    "start_policy", "sample_starts", "threads", "out_dir", "base_seed",
+    "sample_starts", "threads", "out_dir",
 }
 _DEFAULT_BETAS = {
     "subcritical": "0.5,1.5",
@@ -75,12 +74,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
     p.add_argument(
         "--starts",
-        help=(
-            "start policy of the profile and qsd mixing times: 'exhaustive' or a "
-            f"sample size (default {SAMPLED_STARTS}); a space of at most "
-            f"{START_STATE_LIMIT} states is started from every state either way; "
-            "the manifest records profile_compression.starts and mixing_time_exhaustive"
-        ),
+        help=f"'exhaustive' or a sample size (default {SAMPLED_STARTS})",
     )
     p.add_argument("--threads", type=int, help="worker threads across seeds")
     p.add_argument("--out", help="output directory (default out/<command>)")
@@ -140,28 +134,29 @@ def _build_config(args: argparse.Namespace, command: str) -> ExperimentConfig:
         betas = betas.split(",")
     name = "--betas" if args.betas is not None else "beta_grid"
     betas = tuple(_number(name, b, float) for b in betas)
-    # a manifest's config block holds the policy name and the size apart;
     # ExperimentConfig holds the default of every option left unset here
     common = {
         "timescale": pick(args.timescale, "timescale"),
-        "start_policy": pick(args.starts, "start_policy"),
-        "sample_starts": raw.get("sample_starts"),
         "threads": pick(args.threads, "threads"),
     }
-    if args.starts not in (None, "sampled", "exhaustive"):  # --starts k: a sample size
-        common.update(start_policy="sampled", sample_starts=_number("--starts", args.starts, int))
     common = {key: value for key, value in common.items() if value is not None}
+    if args.starts == "exhaustive":
+        common["sample_starts"] = None
+    elif args.starts is not None:
+        common["sample_starts"] = _number("--starts", args.starts, int)
+    elif "sample_starts" in raw:  # null: every state
+        common["sample_starts"] = raw["sample_starts"]
     out_dir = pick(args.out, "out_dir", f"out/{command}")
     common.update(beta_grid=betas, seeds=seeds, out_dir=out_dir)
-    base_seed = seeds[0] if seeds else 0  # ExperimentConfig refuses an empty list
+    seed = seeds[0] if seeds else 0  # ExperimentConfig refuses an empty list
     if regime == "critical" and c is None:
         raise ValueError("critical regime needs --C")
     # a given alpha is checked against 1/(c*t_ent) by ExperimentConfig
     if regime == "critical" and alpha is None:
-        return ExperimentConfig.critical(n, m, lam, c, seed=base_seed, **common)
+        return ExperimentConfig.critical(n, m, lam, c, seed=seed, **common)
     if alpha is None:
         raise ValueError("need --alpha (or --regime critical with --C)")
-    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=base_seed)
+    params = DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed)
     return ExperimentConfig(params=params, regime=regime, c=c, **common)
 
 
@@ -177,10 +172,12 @@ def _finish(manifest: RunManifest) -> int:
 def _report(path: Path) -> int:
     """Print a finished run's manifest; exit 1 when a verdict failed."""
     manifest = _read_json(path)
-    try:
-        passed = all(v["passed"] for v in manifest["verdicts"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path} has no valid list of verdicts") from exc
+    verdicts = manifest.get("verdicts") if isinstance(manifest, dict) else None
+    if not isinstance(verdicts, list) or not all(
+        isinstance(v, dict) and isinstance(v.get("passed"), bool) for v in verdicts
+    ):
+        raise ValueError(f"{path} has no valid list of verdicts")
+    passed = all(v["passed"] for v in verdicts)
     print(json.dumps(manifest, indent=2, sort_keys=True))
     return 0 if passed else 1
 

@@ -120,8 +120,7 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...]
     timescale: str = "entropic"  # or "inverse_alpha"
     c: float | None = None
-    start_policy: str = "sampled"  # or "exhaustive"
-    sample_starts: int = SAMPLED_STARTS
+    sample_starts: int | None = SAMPLED_STARTS  # None: every state
     seeds: tuple[int, ...] = (1,)
     out_dir: str = "out"
     threads: int = 1
@@ -133,7 +132,10 @@ class ExperimentConfig:
             require_int("seed", seed)
             if seed < 0:
                 raise ValueError(f"seed must be non-negative, got {seed}")
-        require_int("sample_starts", self.sample_starts)
+        if self.sample_starts is not None:
+            require_int("sample_starts", self.sample_starts)
+            if self.sample_starts < 1:
+                raise ValueError(f"need at least one sampled start, got {self.sample_starts}")
         require_int("threads", self.threads)
         if self.c is not None:
             require_real("c", self.c)
@@ -149,10 +151,6 @@ class ExperimentConfig:
             raise ValueError(f"timescale inverse_alpha is supercritical-only, not {self.regime}")
         if self.c is not None and self.regime != "critical":
             raise ValueError(f"the constant c is critical-only, got c={self.c} in {self.regime}")
-        if self.start_policy not in ("sampled", "exhaustive"):
-            raise ValueError(f"unknown start policy {self.start_policy!r}")
-        if self.sample_starts < 1:
-            raise ValueError(f"need at least one sampled start, got {self.sample_starts}")
         if not self.beta_grid or any(b <= 0 for b in self.beta_grid):
             raise ValueError("beta grid must be positive")
         if not self.seeds:
@@ -173,11 +171,6 @@ class ExperimentConfig:
     @property
     def t_ent(self) -> float:
         return analytic_entropic_time(self.params)
-
-    @property
-    def start_count(self) -> int | None:
-        """The ``k`` of ``walk.select_starts``: None under the exhaustive policy."""
-        return None if self.start_policy == "exhaustive" else self.sample_starts
 
     def validate_regime(self) -> None:
         alpha = self.params.alpha
@@ -249,21 +242,20 @@ class ExperimentConfig:
         return self.regime
 
     def to_dict(self) -> dict:
+        """The manifest's config block: plain Python numbers, so numpy ones hash alike."""
         prm = self.params
         return {
-            "n": prm.n,
-            "m": prm.m,
-            "lambda": prm.lam,
-            "alpha": prm.alpha,
-            "base_seed": prm.seed,
+            "n": int(prm.n),
+            "m": int(prm.m),
+            "lambda": float(prm.lam),
+            "alpha": float(prm.alpha),
             "regime": self.regime,
-            "c": self.c,
-            "beta_grid": list(self.beta_grid),
+            "c": None if self.c is None else float(self.c),
+            "beta_grid": [float(b) for b in self.beta_grid],
             "timescale": self.timescale,
-            "start_policy": self.start_policy,
-            "sample_starts": self.sample_starts,
-            "seeds": list(self.seeds),
-            "threads": self.threads,
+            "sample_starts": None if self.sample_starts is None else int(self.sample_starts),
+            "seeds": [int(s) for s in self.seeds],
+            "threads": int(self.threads),
         }
 
 
@@ -367,11 +359,12 @@ def _run(config: ExperimentConfig, per_seed):
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     task = functools.partial(per_seed, config)
+    seeds = [int(s) for s in config.seeds]  # a numpy seed would reach the manifest
     if config.threads <= 1:
-        done = [task(s) for s in config.seeds]
+        done = [task(s) for s in seeds]
     else:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            done = list(pool.map(task, config.seeds))
+            done = list(pool.map(task, seeds))
     manifest.seeds_used = [diag["seed"] for diag, _ in done]
     manifest.diagnostics["per_seed"] = [diag for diag, _ in done]
     manifest.timings["seed_sweep"] = time.perf_counter() - t0
@@ -429,7 +422,7 @@ def _profile_seed(config: ExperimentConfig, seed: int):
     rng = derived_rng(used, NS_EXPERIMENT, 0)
     deg = graph.out_degree  # slow and fast spreading witnesses
     witnesses = [int(deg.argmin()), int(deg.argmax())]
-    starts = select_starts(graph.vertex_count, rng, config.start_count, witnesses)
+    starts = select_starts(graph.vertex_count, rng, config.sample_starts, witnesses)
     times = sorted(set(config.time_grid().values()))
     profile = mixing_profile(graph, starts, times, pi)
     compression = {
@@ -558,7 +551,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         sol = qsd.quasi_stationary(view)
         merged = qsd.build_merged_kernel(view)
         rng = derived_rng(used, NS_EXPERIMENT, 1, i)
-        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng, config.start_count)
+        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng, config.sample_starts)
         diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
         diag["qsd"].append({"iterations": sol.iterations, "residual": sol.residual})
         diag["mixing_time_exhaustive"].append(exhaustive)

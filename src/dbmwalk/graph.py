@@ -171,15 +171,9 @@ class Digraph:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """Per-vertex degree counts that ``Digraph.out_degree`` does not give.
-
-    ``d_rewired_out`` counts the rewired share of the out-degree, and
-    ``d_in_intra`` counts in-edges of the pre-rewiring graph
-    (same-community sources aiming at this label).
-    """
+    """The rewired share of each vertex's out-degree, ``d_rewired_out``."""
 
     d_rewired_out: np.ndarray
-    d_in_intra: np.ndarray
 
 
 def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, DegreeTable]:
@@ -243,12 +237,8 @@ def _community_edge_labels(
 
 def degrees(graph: Digraph) -> DegreeTable:
     """Recompute the degree table from the edge arrays."""
-    nv = graph.vertex_count
-    src = graph.sources()
-    d_rew = np.bincount(src[graph.rewired], minlength=nv).astype(np.int64)
-    pre_target = (src // graph.n) * graph.n + (graph.targets % graph.n)
-    d_in_intra = np.bincount(pre_target, minlength=nv).astype(np.int64)
-    return DegreeTable(d_rewired_out=d_rew, d_in_intra=d_in_intra)
+    rewired = graph.sources()[graph.rewired]
+    return DegreeTable(np.bincount(rewired, minlength=graph.vertex_count).astype(np.int64))
 
 
 def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .graph import DegreeTable, Digraph, pre_rewiring_subgraph
+from .graph import Digraph, pre_rewiring_subgraph
 from .rng import NS_TRAJECTORY, derived_rng
 
 STATIONARY_TOL = 1e-12
@@ -244,15 +244,14 @@ class IndegreeApproximation:
         return float(self.rel_err.max())
 
 
-def indegree_approximation(
-    graph: Digraph, table: DegreeTable, i: int, pi_local: ProbVector
-) -> IndegreeApproximation:
+def indegree_approximation(graph: Digraph, i: int, pi_local: ProbVector) -> IndegreeApproximation:
     if graph.params is None:
         raise ValueError("needs model parameters for the p*n^2 scale")
     if pi_local.domain != f"community:{i}":
         raise ValueError("reference must live on the same community")
     n = graph.n
-    raw = table.d_in_intra[i * n : (i + 1) * n] / (graph.params.p * n * n)
+    in_degree = np.bincount(pre_rewiring_subgraph(graph, i).targets, minlength=n)
+    raw = in_degree / (graph.params.p * n * n)
     keep = raw > 0.0
     return IndegreeApproximation(rel_err=np.abs(raw[keep] / pi_local.values[keep] - 1.0))
 

@@ -50,6 +50,13 @@ def k_regular_digraph(n_vertices: int, k: int, seed: int = 0) -> Digraph:
     return digraph_from_edges(n_vertices, edges)
 
 
+def pre_rewiring_in_degree(graph: Digraph) -> np.ndarray:
+    """Each vertex's in-degree once every edge is restored to its source's community."""
+    n = graph.n
+    src = np.repeat(np.arange(graph.vertex_count), graph.out_degree)
+    return np.bincount((src // n) * n + graph.targets % n, minlength=graph.vertex_count)
+
+
 def random_sc_digraph(rng: np.random.Generator, size: int, extra: float = 2.0) -> Digraph:
     """Random digraph made strongly connected by planting a Hamilton cycle."""
     perm = rng.permutation(size)

@@ -377,9 +377,9 @@ def test_criterion_17_indegree_error_trend():
         p99, top = {}, {}
         for n in (1000, 4000):
             params = DbmParams(n=n, m=2, lam=2.0, alpha=0.0, seed=seed)
-            graph, table = generate(params, seed)
+            graph, _ = generate(params, seed)
             pi_local = local_stationary(graph, 0)
-            approx = indegree_approximation(graph, table, 0, pi_local)
+            approx = indegree_approximation(graph, 0, pi_local)
             p99[n] = float(np.quantile(approx.rel_err, 0.99))
             top[n] = approx.max_rel_err
         wins += p99[4000] < p99[1000]
@@ -422,7 +422,7 @@ def test_criterion_20_deterministic_reruns(tmp_path):
             params=params,
             regime="subcritical",
             beta_grid=(0.5, 1.5),
-            start_policy="exhaustive",
+            sample_starts=None,
             seeds=tuple(range(1, 9)),
             out_dir=str(tmp_path / tag),
             threads=threads,

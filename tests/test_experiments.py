@@ -18,7 +18,7 @@ from scipy.stats import binom, kstest
 
 from dbmwalk import qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
-from dbmwalk.cli import main
+from dbmwalk.cli import _CONFIG_KEYS, main
 from dbmwalk.experiments import (
     MAX_GRAPH_REJECTS,
     RESEED_STRIDE,
@@ -68,7 +68,7 @@ def sub_config(out_dir: str, **kw) -> ExperimentConfig:
         params=params,
         regime="subcritical",
         beta_grid=kw.pop("beta_grid", (0.5, 1.5)),
-        start_policy="exhaustive",
+        sample_starts=None,
         seeds=seeds,
         out_dir=out_dir,
         **kw,
@@ -189,8 +189,8 @@ def test_config_misc_guards():
         ExperimentConfig(**{**good, "regime": "mixed"})
     with pytest.raises(ValueError, match="timescale"):
         ExperimentConfig(**{**good, "timescale": "seconds"})
-    with pytest.raises(ValueError, match="start policy"):
-        ExperimentConfig(**{**good, "start_policy": "all"})
+    # None starts from every state and skips the sample-size checks
+    assert ExperimentConfig(**{**good, "sample_starts": None}).to_dict()["sample_starts"] is None
     with pytest.raises(ValueError, match="beta"):
         ExperimentConfig(**{**good, "beta_grid": ()})
     with pytest.raises(ValueError, match="beta"):
@@ -500,8 +500,8 @@ def test_qsd_run_artifacts(tmp_path):
 
 def test_qsd_exhaustive_starts_cover_a_large_merged_space(tmp_path):
     # about 50 gates per community at this alpha leave a merged space above
-    # the 2000 states up to which every start is stepped under any policy
-    config = super_config(str(tmp_path), n=2200, alpha=0.001, start_policy="exhaustive")
+    # the 2000 states up to which every start is stepped at any sample size
+    config = super_config(str(tmp_path), n=2200, alpha=0.001, sample_starts=None)
     run_qsd_experiment(config)
     rows = (tmp_path / "qsd_seed1.csv").read_text().splitlines()[1:]
     gate_counts = [int(row.split(",")[7]) for row in rows]
@@ -692,7 +692,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     payload = json.loads((Path(out) / "manifest.json").read_text())
     assert payload["config"]["n"] == 400  # flag wins over the file
-    assert payload["config"]["base_seed"] == 7
+    assert payload["config"]["seeds"] == [7]
     assert (Path(out) / "graph_seed7.npz").exists()
 
 
@@ -757,6 +757,9 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ),
         ({}, ["--seeds", "-1"], "seed must be non-negative, got -1"),
         ({"thread": 2}, [], r".*cfg\.json: unknown key 'thread'"),
+        ({"start_policy": "exhaustive"}, [], r".*cfg\.json: unknown key 'start_policy'"),
+        ({"base_seed": 1}, [], r".*cfg\.json: unknown key 'base_seed'"),
+        ({}, ["--starts", "sampled"], "--starts: 'sampled' is not an integer"),
     ],
     ids=["float_n", "bool_m", "float_seeds", "float_starts", "float_threads",
          "negative_threads", "duplicate_seeds", "empty_seeds", "seeds_sharing_a_redraw",
@@ -764,7 +767,8 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
          "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir",
          "inf_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
-         "inf_critical_c", "zero_critical_c", "negative_seed", "unknown_key"],
+         "inf_critical_c", "zero_critical_c", "negative_seed", "unknown_key",
+         "start_policy_key", "base_seed_key", "sampled_starts_flag"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
     # each of these used to run: truncated, recorded as given, on a clock
@@ -776,7 +780,9 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     # constant of zero used to end in a traceback, a NaN beta or constant
     # or an infinite constant in a failed run (exit 3), a negative seed in
     # numpy's refusal after the output directory was made, and an unknown
-    # key (here a misspelt "threads") was silently ignored
+    # key (here a misspelt "threads") was silently ignored; a manifest's
+    # former start_policy and base_seed keys are unknown keys too, and
+    # --starts takes 'exhaustive' or a sample size, nothing else
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 300, "lambda": 3.0, "alpha": 0.02, "seeds": [1], **raw}))
     out = [] if "out_dir" in raw else ["--out", str(tmp_path / "run")]
@@ -840,22 +846,25 @@ def test_cli_rejects_empty_or_negative_start_samples(tmp_path, capsys, starts):
 
 
 def test_cli_exhaustive_starts_keep_their_config_hash(tmp_path):
-    out = str(tmp_path / "run")
-    argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
-    assert main(argv + ["--starts", "exhaustive", "--out", out]) == 0
-    payload = json.loads((Path(out) / "manifest.json").read_text())
-    assert payload["config"]["start_policy"] == "exhaustive"
-    assert payload["config"]["sample_starts"] == 64
+    # --starts exhaustive and a config file's "sample_starts": null both
+    # mean every state; out_dir is not hashed, so one config_hash fits both
     want = ExperimentConfig(
         params=DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1),
         regime="supercritical",
         beta_grid=(0.5, 1.0, 2.0, 5.0),
-        start_policy="exhaustive",
-        sample_starts=64,
+        sample_starts=None,
         seeds=(1,),
-        out_dir=out,
     )
-    assert payload["config_hash"] == _new_manifest(want).config_hash
+    argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sample_starts": None}))
+    for tag, given in (("flag", ["--starts", "exhaustive"]), ("file", ["--config", str(cfg)])):
+        out = tmp_path / tag
+        assert main(argv + given + ["--out", str(out)]) == 0
+        payload = json.loads((out / "manifest.json").read_text())
+        assert payload["config"]["sample_starts"] is None
+        assert "start_policy" not in payload["config"]
+        assert payload["config_hash"] == _new_manifest(want).config_hash
 
 
 @pytest.mark.parametrize(
@@ -881,6 +890,44 @@ def test_cli_replays_its_own_manifest_config(tmp_path, flags):
     assert replayed["config_hash"] == payload["config_hash"]
 
 
+def test_cli_config_keys_are_the_manifest_config_keys():
+    # a config file takes exactly what a manifest's config block holds,
+    # plus out_dir, so a manifest replays and no accepted key goes unread
+    config = ExperimentConfig(
+        params=DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1),
+        regime="supercritical",
+        beta_grid=(0.5,),
+    )
+    assert _CONFIG_KEYS == set(config.to_dict()) | {"out_dir"}
+
+
+def test_numpy_numbers_hash_like_python_numbers(tmp_path):
+    # require_int and require_real take numpy scalars, and json.dumps
+    # refuses numpy integers: a numpy-typed config used to fail before its
+    # run started
+    def config(num, real, out):
+        params = DbmParams(n=num(300), m=num(2), lam=real(3.0), alpha=real(0.02), seed=num(1))
+        return ExperimentConfig(
+            params=params,
+            regime="supercritical",
+            beta_grid=(real(0.5),),
+            sample_starts=num(10),
+            seeds=(num(1),),
+            threads=num(1),
+            out_dir=str(tmp_path / out),
+        )
+
+    plain = config(int, float, "plain")
+    typed = config(np.int64, np.float64, "typed")
+    assert _new_manifest(typed).config_hash == _new_manifest(plain).config_hash
+    manifest = run_generate(typed)
+    assert manifest.config == plain.to_dict()
+    assert (tmp_path / "typed" / "graph_seed1.npz").exists()
+    # the annealed runner records the seed it was handed, not a redrawn one
+    run_annealed_experiment(config(np.int64, np.float64, "annealed"), t=2, reps=50, t_max=4)
+    assert json.loads((tmp_path / "annealed" / "manifest.json").read_text())["seeds_used"] == [1]
+
+
 def test_cli_critical_config_comes_from_experiment_config(tmp_path):
     out = str(tmp_path / "run")
     argv = ["generate", "--regime", "critical", "--C", "2", "--n", "300", "--lambda", "3"]
@@ -899,17 +946,27 @@ def test_cli_critical_config_comes_from_experiment_config(tmp_path):
         ("no_manifest", "^cannot read .*manifest.json: No such file or directory$"),
         ("invalid_json", "^.*manifest.json is not valid JSON: Expecting .*$"),
         ("no_verdicts", "^.*manifest.json has no valid list of verdicts$"),
+        ("verdicts_object", "^.*manifest.json has no valid list of verdicts$"),
+        ("text_passed", "^.*manifest.json has no valid list of verdicts$"),
     ],
-    ids=["no_directory", "no_manifest", "invalid_json", "no_verdicts"],
+    ids=["no_directory", "no_manifest", "invalid_json", "no_verdicts", "verdicts_object",
+         "text_passed"],
 )
 def test_report_fails_cleanly_on_unreadable_runs(tmp_path, capsys, case, message):
+    # a verdicts object, or a passed flag that is not a JSON boolean, used
+    # to be reported with exit 0
+    manifests = {
+        "no_verdicts": {"config": {"n": 5}},
+        "verdicts_object": {"verdicts": {}},
+        "text_passed": {"verdicts": [{"passed": "false"}]},
+    }
     run = tmp_path / "run"
     if case != "no_directory":
         run.mkdir()
     if case == "invalid_json":
         (run / "manifest.json").write_text("{not json")
-    if case == "no_verdicts":
-        (run / "manifest.json").write_text(json.dumps({"config": {"n": 5}}))
+    if case in manifests:
+        (run / "manifest.json").write_text(json.dumps(manifests[case]))
     assert_refused(capsys, ["report", str(run)], message)
 
 

@@ -11,11 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import digraph_from_edges, k_regular_digraph
+from conftest import digraph_from_edges, k_regular_digraph, pre_rewiring_in_degree
 from dbmwalk.graph import (
     DbmParams,
     Digraph,
-    degrees,
     generate,
     load_binary,
     pre_rewiring_subgraph,
@@ -107,19 +106,19 @@ def test_degree_table_identities():
     assert np.all(table.d_rewired_out <= graph.out_degree)
     for i in range(prm.m):
         sl = slice(i * prm.n, (i + 1) * prm.n)
-        assert graph.out_degree[sl].sum() == table.d_in_intra[sl].sum()
+        assert graph.out_degree[sl].sum() == pre_rewiring_in_degree(graph)[sl].sum()
 
 
 def test_pre_rewiring_subgraph_structure():
     prm = DbmParams(n=400, m=3, lam=2.0, alpha=0.25, seed=7)
-    graph, table = generate(prm)
+    graph, _ = generate(prm)
     for i in range(prm.m):
         sub = pre_rewiring_subgraph(graph, i)
         sub.validate()
         sl = slice(i * prm.n, (i + 1) * prm.n)
         assert np.array_equal(sub.out_degree, graph.out_degree[sl])
         in_deg = np.bincount(sub.targets, minlength=prm.n)
-        assert np.array_equal(in_deg, table.d_in_intra[sl])
+        assert np.array_equal(in_deg, pre_rewiring_in_degree(graph)[sl])
 
 
 def test_pre_rewiring_is_alpha_zero_identity():
@@ -395,9 +394,9 @@ def test_degree_extremes_interval_from_pmf():
     hi = int(np.searchsorted(cdf, 1.0 - 0.005 / n_draws))
     ok = 0
     for seed in range(1, 21):
-        graph, table = generate(prm, seed=seed)
+        graph, _ = generate(prm, seed=seed)
         d_in = np.bincount(graph.targets, minlength=graph.vertex_count)
-        families = (graph.out_degree, d_in, table.d_in_intra)
+        families = (graph.out_degree, d_in, pre_rewiring_in_degree(graph))
         if all(lo <= d.min() and d.max() <= hi for d in families):
             ok += 1
     assert ok >= 19
@@ -405,7 +404,7 @@ def test_degree_extremes_interval_from_pmf():
 
 def test_degree_extremes_regular_and_empty():
     regular = k_regular_digraph(30, 4)
-    for d in (regular.out_degree, degrees(regular).d_in_intra):
+    for d in (regular.out_degree, pre_rewiring_in_degree(regular)):
         assert d.min() == d.max() == 4  # constant degrees
     empty = digraph_from_edges(10, [])
-    assert empty.out_degree.max() == degrees(empty).d_in_intra.max() == 0
+    assert empty.out_degree.max() == pre_rewiring_in_degree(empty).max() == 0

@@ -77,7 +77,7 @@ def _runs(root: Path):
             beta_grid=(0.5, 1.0, 2.0), timescale="inverse_alpha"))),
         ("profile-sub", lambda: run_profile_experiment(_config(
             root / "profile-sub", 800, 0.3, "subcritical", seeds=(1, 2),
-            beta_grid=(0.5, 2.5), start_policy="exhaustive"))),
+            beta_grid=(0.5, 2.5), sample_starts=None))),
         ("profile-critical", lambda: run_profile_experiment(critical)),
         ("qsd-small", lambda: run_qsd_experiment(
             _config(root / "qsd-small", 500, 0.02, seeds=(3, 4)))),
