@@ -10,7 +10,7 @@ revealed-graph walk (``annealed``), two-scale surrogate measures
 
 __version__ = "0.1.0"
 
-from .graph import DbmParams, Digraph, degrees, generate
+from .graph import DbmParams, Digraph, generate
 from .meanfield import limiting_profile, q_matrix
 from .walk import entropy_and_entropic_time, mixing_profile, stationary, tv_distance
 
@@ -18,7 +18,6 @@ __all__ = [
     "__version__",
     "DbmParams",
     "Digraph",
-    "degrees",
     "generate",
     "limiting_profile",
     "q_matrix",

@@ -27,12 +27,12 @@ from . import meanfield, qsd, svg
 from .annealed import annealed_community_law, annealed_jump_survival
 from .graph import (
     DbmParams,
-    DegreeTable,
     Digraph,
     generate,
     pre_rewiring_subgraph,
     require_int,
     require_real,
+    require_seed,
     save_binary,
 )
 from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
@@ -129,9 +129,7 @@ class ExperimentConfig:
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for seed in self.seeds:
-            require_int("seed", seed)
-            if seed < 0:
-                raise ValueError(f"seed must be non-negative, got {seed}")
+            require_seed(seed)
         if self.sample_starts is not None:
             require_int("sample_starts", self.sample_starts)
             if self.sample_starts < 1:
@@ -386,7 +384,7 @@ def _accepted_graph(
     config: ExperimentConfig,
     seed: int,
     need_all_communities: bool = False,
-) -> tuple[Digraph, DegreeTable, int]:
+) -> tuple[Digraph, int]:
     """Generate until accepted; returns the seed actually used.
 
     Acceptance is strong connectivity of the whole graph (every profile
@@ -395,12 +393,12 @@ def _accepted_graph(
     """
     for attempt in range(MAX_GRAPH_REJECTS + 1):
         used = seed + attempt * RESEED_STRIDE
-        graph, table = generate(config.params, seed=used)
+        graph, _ = generate(config.params, seed=used)
         if not graph.is_strongly_connected():
             continue
         if need_all_communities and not _communities_connected(graph):
             continue
-        return graph, table, used
+        return graph, used
     raise RuntimeError(
         f"graph rejected {MAX_GRAPH_REJECTS + 1} consecutive times (seed {seed})"
     )
@@ -417,7 +415,7 @@ def _communities_connected(graph: Digraph) -> bool:
 
 
 def _profile_seed(config: ExperimentConfig, seed: int):
-    graph, _, used = _accepted_graph(config, seed)
+    graph, used = _accepted_graph(config, seed)
     pi = stationary(graph)
     rng = derived_rng(used, NS_EXPERIMENT, 0)
     deg = graph.out_degree  # slow and fast spreading witnesses
@@ -535,7 +533,7 @@ RESTART_REPS = 600  # restart and tau_jump samples per seed
 
 def _qsd_seed(config: ExperimentConfig, seed: int):
     prm = config.params
-    graph, table, used = _accepted_graph(config, seed, need_all_communities=True)
+    graph, used = _accepted_graph(config, seed, need_all_communities=True)
     first_order = qsd.iota_first_order(prm)
     cap = math.ceil(6 * config.t_ent * math.log(prm.n))
     rows = []
@@ -547,7 +545,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         "return_mass_horizon": [],
     }
     for i in range(prm.m):
-        view = qsd.community_view(graph, table, i)
+        view = qsd.community_view(graph, i)
         sol = qsd.quasi_stationary(view)
         merged = qsd.build_merged_kernel(view)
         rng = derived_rng(used, NS_EXPERIMENT, 1, i)
@@ -709,7 +707,7 @@ PROXY_IDENTITY_TOL = 1e-12
 
 
 def _proxy_seed(config: ExperimentConfig, seed: int):
-    graph, _, used = _accepted_graph(config, seed)
+    graph, used = _accepted_graph(config, seed)
     sch = TwoScaleSchedule.from_entropic_time(config.t_ent)
     sm = surrogate_measures(graph, sch)
     pi = stationary(graph)
@@ -735,7 +733,7 @@ def run_proxy_experiment(config: ExperimentConfig) -> RunManifest:
 
 
 def _generate_seed(config: ExperimentConfig, seed: int):
-    graph, _, used = _accepted_graph(config, seed)
+    graph, used = _accepted_graph(config, seed)
     path = Path(config.out_dir) / f"graph_seed{used}.npz"
     save_binary(graph, str(path))
     pi = stationary(graph)

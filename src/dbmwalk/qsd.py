@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import csr_matrix, identity, issparse
 from scipy.sparse.linalg import spsolve
 
-from .graph import DbmParams, DegreeTable, Digraph, pre_rewiring_subgraph
+from .graph import DbmParams, Digraph, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
 from .walk import (
     SAMPLED_STARTS,
@@ -57,7 +57,8 @@ class CommunityView:
     full DBM out-degree of the community's vertices.  ``gate_mask`` (the
     labels with a rewired out-edge) and ``survivor`` (the kernel
     ``transition_operator(local)`` on the ``kept`` labels) are built
-    once: ``d_rewired`` must not change after they are read.
+    once: ``d_rewired``, in ``community_view`` a slice of the graph's
+    ``rewired_out_degree``, must not change after they are read.
     """
 
     i: int
@@ -90,7 +91,7 @@ class CommunityView:
         return transition_operator(self.local)[self.kept][:, self.kept]
 
 
-def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
+def community_view(graph: Digraph, i: int) -> CommunityView:
     """Assemble the per-community objects used by every routine here.
 
     ``local`` is the graph's cached pre-rewiring subgraph and
@@ -99,15 +100,15 @@ def community_view(graph: Digraph, table: DegreeTable, i: int) -> CommunityView:
     community without gates, from which the walk never escapes, is
     refused, as is one that is not strongly connected.
     """
-    lo, hi = i * graph.n, (i + 1) * graph.n
-    if not table.d_rewired_out[lo:hi].any():
+    d_rewired = graph.rewired_out_degree[i * graph.n : (i + 1) * graph.n]
+    if not d_rewired.any():
         raise ValueError(f"community {i} has no rewired out-edge, so no gate to escape by")
     pi_local = local_stationary(graph, i)
     view = CommunityView(
         i=i,
         local=pre_rewiring_subgraph(graph, i),
         pi_local=pi_local,
-        d_rewired=table.d_rewired_out[lo:hi],
+        d_rewired=d_rewired,
     )
     view.survivor  # build the community kernel here, where it is traced
     return view

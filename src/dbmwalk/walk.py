@@ -24,7 +24,7 @@ STATIONARY_MAX_ITER = 10**6
 PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
-SAMPLED_STARTS = 64  # starts drawn on a larger space unless the policy is exhaustive
+SAMPLED_STARTS = 64  # starts drawn on a larger space unless k is None
 
 
 @dataclass(frozen=True)
@@ -223,28 +223,13 @@ def community_mass(graph: Digraph, mu: ProbVector) -> np.ndarray:
     return mu.values.reshape(graph.m, graph.n).sum(axis=1)
 
 
-def stationary_community_masses(graph: Digraph) -> np.ndarray:
-    return community_mass(graph, stationary(graph))
-
-
-@dataclass(frozen=True)
-class IndegreeApproximation:
-    """In-degree proxy for the local stationary distribution.
+def indegree_approximation(graph: Digraph, i: int, pi_local: ProbVector) -> np.ndarray:
+    """Relative error |proxy/pi_i - 1| of the in-degree proxy for pi_i.
 
     The proxy is pre-rewiring in-degree / (p*n^2), whose scale error vs
-    pi_i is part of the statement.  ``rel_err`` holds |proxy/pi_i - 1|
-    against the reference pi_i for each vertex of nonzero in-degree, and
-    ``max_rel_err`` is its maximum.
+    pi_i is part of the statement.  One entry per vertex of nonzero
+    in-degree, in label order.
     """
-
-    rel_err: np.ndarray
-
-    @property
-    def max_rel_err(self) -> float:
-        return float(self.rel_err.max())
-
-
-def indegree_approximation(graph: Digraph, i: int, pi_local: ProbVector) -> IndegreeApproximation:
     if graph.params is None:
         raise ValueError("needs model parameters for the p*n^2 scale")
     if pi_local.domain != f"community:{i}":
@@ -253,7 +238,7 @@ def indegree_approximation(graph: Digraph, i: int, pi_local: ProbVector) -> Inde
     in_degree = np.bincount(pre_rewiring_subgraph(graph, i).targets, minlength=n)
     raw = in_degree / (graph.params.p * n * n)
     keep = raw > 0.0
-    return IndegreeApproximation(rel_err=np.abs(raw[keep] / pi_local.values[keep] - 1.0))
+    return np.abs(raw[keep] / pi_local.values[keep] - 1.0)
 
 
 def entropy_and_entropic_time(graph: Digraph) -> EntropyResult:
@@ -276,13 +261,12 @@ def select_starts(
 ) -> np.ndarray:
     """Start states, sorted and distinct, for a worst-start maximum.
 
-    Every one of the ``size`` states when ``k`` is None (the exhaustive
-    policy) or there are at most START_STATE_LIMIT, whatever ``k`` is: a
-    profile on a graph of at most 2000 vertices starts from every
-    vertex, and its manifest records that count as
-    ``profile_compression.starts``.  Otherwise k
-    states drawn from ``rng`` plus the ``witnesses`` (states expected to
-    be among the slowest), which makes the maximum a lower estimate.
+    Every one of the ``size`` states when ``k`` is None or there are at
+    most START_STATE_LIMIT, whatever ``k`` is: a profile on a graph of at
+    most 2000 vertices starts from every vertex, and its manifest records
+    that count as ``profile_compression.starts``.  Otherwise k states
+    drawn from ``rng`` plus the ``witnesses`` (states expected to be
+    among the slowest), which makes the maximum a lower estimate.
     """
     if k is None or size <= START_STATE_LIMIT:
         return np.arange(size, dtype=np.int64)

@@ -57,6 +57,16 @@ def pre_rewiring_in_degree(graph: Digraph) -> np.ndarray:
     return np.bincount((src // n) * n + graph.targets % n, minlength=graph.vertex_count)
 
 
+def leaving_out_degree(graph: Digraph) -> np.ndarray:
+    """Per vertex, its out-edges whose target lies outside its community, one row at a time."""
+    n = graph.n
+    counts = np.zeros(graph.vertex_count, dtype=np.int64)
+    for v in range(graph.vertex_count):
+        row = graph.targets[graph.indptr[v] : graph.indptr[v + 1]]
+        counts[v] = np.count_nonzero(row // n != v // n)
+    return counts
+
+
 def random_sc_digraph(rng: np.random.Generator, size: int, extra: float = 2.0) -> Digraph:
     """Random digraph made strongly connected by planting a Hamilton cycle."""
     perm = rng.permutation(size)
@@ -179,6 +189,5 @@ def meanfield_tv(m: int, alpha: float, t: int) -> float:
 @pytest.fixture(scope="session")
 def desk_graph():
     """One mid-size generated graph shared by read-only tests."""
-    params = DbmParams(n=2000, m=2, lam=2.0, alpha=0.01, seed=42)
-    graph, table = generate(params, seed=42)
-    return graph, table
+    graph, _ = generate(DbmParams(n=2000, m=2, lam=2.0, alpha=0.01, seed=42))
+    return graph

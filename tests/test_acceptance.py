@@ -40,6 +40,7 @@ from dbmwalk.qsd import (
 )
 from dbmwalk.rng import NS_ANNEALED, NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import (
+    community_mass,
     entropy_and_entropic_time,
     indegree_approximation,
     jump_target_frequencies,
@@ -49,7 +50,6 @@ from dbmwalk.walk import (
     sample_tau_jump,
     select_starts,
     stationary,
-    stationary_community_masses,
     tv_distance,
 )
 
@@ -88,10 +88,10 @@ def escape_sweep():
     rows = []
     shared = {}
     for seed in SWEEP_SEEDS:
-        graph, table, used = _accepted_graph(config, seed, need_all_communities=True)
+        graph, used = _accepted_graph(config, seed, need_all_communities=True)
         row = {"relerr": [], "gate_ratio": [], "r_tilde": []}
         for i in range(SWEEP_PARAMS.m):
-            view = community_view(graph, table, i)
+            view = community_view(graph, i)
             sol = quasi_stationary(view)
             merged = build_merged_kernel(view)
             t_mix, _ = mixing_time_estimate(
@@ -160,9 +160,9 @@ def test_criterion_03_qsd_geometric_law():
     worst_eig, worst_surv = 0.0, 0.0
     for alpha in (0.002, 0.005):
         params = DbmParams(n=2000, m=2, lam=2.0, alpha=alpha, seed=1)
-        graph, table = generate(params, 1)
+        graph, _ = generate(params, 1)
         for i in range(2):
-            view = community_view(graph, table, i)
+            view = community_view(graph, i)
             sol = quasi_stationary(view)
             keep = np.flatnonzero(~view.gate_mask)
             sub = dense_kernel(view.local)[np.ix_(keep, keep)]
@@ -379,9 +379,9 @@ def test_criterion_17_indegree_error_trend():
             params = DbmParams(n=n, m=2, lam=2.0, alpha=0.0, seed=seed)
             graph, _ = generate(params, seed)
             pi_local = local_stationary(graph, 0)
-            approx = indegree_approximation(graph, 0, pi_local)
-            p99[n] = float(np.quantile(approx.rel_err, 0.99))
-            top[n] = approx.max_rel_err
+            err = indegree_approximation(graph, 0, pi_local)
+            p99[n] = float(np.quantile(err, 0.99))
+            top[n] = float(err.max())
         wins += p99[4000] < p99[1000]
         pairs.append(
             f"p99 {p99[1000]:.2f}->{p99[4000]:.2f} max {top[1000]:.2f}->{top[4000]:.2f}"
@@ -394,7 +394,7 @@ def test_criterion_18_community_masses_critical():
         n=4000, m=2, lam=2.0, c=2.0, beta_grid=(1.0,), out_dir="unused"
     )
     graph, _ = generate(config.params, 1)
-    dev = float(np.abs(stationary_community_masses(graph) - 0.5).max())
+    dev = float(np.abs(community_mass(graph, stationary(graph)) - 0.5).max())
     report(18, dev < 0.02, f"max |mass - 1/2| = {dev:.5f}")
 
 

@@ -323,7 +323,7 @@ def test_check_stores_python_types_and_shows_its_bound(tmp_path):
 
 def test_accepted_graph_seed_passthrough_and_rejection():
     config = super_config("unused")
-    graph, _, used = _accepted_graph(config, 1)
+    graph, used = _accepted_graph(config, 1)
     assert used == 1
     assert graph.is_strongly_connected()
     # mean degree below one: never strongly connected, always rejected
@@ -756,6 +756,7 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
             "critical regime needs a positive constant c",
         ),
         ({}, ["--seeds", "-1"], "seed must be non-negative, got -1"),
+        ({}, ["--seeds", str(2**63)], r"seed must be below 2\*\*63, got 9223372036854775808"),
         ({"thread": 2}, [], r".*cfg\.json: unknown key 'thread'"),
         ({"start_policy": "exhaustive"}, [], r".*cfg\.json: unknown key 'start_policy'"),
         ({"base_seed": 1}, [], r".*cfg\.json: unknown key 'base_seed'"),
@@ -767,7 +768,7 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
          "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir",
          "inf_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
-         "inf_critical_c", "zero_critical_c", "negative_seed", "unknown_key",
+         "inf_critical_c", "zero_critical_c", "negative_seed", "big_seed", "unknown_key",
          "start_policy_key", "base_seed_key", "sampled_starts_flag"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
@@ -779,7 +780,9 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     # used to end in a TypeError traceback; an infinite beta or a critical
     # constant of zero used to end in a traceback, a NaN beta or constant
     # or an infinite constant in a failed run (exit 3), a negative seed in
-    # numpy's refusal after the output directory was made, and an unknown
+    # numpy's refusal after the output directory was made, a seed past
+    # the graph file's int64 in an OverflowError traceback (exit 1) after
+    # it was made, and an unknown
     # key (here a misspelt "threads") was silently ignored; a manifest's
     # former start_policy and base_seed keys are unknown keys too, and
     # --starts takes 'exhaustive' or a sample size, nothing else

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import digraph_from_edges, k_regular_digraph, pre_rewiring_in_degree
+from conftest import (
+    digraph_from_edges,
+    k_regular_digraph,
+    leaving_out_degree,
+    pre_rewiring_in_degree,
+)
 from dbmwalk.graph import (
     DbmParams,
     Digraph,
@@ -36,28 +41,48 @@ def test_params_validation():
         DbmParams(n=10, m=2, lam=10.0, alpha=0.1, seed=0)
     prm = DbmParams.from_edge_probability(n=100, m=2, p=0.05, alpha=0.1, seed=0)
     assert abs(prm.p - 0.05) < 1e-15
+    assert DbmParams(n=100, m=2, lam=2.0, alpha=0.1, seed=2**63 - 1).seed == 2**63 - 1
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "^seed must be non-negative, got -1$"),
+        (2**63, r"^seed must be below 2\*\*63, got 9223372036854775808$"),
+        ("x", "^seed must be an integer, got 'x'$"),
+        (True, "^seed must be an integer, got True$"),
+        (1.0, "^seed must be an integer, got 1.0$"),
+    ],
+    ids=["negative", "past_int64", "text", "bool", "float"],
+)
+def test_params_refuse_a_seed_a_graph_file_cannot_store(seed, message):
+    with pytest.raises(ValueError, match=message):
+        DbmParams(n=100, m=2, lam=2.0, alpha=0.1, seed=seed)
+    prm = DbmParams(n=100, m=2, lam=2.0, alpha=0.1, seed=0)
+    with pytest.raises(ValueError, match=message):  # an override meets the same rule
+        generate(prm, seed=seed)
 
 
 def test_alpha_zero_no_rewiring():
     prm = DbmParams(n=300, m=3, lam=2.0, alpha=0.0, seed=1)
-    graph, table = generate(prm)
+    graph, _ = generate(prm)
     graph.validate()
     assert not graph.rewired.any()
     src_comm = np.repeat(np.arange(graph.vertex_count) // prm.n, graph.out_degree)
     tgt_comm = graph.targets // prm.n
     assert (src_comm == tgt_comm).all()
     assert not graph.is_strongly_connected()  # m disjoint blocks
-    assert not table.d_rewired_out.any()
+    assert not graph.rewired_out_degree.any()
 
 
 def test_alpha_one_everything_rewired():
     prm = DbmParams(n=300, m=3, lam=2.0, alpha=1.0, seed=2)
-    graph, table = generate(prm)
+    graph, _ = generate(prm)
     graph.validate()
     assert graph.rewired.all()
     src_comm = np.repeat(np.arange(graph.vertex_count) // prm.n, graph.out_degree)
     assert (src_comm != graph.targets // prm.n).all()
-    assert np.array_equal(table.d_rewired_out > 0, graph.out_degree >= 1)
+    assert np.array_equal(graph.rewired_out_degree, graph.out_degree)
 
 
 def test_edge_count_within_four_sigma():
@@ -71,12 +96,12 @@ def test_edge_count_within_four_sigma():
 
 def test_gate_count_within_four_sigma():
     prm = DbmParams(n=2000, m=2, lam=2.0, alpha=0.01, seed=4)
-    _, table = generate(prm)
+    graph, _ = generate(prm)
     # a vertex is a gate unless all n-1 pair trials fail to rewire
     q = 1.0 - (1.0 - prm.alpha * prm.p) ** (prm.n - 1)
     sigma = math.sqrt(prm.n * q * (1 - q))
     for i in range(prm.m):
-        count = np.count_nonzero(table.d_rewired_out[i * prm.n : (i + 1) * prm.n])
+        count = np.count_nonzero(graph.rewired_out_degree[i * prm.n : (i + 1) * prm.n])
         assert abs(count - prm.n * q) < 4 * sigma
 
 
@@ -100,10 +125,13 @@ def test_out_degree_chisquare():
 
 def test_degree_table_identities():
     prm = DbmParams(n=400, m=3, lam=2.0, alpha=0.25, seed=6)
-    graph, table = generate(prm)
+    graph, rewired_out_degree = generate(prm)
+    # generate's second value, kept for the benchmark's hook, is the graph's count
+    assert np.array_equal(rewired_out_degree, graph.rewired_out_degree)
+    assert np.array_equal(graph.rewired_out_degree, leaving_out_degree(graph))
     assert graph.out_degree.sum() == graph.edge_count
-    assert table.d_rewired_out.sum() == graph.rewired.sum()
-    assert np.all(table.d_rewired_out <= graph.out_degree)
+    assert graph.rewired_out_degree.sum() == graph.rewired.sum()
+    assert np.all(graph.rewired_out_degree <= graph.out_degree)
     for i in range(prm.m):
         sl = slice(i * prm.n, (i + 1) * prm.n)
         assert graph.out_degree[sl].sum() == pre_rewiring_in_degree(graph)[sl].sum()
@@ -268,6 +296,37 @@ def break_sorting(a):
     a["rewired"][[lo, lo + 1]] = a["rewired"][[lo + 1, lo]]
 
 
+def edge_source(a, k):
+    return int(np.searchsorted(a["indptr"], k, side="right")) - 1
+
+
+def retarget(a, k, target):
+    """Point edge k at ``target``; its row stays sorted and its flags derived."""
+    n, v = int(a["shape"][0]), edge_source(a, k)
+    row = slice(a["indptr"][v], a["indptr"][v + 1])
+    a["targets"][k] = target
+    a["targets"][row] = np.sort(a["targets"][row])
+    a["rewired"][row] = a["targets"][row] // n != v // n
+
+
+# each of these leaves a valid graph on 2n vertices that no DBM draw makes:
+# restoring labels gives a self loop or a repeated edge
+def break_own_label(a):
+    n, k = int(a["shape"][0]), int(np.flatnonzero(a["rewired"])[0])
+    v = edge_source(a, k)
+    retarget(a, k, (1 - v // n) * n + v % n)  # v's label in the other community
+
+
+def break_shared_label(a):
+    n, v = int(a["shape"][0]), int(np.flatnonzero(np.diff(a["indptr"]) >= 2)[0])
+    first = int(a["targets"][a["indptr"][v]])
+    retarget(a, a["indptr"][v] + 1, (1 - first // n) * n + first % n)
+
+
+def negative_seed(a):
+    a["shape"][2] = -7
+
+
 def break_range(a):
     a["targets"][-1] = a["indptr"].size - 1  # one past the last vertex
 
@@ -328,6 +387,9 @@ def string_reals(a):
     [
         (break_self_loop, "self loop"),
         (break_sorting, "sorted"),
+        (break_own_label, "an edge targets its source's own label"),
+        (break_shared_label, "two out-edges of a vertex share a target label"),
+        (negative_seed, "seed must be non-negative, got -7"),
         (break_range, "out of range"),
         (break_flags, "rewired flags"),
         (break_indptr, "indptr"),
@@ -343,7 +405,8 @@ def string_reals(a):
         (string_reals, "reals has dtype <U3, not floating"),
     ],
     ids=[
-        "self_loop", "unsorted_targets", "target_out_of_range", "flag_mismatch",
+        "self_loop", "unsorted_targets", "own_label", "shared_label", "negative_seed",
+        "target_out_of_range", "flag_mismatch",
         "short_indptr", "missing_member", "short_shape", "empty_version",
         "fractional_indptr", "fractional_targets", "fractional_n", "float_version",
         "integer_flags", "bool_reals", "string_reals",

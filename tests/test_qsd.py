@@ -20,10 +20,11 @@ from conftest import (
     dense_stationary,
     dense_start_steps,
     digraph_from_edges,
+    leaving_out_degree,
     random_sc_digraph,
     uniform,
 )
-from dbmwalk.graph import DbmParams, degrees, generate, pre_rewiring_subgraph
+from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
     MIX_MARGIN,
     MIX_THRESHOLD,
@@ -73,9 +74,8 @@ def one_gate_complete_view(k: int = 6, coin: float = 0.2) -> CommunityView:
 def small_community():
     """Generated graph plus the community-0 working set."""
     params = DbmParams(n=500, m=2, lam=3.0, alpha=0.02, seed=11)
-    graph, table = generate(params, 11)
-    view = community_view(graph, table, 0)
-    return graph, table, view
+    graph, _ = generate(params, 11)
+    return graph, community_view(graph, 0)
 
 
 def test_qsd_on_complete_digraph_is_uniform():
@@ -103,7 +103,7 @@ def test_qsd_stops_on_the_stationary_residual_rule(small_community):
     # the returned pair is the first one whose eigen-residual passed the
     # rule walk.stationary stops on; a theta plateau of 50 steps is not
     # waited for
-    _, _, view = small_community
+    _, view = small_community
     sol = quasi_stationary(view)
     mu = sol.mu_star.values[view.kept]
     stepped = view.survivor @ mu
@@ -136,7 +136,7 @@ def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
 
 
 def test_qsd_survival_is_geometric_on_generated_graph(small_community):
-    _, _, view = small_community
+    _, view = small_community
     sol = quasi_stationary(view)
     assert 0.0 < sol.iota < 1.0
     assert sol.residual < 1e-11
@@ -151,7 +151,7 @@ def test_iota_first_order_value():
 
 
 def test_iota_close_to_first_order(small_community):
-    graph, _, view = small_community
+    graph, view = small_community
     sol = quasi_stationary(view)
     want = iota_first_order(graph.params)
     assert abs(sol.iota - want) / want < 0.35
@@ -169,7 +169,7 @@ def test_merged_kernel_single_gate_is_a_relabeling():
 
 
 def test_merged_kernel_rows_and_exact_stationarity(small_community):
-    _, _, view = small_community
+    _, view = small_community
     merged = build_merged_kernel(view)
     mat = merged.operator.T
     rows = np.asarray(mat.sum(axis=1)).ravel()
@@ -186,7 +186,7 @@ def test_merged_kernel_rows_and_exact_stationarity(small_community):
 
 
 def test_merged_kernel_mass_conservation(small_community):
-    _, _, view = small_community
+    _, view = small_community
     merged = build_merged_kernel(view)
     dense = dense_kernel(view.local)
     kept = view.kept
@@ -326,7 +326,7 @@ def test_hitting_time_on_complete_digraph():
 
 
 def test_hitting_time_estimate_tracks_oracle(small_community):
-    _, _, view = small_community
+    _, view = small_community
     merged = build_merged_kernel(view)
     t_mix, _ = mixing_time_estimate(merged, cap=500)
     mass = return_mass(merged, t_mix)
@@ -347,7 +347,7 @@ def test_mixing_time_on_complete_digraph_is_one_step():
 
 
 def test_mixing_time_matches_dense_definition(small_community):
-    _, _, view = small_community
+    _, view = small_community
     merged = build_merged_kernel(view)
     t_mix, exhaustive = mixing_time_estimate(merged, cap=500)
     assert exhaustive
@@ -491,11 +491,11 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
             alpha=data.draw(st.floats(0.005, 0.05)),
             seed=graph_seed,
         )
-    graph, table = generate(params, graph_seed)
+    graph, _ = generate(params, graph_seed)
     lo = i * params.n
-    assume(table.d_rewired_out[lo : lo + params.n].any())
+    assume(graph.rewired_out_degree[lo : lo + params.n].any())
     assume(pre_rewiring_subgraph(graph, i).is_strongly_connected())
-    merged = build_merged_kernel(community_view(graph, table, i))
+    merged = build_merged_kernel(community_view(graph, i))
     assert (merged.n_states > START_STATE_LIMIT) == sampled
     steps = check_against_dense_loop(merged, cap=200, seed=graph_seed)
     # point masses are stepped sparse, and past 2000 states the block is
@@ -504,7 +504,7 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
 
 
 def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):
-    graph, _, view = small_community
+    graph, view = small_community
     assert 0.0 <= nice_fraction(graph, view) <= 1.0
     # window (1 +- eps) lambda log(n), eps = 1/sqrt(log n): about [11.2, 26.1] here
     target = graph.params.lam * math.log(graph.n)
@@ -541,7 +541,7 @@ def test_restart_first_success_is_geometric_with_sure_coins():
 
 
 def test_restart_bookkeeping_invariants(small_community):
-    _, _, view = small_community
+    _, view = small_community
     sol = quasi_stationary(view)
     samples = restart_process(view, sol, 300, seed=5)
     hit = 0
@@ -560,7 +560,7 @@ def test_restart_bookkeeping_invariants(small_community):
 def test_restart_process_keeps_its_stream(small_community):
     # values computed before the sampler stepped only its running walkers:
     # the draws, their order and the per-run records are unchanged
-    _, _, view = small_community
+    _, view = small_community
     samples = restart_process(view, quasi_stationary(view), 24, seed=13)
     assert [s.tau_rho for s in samples] == [
         29, 153, 5, 18, 65, 3, 12, 126, 10, 52, 4, 63,
@@ -587,7 +587,7 @@ def test_restart_process_keeps_its_stream(small_community):
 
 
 def test_restart_gap_mean_and_independence(small_community):
-    _, _, view = small_community
+    _, view = small_community
     sol = quasi_stationary(view)
     samples = restart_process(view, sol, 400, seed=7)
     gaps = np.concatenate([s.sigma_list for s in samples if len(s.sigma_list) >= 1])
@@ -607,8 +607,8 @@ def test_restart_gap_mean_and_independence(small_community):
 
 def test_restart_jump_times_near_exponential_scale():
     params = DbmParams(n=600, m=2, lam=3.0, alpha=0.005, seed=17)
-    graph, table = generate(params, 17)
-    view = community_view(graph, table, 0)
+    graph, _ = generate(params, 17)
+    view = community_view(graph, 0)
     sol = quasi_stationary(view)
     samples = restart_process(view, sol, 600, seed=9)
     taus = np.array(
@@ -620,7 +620,7 @@ def test_restart_jump_times_near_exponential_scale():
 
 
 def test_jump_targets_all_land_in_other_community(small_community):
-    graph, _, _ = small_community
+    graph, _ = small_community
     starts = np.arange(10, dtype=np.int64)  # community 0
     counts, censored = jump_target_frequencies(graph, starts, 400, seed=1)
     assert counts[0] == 0
@@ -639,7 +639,7 @@ def test_jump_targets_uniform_over_other_communities():
 
 
 def test_jump_targets_guards(small_community):
-    graph, _, _ = small_community
+    graph, _ = small_community
     with pytest.raises(ValueError, match="single community"):
         jump_target_frequencies(graph, np.array([0, graph.n]), 10, seed=0)
     plain = generate(DbmParams(n=100, m=2, lam=3.0, alpha=0.0, seed=1), 1)[0]
@@ -648,11 +648,12 @@ def test_jump_targets_guards(small_community):
 
 
 def test_community_view_consistency(small_community):
-    graph, table, view = small_community
+    graph, view = small_community
     n = graph.n
-    assert np.array_equal(
-        view.gate_labels, np.flatnonzero(table.d_rewired_out[:n] > 0)
-    )
+    leaving = leaving_out_degree(graph)
+    assert np.array_equal(graph.rewired_out_degree, leaving)
+    assert np.array_equal(view.d_rewired, leaving[:n])
+    assert np.array_equal(view.gate_labels, np.flatnonzero(leaving[:n] > 0))
     assert view.gate_mask.sum() == view.gate_labels.size
     assert view.pi_local.domain == "community:0"
     # rewiring redirects edges without changing out-degrees, so the full
@@ -667,22 +668,22 @@ def test_community_view_consistency(small_community):
 def test_community_view_rejects_disconnected_community():
     # mean degree ~1.2: far below the connectivity threshold
     params = DbmParams(n=60, m=2, lam=0.3, alpha=0.1, seed=3)
-    graph, table = generate(params, 3)
+    graph, _ = generate(params, 3)
     with pytest.raises(ValueError, match="strongly connected"):
-        community_view(graph, table, 0)
+        community_view(graph, 0)
 
 
 def test_community_view_rejects_a_community_without_gates():
     # alpha = 0 rewires nothing: the killed walk would never die (iota = 0)
     # and the restart cap of 100/iota steps would never be reached
-    graph, table = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.0, seed=1), 1)
+    graph, _ = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.0, seed=1), 1)
     with pytest.raises(ValueError, match="^community 0 has no rewired out-edge"):
-        community_view(graph, table, 0)
+        community_view(graph, 0)
 
 
 def test_power_iterations_raise_at_their_cap(monkeypatch):
-    graph, table = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1), 1)
-    view = community_view(graph, table, 0)  # its local solve runs under the full cap
+    graph, _ = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=1), 1)
+    view = community_view(graph, 0)  # its local solve runs under the full cap
     monkeypatch.setattr("dbmwalk.walk.STATIONARY_MAX_ITER", 2)
     monkeypatch.setattr("dbmwalk.qsd.STATIONARY_MAX_ITER", 2)
     capped = "iteration did not reach residual 1e-12 in 2 steps$"
@@ -693,7 +694,7 @@ def test_power_iterations_raise_at_their_cap(monkeypatch):
 
 
 def test_community_view_shares_the_cached_subgraph(small_community):
-    graph, table, view = small_community
+    graph, view = small_community
     assert view.local is pre_rewiring_subgraph(graph, 0)
     pi = local_stationary(graph, 0)
     assert np.array_equal(view.pi_local.values, pi.values)
@@ -703,5 +704,5 @@ def test_community_view_shares_the_cached_subgraph(small_community):
     t_mix, _ = mixing_time_estimate(merged, cap=10_000)
     hitting_time_estimates(view, return_mass(merged, t_mix))
     restart_process(view, sol, 50, seed=1)
-    assert community_view(graph, table, 0).local is view.local
+    assert community_view(graph, 0).local is view.local
     view.local.validate()
