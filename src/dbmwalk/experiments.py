@@ -130,6 +130,11 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         for seed in self.seeds:
             require_seed(seed)
+            if seed + MAX_GRAPH_REJECTS * RESEED_STRIDE >= 2**63:
+                raise ValueError(
+                    f"seed {seed} can re-draw past 2**63: retry k of seed s generates "
+                    f"with s + k*{RESEED_STRIDE}, k up to {MAX_GRAPH_REJECTS}"
+                )
         if self.sample_starts is not None:
             require_int("sample_starts", self.sample_starts)
             if self.sample_starts < 1:

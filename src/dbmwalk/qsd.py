@@ -30,6 +30,7 @@ from .walk import (
     STATIONARY_TOL,
     ProbVector,
     _step_walkers,
+    _UniformStream,
     local_stationary,
     propagate,
     select_starts,
@@ -375,8 +376,8 @@ def _cdf_sampler(weights: np.ndarray):
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
 
-    def draw(rng: np.random.Generator, k: int) -> np.ndarray:
-        return np.searchsorted(cdf, rng.random(k), side="right")
+    def draw(uniforms: _UniformStream, k: int) -> np.ndarray:
+        return np.searchsorted(cdf, uniforms.random(k), side="right")
 
     return draw
 
@@ -393,32 +394,46 @@ def restart_process(
     out-degree / full out-degree) of the visited gate; the walk restarts
     from (QSD one step forward) after each visit.  Only the running
     walkers are stepped, and each visit is recorded once as (walker, t).
-    Runs are censored at 100/iota steps.
+    Runs are censored at 100/iota steps.  The start draw, then at each
+    step the re-init, step and coin draws, read one
+    ``walk._UniformStream`` of the walk's own generator, in that order.
     """
     cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
-    rng = derived_rng(seed, NS_RESTART, view.i)
+    uniforms = _UniformStream(derived_rng(seed, NS_RESTART, view.i))
     coin_p = view.d_rewired / view.local.out_degree
     draw_start = _cdf_sampler(solution.mu_star.values)
     draw_reinit = _cdf_sampler(transition_operator(view.local) @ solution.mu_star.values)
 
     alive = np.arange(reps)
-    pos = draw_start(rng, reps)
+    pos = draw_start(uniforms, reps)
     at_gate = np.zeros(reps, dtype=bool)
-    visitors, visit_times = [], []
+    # an empty first entry keeps the records defined when no walker visits a gate (reps = 0)
+    visitors, visit_times = [alive[:0]], [alive[:0]]
     for t in range(1, cap + 1):
-        # an empty group draws nothing (rng.random(0) leaves the stream as it was)
-        nxt = np.empty_like(pos)
-        nxt[at_gate] = draw_reinit(rng, np.count_nonzero(at_gate))
-        nxt[~at_gate] = _step_walkers(view.local, pos[~at_gate], rng)[0]
+        # the walkers at a gate re-init, then the others step; a step
+        # without gate walkers draws no re-init doubles, as rng.random(0)
+        gated = np.count_nonzero(at_gate)
+        if gated:
+            nxt = np.empty_like(pos)
+            nxt[at_gate] = draw_reinit(uniforms, gated)
+            moving = ~at_gate
+            nxt[moving] = _step_walkers(view.local, pos[moving], uniforms)[0]
+        else:
+            nxt = _step_walkers(view.local, pos, uniforms)[0]
         at_gate = view.gate_mask[nxt]
-        visitors.append(alive[at_gate])
-        visit_times.append(np.full(visitors[-1].size, t))
-        stop = np.zeros(alive.size, dtype=bool)
-        stop[at_gate] = rng.random(visitors[-1].size) < coin_p[nxt[at_gate]]
-        keep = ~stop
-        alive, pos, at_gate = alive[keep], nxt[keep], at_gate[keep]
-        if alive.size == 0:
-            break
+        hits = np.flatnonzero(at_gate)
+        pos = nxt
+        if hits.size == 0:
+            continue
+        visitors.append(alive[hits])
+        visit_times.append(np.full(hits.size, t))
+        stop = hits[uniforms.random(hits.size) < coin_p[nxt[hits]]]
+        if stop.size:
+            keep = np.ones(alive.size, dtype=bool)
+            keep[stop] = False
+            alive, pos, at_gate = alive[keep], nxt[keep], at_gate[keep]
+            if alive.size == 0:
+                break
 
     # the walkers still running at the cap are the censored ones
     censored = np.zeros(reps, dtype=bool)

@@ -25,6 +25,7 @@ PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
 SAMPLED_STARTS = 64  # starts drawn on a larger space unless k is None
+UNIFORM_BLOCK = 2**14  # doubles a walker sampler draws from its generator at a time
 
 
 @dataclass(frozen=True)
@@ -481,16 +482,62 @@ def _combine(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return out
 
 
+class _UniformStream:
+    """The doubles of ``rng.random``, handed out in order, drawn in blocks.
+
+    ``random(k)`` has the shape of ``Generator.random(k)`` and returns the
+    same doubles: for PCG64, ``rng.random(a)`` then ``rng.random(b)``
+    yields the doubles of ``rng.random(a + b)``, so reading them
+    UNIFORM_BLOCK at a time moves no stream.  A walker step then costs a
+    slice instead of a generator call.  The generator is left advanced
+    past the last block drawn, beyond the last double used, so only a
+    caller that owns ``rng`` and draws nothing else from it may wrap it.
+    The arrays returned are read-only views of the block.
+    """
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._block = np.empty(0)
+        self._used = 0
+
+    def random(self, k: int) -> np.ndarray:
+        end = self._used + k
+        if end > self._block.size:
+            rest = self._block[self._used :]
+            fresh = self._rng.random(max(UNIFORM_BLOCK, k - rest.size))
+            self._block = np.concatenate([rest, fresh])
+            self._block.flags.writeable = False
+            self._used, end = 0, k
+        out = self._block[self._used : end]
+        self._used = end
+        return out
+
+
+def _walker_degrees(graph: Digraph) -> tuple[np.ndarray, bool]:
+    """Float out-degrees and whether the graph has a sink (cached on the graph)."""
+    if "walker_degrees" not in graph._cache:
+        deg = graph.out_degree.astype(np.float64)
+        graph._cache["walker_degrees"] = deg, not deg.all()
+    return graph._cache["walker_degrees"]
+
+
 def _step_walkers(
-    graph: Digraph, current: np.ndarray, rng: np.random.Generator
+    graph: Digraph, current: np.ndarray, uniforms: np.random.Generator | _UniformStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance every walker one step; returns (next vertices, rewired?)."""
-    deg = graph.out_degree[current]
-    if np.any(deg == 0):
+    """Advance every walker one step; returns (next vertices, rewired?).
+
+    The one walker step of every sampler here and of the restart walk.
+    It reads one double of ``uniforms`` per walker, in walker order.  The
+    float out-degrees and the sink check are formed once per graph: a
+    graph without a sink checks no walker, and on one with a sink a
+    walker standing on it raises.
+    """
+    deg, has_sink = _walker_degrees(graph)
+    deg = deg[current]
+    if has_sink and not deg.all():
         v = int(current[int(np.flatnonzero(deg == 0)[0])])
         raise ValueError(f"walker stuck at sink vertex {v}")
-    pick = (rng.random(current.shape[0]) * deg).astype(np.int64)
-    edge = graph.indptr[current] + pick
+    edge = graph.indptr[current] + (uniforms.random(current.shape[0]) * deg).astype(np.int64)
     return graph.targets[edge], graph.rewired[edge]
 
 
@@ -500,16 +547,19 @@ def path_mass_ratios(
     """Normalized log path masses -log m(path) / (H t) for sampled walks.
 
     Walks start round-robin on ``starts``; the ratio concentrates at 1
-    when the walk's step entropy matches the graph average H.
+    when the walk's step entropy matches the graph average H.  The walk
+    owns its generator and reads it as a ``_UniformStream``.
     """
     ent = entropy_and_entropic_time(graph)
-    rng = derived_rng(seed, NS_TRAJECTORY, 0)
+    uniforms = _UniformStream(derived_rng(seed, NS_TRAJECTORY, 0))
+    deg, _ = _walker_degrees(graph)
     starts = np.asarray(starts, dtype=np.int64)
     cur = starts[np.arange(reps) % starts.size]
     log_sum = np.zeros(reps)
     for _ in range(t):
-        log_sum += np.log(graph.out_degree[cur])
-        cur, _ = _step_walkers(graph, cur, rng)
+        nxt, _ = _step_walkers(graph, cur, uniforms)  # raises before log(0)
+        log_sum += np.log(deg[cur])
+        cur = nxt
     return log_sum / (ent.h * t)
 
 
@@ -521,7 +571,8 @@ def _first_jumps(
     Walkers start round-robin on ``starts``.  Returns each walker's jump
     time and landing vertex; a walker that did not jump within the
     horizon of 20/alpha steps (10^6 when alpha = 0) is censored, with
-    time 0 and landing vertex -1.
+    time 0 and landing vertex -1.  ``rng`` is read as a
+    ``_UniformStream``, so the caller must own it and draw nothing more.
     """
     alpha = graph.params.alpha
     horizon = int(math.ceil(20.0 / alpha)) if alpha > 0.0 else 10**6
@@ -530,10 +581,11 @@ def _first_jumps(
     landing = np.full(reps, -1, dtype=np.int64)
     if not graph.rewired.any():
         return times, landing
+    uniforms = _UniformStream(rng)
     cur = starts[np.arange(reps) % starts.size]
     alive = np.arange(reps, dtype=np.int64)
     for t in range(1, horizon + 1):
-        nxt, rew = _step_walkers(graph, cur, rng)
+        nxt, rew = _step_walkers(graph, cur, uniforms)
         if rew.any():
             times[alive[rew]] = t
             landing[alive[rew]] = nxt[rew]

@@ -206,6 +206,11 @@ def test_config_misc_guards():
             ExperimentConfig(**{**good, "seeds": (7, 2 + k * RESEED_STRIDE, 2)})
     far = (2, 2 + (MAX_GRAPH_REJECTS + 1) * RESEED_STRIDE, 3 + RESEED_STRIDE)
     assert ExperimentConfig(**{**good, "seeds": far}).seeds == far
+    # every re-draw of an accepted seed is a seed a graph file stores
+    top = 2**63 - 1 - MAX_GRAPH_REJECTS * RESEED_STRIDE
+    assert ExperimentConfig(**{**good, "seeds": (top,)}).seeds == (top,)
+    with pytest.raises(ValueError, match=rf"^seed {top + 1} can re-draw past 2\*\*63: "):
+        ExperimentConfig(**{**good, "seeds": (1, top + 1)})
     # the alpha*t clock belongs to the supercritical decay alone, and the
     # constant c to the critical limit alone
     sub = DbmParams(n=800, m=2, lam=3.0, alpha=0.3, seed=1)
@@ -757,6 +762,12 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ),
         ({}, ["--seeds", "-1"], "seed must be non-negative, got -1"),
         ({}, ["--seeds", str(2**63)], r"seed must be below 2\*\*63, got 9223372036854775808"),
+        (
+            {},
+            ["--seeds", str(2**63 - 1)],
+            r"seed 9223372036854775807 can re-draw past 2\*\*63: "
+            r"retry k of seed s generates with s \+ k\*7777777, k up to 5",
+        ),
         ({"thread": 2}, [], r".*cfg\.json: unknown key 'thread'"),
         ({"start_policy": "exhaustive"}, [], r".*cfg\.json: unknown key 'start_policy'"),
         ({"base_seed": 1}, [], r".*cfg\.json: unknown key 'base_seed'"),
@@ -768,7 +779,8 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
          "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir",
          "inf_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
-         "inf_critical_c", "zero_critical_c", "negative_seed", "big_seed", "unknown_key",
+         "inf_critical_c", "zero_critical_c", "negative_seed", "big_seed",
+         "seed_redrawing_past_int64", "unknown_key",
          "start_policy_key", "base_seed_key", "sampled_starts_flag"],
 )
 def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, message):
@@ -782,7 +794,8 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     # or an infinite constant in a failed run (exit 3), a negative seed in
     # numpy's refusal after the output directory was made, a seed past
     # the graph file's int64 in an OverflowError traceback (exit 1) after
-    # it was made, and an unknown
+    # it was made, a seed whose re-draw passes it, once its first graph
+    # was rejected, in a refused re-draw seed (exit 3), and an unknown
     # key (here a misspelt "threads") was silently ignored; a manifest's
     # former start_policy and base_seed keys are unknown keys too, and
     # --starts takes 'exhaustive' or a sample size, nothing else

@@ -24,6 +24,7 @@ from conftest import (
     random_sc_digraph,
     uniform,
 )
+from dbmwalk import walk
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
     MIX_MARGIN,
@@ -584,6 +585,13 @@ def test_restart_process_keeps_its_stream(small_community):
     assert [int(s.sigma_list.sum()) for s in samples] == [495, 495, 499, 497, 501, 1]
     assert samples[0].sigma_list[:8].tolist() == [1, 4, 14, 3, 2, 9, 3, 3]
     assert samples[1].sigma_list[-8:].tolist() == [4, 2, 10, 6, 2, 5, 1, 2]
+
+
+def test_restart_stream_pin_holds_for_a_tiny_block(monkeypatch, small_community):
+    # with a block of 7 doubles the start, re-init, step and coin draws
+    # cross block ends everywhere, and still read the stream in order
+    monkeypatch.setattr(walk, "UNIFORM_BLOCK", 7)
+    test_restart_process_keeps_its_stream(small_community)
 
 
 def test_restart_gap_mean_and_independence(small_community):

@@ -25,6 +25,7 @@ from conftest import (
     random_sc_digraph,
     uniform,
 )
+from dbmwalk import walk
 from dbmwalk.experiments import analytic_entropic_time
 from dbmwalk.graph import DbmParams, Digraph, generate
 from dbmwalk.meanfield import q_power_matrix
@@ -32,7 +33,9 @@ from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     PROFILE_CHECKPOINT,
     PROFILE_COMPRESS_TOL,
+    UNIFORM_BLOCK,
     ProbVector,
+    _UniformStream,
     _certify_tail,
     _combine,
     _compress,
@@ -344,6 +347,47 @@ def test_step_walkers_raise_at_sink():
     graph = digraph_from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="stuck"):
         _step_walkers(graph, np.array([2]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("block", [UNIFORM_BLOCK, 7], ids=["module_block", "tiny_block"])
+def test_uniform_stream_hands_out_the_generator_doubles(monkeypatch, block):
+    # rng.random(a) then rng.random(b) gives the doubles of rng.random(a + b),
+    # so any split reads the one stream: empty reads, a read past the
+    # block's end and a read longer than a whole block included
+    monkeypatch.setattr(walk, "UNIFORM_BLOCK", block)
+    splits = [0, 5, block - 3, 0, 7, 2 * block + 1, 1, 0, block, 3]
+    stream = _UniformStream(derived_rng(3, NS_TRAJECTORY, 1))
+    parts = [stream.random(k) for k in splits]
+    assert [p.size for p in parts] == splits
+    want = derived_rng(3, NS_TRAJECTORY, 1).random(sum(splits))
+    assert np.array_equal(np.concatenate(parts), want)
+    assert not parts[-1].flags.writeable
+
+
+def test_stream_pins_hold_for_a_tiny_block(monkeypatch):
+    # a block of 7 doubles refills within nearly every step, and the first
+    # jumps and the path masses read the same doubles as before
+    monkeypatch.setattr(walk, "UNIFORM_BLOCK", 7)
+    test_first_jump_samplers_keep_their_streams()
+    test_trajectory_log_mass_identity()
+
+
+def test_walker_loops_raise_only_on_reaching_a_sink():
+    # 0 -> 1 -> 2 ends at the sink 2; 4 <-> 5 -> 6 -> 4 is closed and
+    # sink-free; the one rewired edge, 3 -> 4, leaves a vertex no walker reaches
+    prm = DbmParams.from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 4), (5, 6), (6, 4)]
+    graph = digraph_from_edges(8, edges, m=2, params=prm)
+    rng = derived_rng(0, NS_TRAJECTORY, 1)
+    with pytest.raises(ValueError, match="^walker stuck at sink vertex 2$"):
+        _first_jumps(graph, np.array([0]), 3, rng)
+    with pytest.raises(ValueError, match="^walker stuck at sink vertex 2$"):
+        path_mass_ratios(graph, np.array([0]), 4, 3, seed=1)
+    # the graph has sinks, but none is reached from the closed piece
+    times, landing = _first_jumps(graph, np.array([4, 5, 6]), 9, rng)
+    assert np.all(times == 0) and np.all(landing == -1)
+    ratios = path_mass_ratios(graph, np.array([4, 5, 6]), 12, 9, seed=1)
+    assert np.all(np.isfinite(ratios)) and np.all(ratios > 0)
 
 
 def test_tau_jump_alpha_zero_fully_censored():
