@@ -11,7 +11,7 @@ revealed-graph walk (``annealed``), two-scale surrogate measures
 __version__ = "0.1.0"
 
 from .graph import DbmParams, Digraph, generate
-from .meanfield import limiting_profile, q_matrix
+from .meanfield import limiting_profile
 from .walk import entropy_and_entropic_time, mixing_profile, stationary, tv_distance
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "Digraph",
     "generate",
     "limiting_profile",
-    "q_matrix",
     "entropy_and_entropic_time",
     "mixing_profile",
     "stationary",

@@ -478,32 +478,18 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
         }
         _profile_verdicts(config, mean_dist, manifest)
 
-        fig = svg.Figure(
-            title=f"mixing profile, {config.regime} (n={prm.n}, m={prm.m}, alpha={prm.alpha:g})",
-            xlabel="beta" + (" (time / t_ent)" if steps else " (time * alpha)"),
-            ylabel="max-start TV distance",
-        )
         pieces = (curve_betas < 1.0, curve_betas > 1.0) if steps else (curve_betas > 0.0,)
-        for label, piece in zip(("limiting curve", "(after the step)"), pieces):
-            fig.add(
-                svg.Series(
-                    label,
-                    list(curve_betas[piece]),
-                    list(curve_values[piece]),
-                    kind="line",
-                    color=svg.PALETTE[0],
-                )
-            )
-        fig.add(
-            svg.Series(
-                "empirical (seed mean)",
-                betas,
-                [mean_dist[b] for b in betas],
-                kind="points",
-                color=svg.PALETTE[1],
-            )
+        svg.write(
+            str(manifest.register(manifest.out_dir / "profile.svg")),
+            f"mixing profile, {config.regime} (n={prm.n}, m={prm.m}, alpha={prm.alpha:g})",
+            "beta" + (" (time / t_ent)" if steps else " (time * alpha)"),
+            "max-start TV distance",
+            [
+                (label, curve_betas[piece], curve_values[piece])
+                for label, piece in zip(("limiting curve", "(after the step)"), pieces)
+            ],
+            ("empirical (seed mean)", betas, [mean_dist[b] for b in betas]),
         )
-        svg.write(fig, str(manifest.register(manifest.out_dir / "profile.svg")))
     return manifest
 
 

@@ -193,6 +193,12 @@ class Digraph:
             raise ValueError("an edge targets its source's own label")
         if np.any(np.diff(np.sort(src * self.n + labels)) == 0):
             raise ValueError("two out-edges of a vertex share a target label")
+        # a DBM draw rewires each edge with probability alpha
+        alpha = self.params.alpha if self.params is not None else None
+        if alpha == 0.0 and (k := int(np.count_nonzero(self.rewired))):
+            raise ValueError(f"alpha = 0 but {k} edges leave their community")
+        if alpha == 1.0 and (k := int(np.count_nonzero(~self.rewired))):
+            raise ValueError(f"alpha = 1 but {k} edges stay in their community")
 
 
 def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.ndarray]:

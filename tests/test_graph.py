@@ -335,6 +335,16 @@ def break_flags(a):
     a["rewired"][0] = ~a["rewired"][0]
 
 
+# alpha = 0 rewires no edge and alpha = 1 every edge, so a file whose
+# alpha contradicts its edges cannot come from a DBM draw
+def unrewired_alpha(a):
+    a["reals"][1] = 0.0
+
+
+def all_rewired_alpha(a):
+    a["reals"][1] = 1.0
+
+
 def break_indptr(a):
     a["indptr"][-1] -= 1  # the last edge falls outside every vertex
 
@@ -392,6 +402,8 @@ def string_reals(a):
         (negative_seed, "seed must be non-negative, got -7"),
         (break_range, "out of range"),
         (break_flags, "rewired flags"),
+        (unrewired_alpha, "alpha = 0 but 362 edges leave their community"),
+        (all_rewired_alpha, "alpha = 1 but 1473 edges stay in their community"),
         (break_indptr, "indptr"),
         (drop_targets, "targets is not a file in the archive"),
         (short_shape, "unpack"),
@@ -406,7 +418,7 @@ def string_reals(a):
     ],
     ids=[
         "self_loop", "unsorted_targets", "own_label", "shared_label", "negative_seed",
-        "target_out_of_range", "flag_mismatch",
+        "target_out_of_range", "flag_mismatch", "alpha_zero_rewired", "alpha_one_unrewired",
         "short_indptr", "missing_member", "short_shape", "empty_version",
         "fractional_indptr", "fractional_targets", "fractional_n", "float_version",
         "integer_flags", "bool_reals", "string_reals",
