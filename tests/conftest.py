@@ -50,6 +50,38 @@ def k_regular_digraph(n_vertices: int, k: int, seed: int = 0) -> Digraph:
     return digraph_from_edges(n_vertices, edges)
 
 
+def validate(graph: Digraph) -> None:
+    """Check every structural invariant of a DBM draw; raises ValueError on a broken one."""
+    if graph.indptr[0] != 0 or graph.indptr[-1] != graph.edge_count:
+        raise ValueError("indptr must run from 0 to the edge count")
+    if np.any(np.diff(graph.indptr) < 0):
+        raise ValueError("indptr must be non-decreasing")
+    if graph.edge_count:
+        if graph.targets.min() < 0 or graph.targets.max() >= graph.vertex_count:
+            raise ValueError("target out of range")
+    n, targets = graph.n, graph.targets
+    src = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
+    if np.any(src == targets):
+        raise ValueError("self loop present")
+    same_source = src[1:] == src[:-1]
+    if np.any(np.diff(targets)[same_source] <= 0):
+        raise ValueError("targets of a vertex not strictly sorted")
+    # rewiring keeps the target label, so a DBM draw, which takes each
+    # ordered pair of distinct labels at most once, never breaks these
+    labels = targets % n
+    if np.any(labels == src % n):
+        raise ValueError("an edge targets its source's own label")
+    if np.any(np.diff(np.sort(src * n + labels)) == 0):
+        raise ValueError("two out-edges of a vertex share a target label")
+    # a DBM draw rewires each edge with probability alpha
+    rewired = targets // n != src // n
+    alpha = graph.params.alpha if graph.params is not None else None
+    if alpha == 0.0 and (k := int(np.count_nonzero(rewired))):
+        raise ValueError(f"alpha = 0 but {k} edges leave their community")
+    if alpha == 1.0 and (k := int(np.count_nonzero(~rewired))):
+        raise ValueError(f"alpha = 1 but {k} edges stay in their community")
+
+
 def pre_rewiring_in_degree(graph: Digraph) -> np.ndarray:
     """Each vertex's in-degree once every edge is restored to its source's community."""
     n = graph.n

@@ -16,11 +16,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
-from dbmwalk import qsd
+from dbmwalk import experiments, qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import _CONFIG_KEYS, main
 from dbmwalk.experiments import (
     MAX_GRAPH_REJECTS,
+    QSD_KS_TOL,
     RESEED_STRIDE,
     ExperimentConfig,
     Verdict,
@@ -530,6 +531,26 @@ def test_qsd_run_writes_nan_above_the_hitting_oracle_limit(tmp_path, monkeypatch
     assert all(math.isfinite(float(row[6])) for row in solved)
     for a, b in zip(solved, skipped):
         assert a[:6] + a[7:] == b[:6] + b[7:]
+
+
+def test_qsd_run_fails_a_ks_verdict_whose_samples_are_all_censored(tmp_path, monkeypatch):
+    # with every jump time censored the law is not checked, so its verdict
+    # reads the largest KS distance, fails, and keeps the censored count
+    def all_censored(graph, *, starts, reps, seed):
+        return np.empty(0), reps
+
+    monkeypatch.setattr(experiments, "sample_tau_jump", all_censored)
+    manifest = run_qsd_experiment(super_config(str(tmp_path), seeds=(3,)))
+    payload = json.loads((tmp_path / "manifest.json").read_text())
+    (diag,) = payload["diagnostics"]["per_seed"]
+    assert diag["tau_jump_censored"] == 600
+    verdict = Verdict(
+        "ks_alpha_tau_jump_exp1", False, 1.0, f"< {QSD_KS_TOL}",
+        censored=600, censoring_bound=1.0,
+    )
+    assert manifest.verdicts[-1] == verdict
+    assert payload["verdicts"][-1] == verdict.__dict__
+    assert not manifest.all_passed
 
 
 def test_annealed_run_artifacts(tmp_path):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from conftest import (
     k_regular_digraph,
     leaving_out_degree,
     pre_rewiring_in_degree,
+    validate,
 )
+from dbmwalk import graph as graph_module
 from dbmwalk.graph import (
     DbmParams,
     Digraph,
@@ -66,7 +69,7 @@ def test_params_refuse_a_seed_a_graph_file_cannot_store(seed, message):
 def test_alpha_zero_no_rewiring():
     prm = DbmParams(n=300, m=3, lam=2.0, alpha=0.0, seed=1)
     graph, _ = generate(prm)
-    graph.validate()
+    validate(graph)
     assert not graph.rewired.any()
     src_comm = np.repeat(np.arange(graph.vertex_count) // prm.n, graph.out_degree)
     tgt_comm = graph.targets // prm.n
@@ -78,7 +81,7 @@ def test_alpha_zero_no_rewiring():
 def test_alpha_one_everything_rewired():
     prm = DbmParams(n=300, m=3, lam=2.0, alpha=1.0, seed=2)
     graph, _ = generate(prm)
-    graph.validate()
+    validate(graph)
     assert graph.rewired.all()
     src_comm = np.repeat(np.arange(graph.vertex_count) // prm.n, graph.out_degree)
     assert (src_comm != graph.targets // prm.n).all()
@@ -142,7 +145,7 @@ def test_pre_rewiring_subgraph_structure():
     graph, _ = generate(prm)
     for i in range(prm.m):
         sub = pre_rewiring_subgraph(graph, i)
-        sub.validate()
+        validate(sub)
         sl = slice(i * prm.n, (i + 1) * prm.n)
         assert np.array_equal(sub.out_degree, graph.out_degree[sl])
         in_deg = np.bincount(sub.targets, minlength=prm.n)
@@ -234,7 +237,7 @@ def test_generated_edge_layout_is_pinned(prm, indptr_sha, targets_sha):
 )
 def test_edge_layout_matches_independent_rederivations(n, m, lam, alpha, seed):
     graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
-    graph.validate()
+    validate(graph)
     src = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
     # derived flags: exactly the edges whose target left the source's community
     assert np.array_equal(graph.rewired, graph.targets // n != src // n)
@@ -246,15 +249,17 @@ def test_edge_layout_matches_independent_rederivations(n, m, lam, alpha, seed):
         assert np.array_equal(sub.indptr[1:], np.cumsum(np.bincount(labels, minlength=n)))
         assert np.array_equal(sub.targets, restored[order])
         assert not sub.rewired.any()
-        sub.validate()
+        validate(sub)
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "g.npz")
         save_binary(graph, path)
         loaded = load_binary(path)
         with np.load(path) as stored:
             assert np.array_equal(stored["rewired"], graph.rewired)
+    redrawn, _ = generate(loaded.params)
     for name in ("indptr", "targets", "rewired"):
         assert np.array_equal(getattr(loaded, name), getattr(graph, name))
+        assert np.array_equal(getattr(loaded, name), getattr(redrawn, name))
     assert loaded.params == graph.params
 
 
@@ -321,6 +326,14 @@ def break_shared_label(a):
     n, v = int(a["shape"][0]), int(np.flatnonzero(np.diff(a["indptr"]) >= 2)[0])
     first = int(a["targets"][a["indptr"][v]])
     retarget(a, a["indptr"][v] + 1, (1 - first // n) * n + first % n)
+
+
+# every rule above holds for this edit, but it is not the draw of the parameters
+def move_edge(a):
+    n, row = int(a["shape"][0]), slice(a["indptr"][0], a["indptr"][1])
+    k = a["indptr"][0] + int(np.flatnonzero(~a["rewired"][row])[0])  # vertex 0's first kept edge
+    unused = np.setdiff1d(np.arange(1, n), a["targets"][row] % n)[0]
+    retarget(a, k, unused)  # a label of community 0 that vertex 0 does not point at
 
 
 def negative_seed(a):
@@ -392,19 +405,23 @@ def string_reals(a):
     a["reals"] = a["reals"].astype("<U3")
 
 
+NOT_DRAWN = "its edges are not the draw of its parameters$"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (break_self_loop, "self loop"),
-        (break_sorting, "sorted"),
-        (break_own_label, "an edge targets its source's own label"),
-        (break_shared_label, "two out-edges of a vertex share a target label"),
+        (break_self_loop, NOT_DRAWN),
+        (break_sorting, NOT_DRAWN),
+        (break_own_label, NOT_DRAWN),
+        (break_shared_label, NOT_DRAWN),
+        (move_edge, NOT_DRAWN),
         (negative_seed, "seed must be non-negative, got -7"),
-        (break_range, "out of range"),
-        (break_flags, "rewired flags"),
-        (unrewired_alpha, "alpha = 0 but 362 edges leave their community"),
-        (all_rewired_alpha, "alpha = 1 but 1473 edges stay in their community"),
-        (break_indptr, "indptr"),
+        (break_range, NOT_DRAWN),
+        (break_flags, NOT_DRAWN),
+        (unrewired_alpha, NOT_DRAWN),
+        (all_rewired_alpha, NOT_DRAWN),
+        (break_indptr, NOT_DRAWN),
         (drop_targets, "targets is not a file in the archive"),
         (short_shape, "unpack"),
         (empty_version, "out of bounds"),
@@ -417,9 +434,9 @@ def string_reals(a):
         (string_reals, "reals has dtype <U3, not floating"),
     ],
     ids=[
-        "self_loop", "unsorted_targets", "own_label", "shared_label", "negative_seed",
-        "target_out_of_range", "flag_mismatch", "alpha_zero_rewired", "alpha_one_unrewired",
-        "short_indptr", "missing_member", "short_shape", "empty_version",
+        "self_loop", "unsorted_targets", "own_label", "shared_label", "moved_edge",
+        "negative_seed", "target_out_of_range", "flag_mismatch", "alpha_zero_rewired",
+        "alpha_one_unrewired", "short_indptr", "missing_member", "short_shape", "empty_version",
         "fractional_indptr", "fractional_targets", "fractional_n", "float_version",
         "integer_flags", "bool_reals", "string_reals",
     ],
@@ -436,15 +453,59 @@ def test_load_binary_rejects_broken_graphs(tmp_path, corrupt, message):
     assert str(info.value).startswith(f"{path}: ")
 
 
-def test_validate_catches_corruption():
-    prm = DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15)
-    graph, _ = generate(prm)
-    src = int(np.flatnonzero(graph.out_degree > 0)[0])
-    bad_self = graph.targets.copy()
-    bad_self[graph.indptr[src]] = src  # plant a self-loop
-    broken = Digraph(prm.n, prm.m, graph.indptr, bad_self, graph.params)
-    with pytest.raises(ValueError):
-        broken.validate()
+# a few stored bytes that name a huge draw
+def oversized_n(a):
+    a["shape"][0] = 10**9
+
+
+def dense_lambda(a):
+    a["reals"][0] = 20.0  # p = 0.92 at n = 100: ten times the stored edges
+
+
+@pytest.mark.parametrize("corrupt", [oversized_n, dense_lambda], ids=["oversized_n", "dense_lambda"])
+def test_load_binary_refuses_a_draw_the_file_cannot_hold(tmp_path, monkeypatch, corrupt):
+    graph, _ = generate(DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15))
+    path = tmp_path / "g.npz"
+    save_binary(graph, str(path))
+    arrays = dict(np.load(path))
+    corrupt(arrays)
+    np.savez(path, **arrays)
+
+    def no_draw(params, seed=None):
+        raise AssertionError("the loader drew a graph its file cannot hold")
+
+    monkeypatch.setattr(graph_module, "generate", no_draw)
+    with pytest.raises(ValueError, match=NOT_DRAWN) as info:
+        load_binary(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_validate_catches_corruption(tmp_path):
+    # the invariant oracle the generator tests call names each structural
+    # break the loader refuses, and passes the moved edge only the loader sees
+    graph, _ = generate(DbmParams(n=100, m=2, lam=2.0, alpha=0.2, seed=15))
+    path = tmp_path / "g.npz"
+    save_binary(graph, str(path))
+    for corrupt, message in [
+        (break_self_loop, "self loop"),
+        (break_sorting, "sorted"),
+        (break_own_label, "an edge targets its source's own label"),
+        (break_shared_label, "two out-edges of a vertex share a target label"),
+        (break_range, "out of range"),
+        (unrewired_alpha, "alpha = 0 but 362 edges leave their community"),
+        (all_rewired_alpha, "alpha = 1 but 1473 edges stay in their community"),
+        (break_indptr, "indptr"),
+        (move_edge, None),
+    ]:
+        arrays = dict(np.load(path))
+        corrupt(arrays)
+        params = replace(graph.params, alpha=float(arrays["reals"][1]))
+        broken = Digraph(params.n, params.m, arrays["indptr"], arrays["targets"], params)
+        if message is None:
+            validate(broken)
+        else:
+            with pytest.raises(ValueError, match=message):
+                validate(broken)
 
 
 def test_local_graphs_strongly_connected_whp():

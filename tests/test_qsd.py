@@ -23,6 +23,7 @@ from conftest import (
     leaving_out_degree,
     random_sc_digraph,
     uniform,
+    validate,
 )
 from dbmwalk import walk
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
@@ -713,4 +714,4 @@ def test_community_view_shares_the_cached_subgraph(small_community):
     hitting_time_estimates(view, return_mass(merged, t_mix))
     restart_process(view, sol, 50, seed=1)
     assert community_view(graph, 0).local is view.local
-    view.local.validate()
+    validate(view.local)
