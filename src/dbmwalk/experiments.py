@@ -533,17 +533,22 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         "local_stationary": [],
         "qsd": [],
         "mixing_time_exhaustive": [],
+        "mixing_time_starts": [],
+        "mixing_time_witnesses": [],
         "return_mass_horizon": [],
     }
     for i in range(prm.m):
         view = qsd.community_view(graph, i)
         sol = qsd.quasi_stationary(view)
         merged = qsd.build_merged_kernel(view)
-        rng = derived_rng(used, NS_EXPERIMENT, 1, i)
-        t_mix, exhaustive = qsd.mixing_time_estimate(merged, cap, rng, config.sample_starts)
+        t_mix, starts = qsd.mixing_time_estimate(merged, cap, config.sample_starts)
+        exhaustive = starts.size == merged.n_states
         diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
         diag["qsd"].append({"iterations": sol.iterations, "residual": sol.residual})
         diag["mixing_time_exhaustive"].append(exhaustive)
+        diag["mixing_time_starts"].append(int(starts.size))
+        # the witnesses as community labels; the last start is the merged state
+        diag["mixing_time_witnesses"].append([] if exhaustive else view.kept[starts[:-1]].tolist())
         mass = qsd.return_mass(merged, t_mix)
         diag["return_mass_horizon"].append(mass.t_horizon)
         hit = qsd.hitting_time_estimates(view, mass)

@@ -195,8 +195,9 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.nd
         off = rng.integers(0, m - 1, size=int(np.count_nonzero(flags)))
         other = off + (off >= i)
         target[flags] = other * n + tgt_label[flags]
-        # a source's targets are distinct: one integer sort restores their order
-        seg_targets.append(np.sort(src_label * nv + target) % nv)
+        # a source's targets are distinct: one integer sort restores their
+        # order; the keys are nearly sorted, which the stable sort runs through
+        seg_targets.append(np.sort(src_label * nv + target, kind="stable") % nv)
         seg_counts.append(np.bincount(src_label, minlength=n))
 
     indptr = np.zeros(nv + 1, dtype=np.int64)
@@ -250,8 +251,9 @@ def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
         tgt = graph.targets[e_lo:e_hi] % n
         src = graph.sources()[e_lo:e_hi] - lo
         indptr = graph.indptr[lo : hi + 1] - e_lo
-        # label restoration breaks the target order within each source
-        graph._cache[key] = Digraph(n, 1, indptr, np.sort(src * n + tgt) % n)
+        # label restoration breaks the target order within each source only,
+        # so the keys are nearly sorted, which the stable sort runs through
+        graph._cache[key] = Digraph(n, 1, indptr, np.sort(src * n + tgt, kind="stable") % n)
     return graph._cache[key]
 
 

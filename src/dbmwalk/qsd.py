@@ -31,9 +31,9 @@ from .walk import (
     ProbVector,
     _step_walkers,
     _UniformStream,
+    every_state_starts,
     local_stationary,
     propagate,
-    select_starts,
     transition_operator,
 )
 
@@ -48,6 +48,10 @@ MIX_MARGIN = 1e-6
 # on 19.2k states and at 2170 columns on 2170 states
 SPARSE_FILL_LIMIT = 0.05
 HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
+# collision witnesses stepped beside the merged state on a large merged
+# space: the top 1 matched the exhaustive t_mix on 36 of 40 communities of
+# the n = 4000 sweep, the top 2 on all 40
+WITNESSES = 2
 
 
 @dataclass
@@ -221,18 +225,41 @@ def iota_first_order(params: DbmParams) -> float:
     return params.lam * params.alpha * math.log(params.n)
 
 
+def collision_witnesses(merged: MergedKernel, k: int) -> np.ndarray:
+    """The WITNESSES likeliest slowest starts among k candidates.
+
+    The candidates are the k states of lowest merged out-degree (the
+    nonzeros of the state's row of P~), the merged state left out and
+    ties going to the lower index.  Each scores its two-step collision
+    probability sum_y P~^2(x, y)^2: a start whose two-step mass sits on
+    few states is far from pi~.  The highest scores win, ties going to the
+    earlier candidate.  The k point masses are stepped as one CSR block,
+    so the scoring holds about k two-step supports, not k dense columns.
+    """
+    ns, op = merged.n_states, merged.operator
+    degree = np.bincount(op.indices, minlength=ns)[: merged.merged_index]
+    candidates = np.argsort(degree, kind="stable")[:k]
+    size = candidates.size
+    block = csr_matrix((np.ones(size), (candidates, np.arange(size))), shape=(ns, size))
+    two = op @ (op @ block)
+    score = np.bincount(two.indices, weights=two.data**2, minlength=size)
+    return candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
+
+
 def mixing_time_estimate(
     merged: MergedKernel,
     cap: int,
-    rng: np.random.Generator | None = None,
     k: int | None = SAMPLED_STARTS,
-) -> tuple[int, bool]:
-    """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e).
+) -> tuple[int, np.ndarray]:
+    """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e), and its starts.
 
-    The starts follow ``walk.select_starts`` with the merged gate state
-    as witness: every state when ``k`` is None or the merged space is
-    small, otherwise k states drawn from ``rng``, which makes the result
-    a lower estimate (flagged by the returned bool = False).
+    Every state is a start when ``walk.every_state_starts``; otherwise
+    the starts are the merged gate state and the ``collision_witnesses``
+    among k candidates.  Those witnesses found the exhaustive t on every
+    measured draw (README, "Escape mixing time"), but they do not certify
+    it: t is then a lower estimate.  The starts come back as sorted merged
+    states, the merged state last; they are every state exactly when
+    their count is ``merged.n_states``.
 
     The answer is that of stepping every start as one dense block and
     checking TV after each step; two things make it cheaper.  The
@@ -247,7 +274,11 @@ def mixing_time_estimate(
     so TV from a fixed start never rises, and they cannot decide t.
     """
     ns = merged.n_states
-    starts = select_starts(ns, rng, k, witnesses=[merged.merged_index])
+    if every_state_starts(ns, k):
+        starts = np.arange(ns)
+    else:
+        witnesses = np.sort(collision_witnesses(merged, k))
+        starts = np.append(witnesses, merged.merged_index)
     pi = merged.pi_tilde.values
     block = csr_matrix(
         (np.ones(starts.size), (starts, np.arange(starts.size))), shape=(ns, starts.size)
@@ -265,7 +296,7 @@ def mixing_time_estimate(
         tv = 0.5 * np.abs(diff, out=diff).sum(axis=0)
         del diff  # freed before the block is narrowed
         if tv.max() <= MIX_THRESHOLD:
-            return t, starts.size == ns
+            return t, starts
         # numpy sums axis 0 of a block two or more columns wide row by row,
         # as it sums the full block, but a lone column pairwise: keep two
         keep = tv > MIX_THRESHOLD - MIX_MARGIN
@@ -393,7 +424,8 @@ def restart_process(
     Every gate visit tosses a coin with success probability (rewired
     out-degree / full out-degree) of the visited gate; the walk restarts
     from (QSD one step forward) after each visit.  Only the running
-    walkers are stepped, and each visit is recorded once as (walker, t).
+    walkers are stepped; each step with gate visits records its visitors
+    and one (t, count) pair, expanded into visit times once at the end.
     Runs are censored at 100/iota steps.  The start draw, then at each
     step the re-init, step and coin draws, read one
     ``walk._UniformStream`` of the walk's own generator, in that order.
@@ -407,12 +439,12 @@ def restart_process(
     alive = np.arange(reps)
     pos = draw_start(uniforms, reps)
     at_gate = np.zeros(reps, dtype=bool)
+    gated = 0  # walkers at a gate, carried over from the last step's hits
     # an empty first entry keeps the records defined when no walker visits a gate (reps = 0)
-    visitors, visit_times = [alive[:0]], [alive[:0]]
+    visitors, visit_steps, visit_counts = [alive[:0]], [], []
     for t in range(1, cap + 1):
         # the walkers at a gate re-init, then the others step; a step
         # without gate walkers draws no re-init doubles, as rng.random(0)
-        gated = np.count_nonzero(at_gate)
         if gated:
             nxt = np.empty_like(pos)
             nxt[at_gate] = draw_reinit(uniforms, gated)
@@ -422,16 +454,18 @@ def restart_process(
             nxt = _step_walkers(view.local, pos, uniforms)[0]
         at_gate = view.gate_mask[nxt]
         hits = np.flatnonzero(at_gate)
-        pos = nxt
-        if hits.size == 0:
+        pos, gated = nxt, hits.size
+        if gated == 0:
             continue
         visitors.append(alive[hits])
-        visit_times.append(np.full(hits.size, t))
-        stop = hits[uniforms.random(hits.size) < coin_p[nxt[hits]]]
+        visit_steps.append(t)
+        visit_counts.append(gated)
+        stop = hits[uniforms.random(gated) < coin_p[nxt[hits]]]
         if stop.size:
             keep = np.ones(alive.size, dtype=bool)
             keep[stop] = False
             alive, pos, at_gate = alive[keep], nxt[keep], at_gate[keep]
+            gated -= stop.size  # every stopped walker was at a gate
             if alive.size == 0:
                 break
 
@@ -440,11 +474,16 @@ def restart_process(
     censored[alive] = True
     ids = np.concatenate(visitors)
     order = np.argsort(ids, kind="stable")
-    times = np.concatenate(visit_times)[order]
+    times = np.repeat(np.array(visit_steps, dtype=np.int64), visit_counts)[order]
     bounds = np.searchsorted(ids[order], np.arange(reps + 1))
+    # one diff over every walker's sorted visit times; a walker's first gap
+    # is its first visit time, not the distance to the walker before it
+    gaps = np.diff(times, prepend=0)
+    first = bounds[:-1][bounds[:-1] < bounds[1:]]
+    gaps[first] = times[first]
     out = []
     for r in range(reps):
-        run = times[bounds[r] : bounds[r + 1]]
-        tau = None if censored[r] else int(run[-1])
-        out.append(RestartSample(tau_rho=tau, sigma_list=np.diff(run, prepend=0)))
+        lo, hi = bounds[r], bounds[r + 1]
+        tau = None if censored[r] else int(times[hi - 1])
+        out.append(RestartSample(tau_rho=tau, sigma_list=gaps[lo:hi]))
     return out

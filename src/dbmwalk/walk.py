@@ -24,7 +24,7 @@ STATIONARY_MAX_ITER = 10**6
 PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
-SAMPLED_STARTS = 64  # starts drawn on a larger space unless k is None
+SAMPLED_STARTS = 64  # starts drawn, or witness candidates scored, on a larger space
 UNIFORM_BLOCK = 2**14  # doubles a walker sampler draws from its generator at a time
 
 
@@ -118,10 +118,9 @@ def transition_operator(graph: Digraph) -> csr_matrix:
         sinks = np.flatnonzero(deg == 0)
         if sinks.size:
             raise ValueError(f"walk kernel loses mass at sink vertex {int(sinks[0])}")
-        src = graph.sources()
-        data = 1.0 / deg[src]
-        pt = csr_matrix((data, (graph.targets, src)), shape=(n, n))
-        graph._cache["PT"] = pt
+        # P row by row straight from the edge layout, then transposed
+        p = csr_matrix((np.repeat(1.0 / deg, deg), graph.targets, graph.indptr), shape=(n, n))
+        graph._cache["PT"] = p.T.tocsr()
     return graph._cache["PT"]
 
 
@@ -254,6 +253,11 @@ def entropy_and_entropic_time(graph: Digraph) -> EntropyResult:
     return EntropyResult(h=h, t_ent=math.log(graph.n) / h)
 
 
+def every_state_starts(size: int, k: int | None) -> bool:
+    """Whether a worst-start maximum over ``size`` states starts from all."""
+    return k is None or size <= START_STATE_LIMIT
+
+
 def select_starts(
     size: int,
     rng: np.random.Generator | None,
@@ -269,7 +273,7 @@ def select_starts(
     drawn from ``rng`` plus the ``witnesses`` (states expected to be
     among the slowest), which makes the maximum a lower estimate.
     """
-    if k is None or size <= START_STATE_LIMIT:
+    if every_state_starts(size, k):
         return np.arange(size, dtype=np.int64)
     if rng is None:
         raise ValueError("sampled starts need a generator")

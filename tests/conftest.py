@@ -141,6 +141,19 @@ def dense_kernel(graph: Digraph) -> np.ndarray:
     return mat
 
 
+def coo_transition_operator(graph: Digraph) -> csr_matrix:
+    """P^T assembled from (target, source) coordinate pairs and converted.
+
+    The construction ``walk.transition_operator`` used before it built P
+    row by row from the edge layout: the oracle its CSR arrays must
+    equal bit for bit.
+    """
+    n = graph.vertex_count
+    deg = graph.out_degree
+    src = np.repeat(np.arange(n), deg)
+    return csr_matrix((1.0 / deg[src], (graph.targets, src)), shape=(n, n))
+
+
 def dense_stationary(kernel: np.ndarray) -> np.ndarray:
     """Stationary row vector by direct linear solve of pi (P - I) = 0."""
     k = kernel.shape[0]

@@ -94,9 +94,7 @@ def escape_sweep():
             view = community_view(graph, i)
             sol = quasi_stationary(view)
             merged = build_merged_kernel(view)
-            t_mix, _ = mixing_time_estimate(
-                merged, cap, rng=derived_rng(used, NS_EXPERIMENT, 1, i)
-            )
+            t_mix, _ = mixing_time_estimate(merged, cap)
             mass = return_mass(merged, t_mix)
             row["relerr"].append(abs(sol.iota / first - 1.0))
             row["gate_ratio"].append(view.gate_mass / first)

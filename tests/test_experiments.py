@@ -468,15 +468,20 @@ def test_qsd_run_artifacts(tmp_path):
     assert [r["seed"] for r in records] == [3, 4]
     for diag in records:
         assert sorted(diag) == [
-            "local_stationary", "mixing_time_exhaustive", "qsd", "restart_censored",
-            "return_mass_horizon", "seed", "tau_jump_censored",
+            "local_stationary", "mixing_time_exhaustive", "mixing_time_starts",
+            "mixing_time_witnesses", "qsd", "restart_censored", "return_mass_horizon",
+            "seed", "tau_jump_censored",
         ]
         assert len(diag["qsd"]) == config.params.m
         assert all(r["residual"] < STATIONARY_TOL and r["iterations"] > 0 for r in diag["qsd"])
+        csv = (tmp_path / f"qsd_seed{diag['seed']}.csv").read_text().splitlines()[1:]
+        # every merged state (the kept labels and the merged gate state) is a start
         assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+        gates = [int(row.split(",")[7]) for row in csv]
+        assert diag["mixing_time_starts"] == [config.params.n - g + 1 for g in gates]
+        assert diag["mixing_time_witnesses"] == [[]] * config.params.m
         # the horizon return_mass used, t_mix * log(1 / min pi~) > t_mix,
         # per community
-        csv = (tmp_path / f"qsd_seed{diag['seed']}.csv").read_text().splitlines()[1:]
         t_mix = [int(row.split(",")[4]) for row in csv]
         horizons = diag["return_mass_horizon"]
         assert len(horizons) == config.params.m
@@ -507,13 +512,28 @@ def test_qsd_run_artifacts(tmp_path):
 def test_qsd_exhaustive_starts_cover_a_large_merged_space(tmp_path):
     # about 50 gates per community at this alpha leave a merged space above
     # the 2000 states up to which every start is stepped at any sample size
-    config = super_config(str(tmp_path), n=2200, alpha=0.001, sample_starts=None)
+    config = super_config(str(tmp_path / "every"), n=2200, alpha=0.001, sample_starts=None)
     run_qsd_experiment(config)
-    rows = (tmp_path / "qsd_seed1.csv").read_text().splitlines()[1:]
-    gate_counts = [int(row.split(",")[7]) for row in rows]
+    rows = [r.split(",") for r in (tmp_path / "every/qsd_seed1.csv").read_text().splitlines()[1:]]
+    gate_counts = [int(row[7]) for row in rows]
     assert all(config.params.n - g + 1 > 2000 for g in gate_counts)
-    (diag,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    (diag,) = json.loads((tmp_path / "every/manifest.json").read_text())["diagnostics"]["per_seed"]
     assert diag["mixing_time_exhaustive"] == [True] * config.params.m
+    assert diag["mixing_time_starts"] == [config.params.n - g + 1 for g in gate_counts]
+
+    # the default k steps the merged state and two collision witnesses,
+    # recorded as distinct non-gate labels, and reads the same t_mix here
+    run_qsd_experiment(super_config(str(tmp_path / "witness"), n=2200, alpha=0.001))
+    csv = (tmp_path / "witness/qsd_seed1.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in csv] == [row[4] for row in rows]
+    payload = json.loads((tmp_path / "witness/manifest.json").read_text())
+    (diag,) = payload["diagnostics"]["per_seed"]
+    assert diag["mixing_time_exhaustive"] == [False] * config.params.m
+    assert diag["mixing_time_starts"] == [3] * config.params.m
+    graph, _ = generate(config.params, diag["seed"])
+    for i, labels in enumerate(diag["mixing_time_witnesses"]):
+        assert len(set(labels)) == 2
+        assert not graph.rewired_out_degree[i * config.params.n + np.array(labels)].any()
 
 
 def test_qsd_run_writes_nan_above_the_hitting_oracle_limit(tmp_path, monkeypatch):

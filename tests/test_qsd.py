@@ -25,6 +25,8 @@ from conftest import (
     uniform,
     validate,
 )
+from test_acceptance import SWEEP_PARAMS
+
 from dbmwalk import walk
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
@@ -33,6 +35,7 @@ from dbmwalk.qsd import (
     CommunityView,
     MergedKernel,
     build_merged_kernel,
+    collision_witnesses,
     community_view,
     hitting_time_estimates,
     iota_first_order,
@@ -44,12 +47,12 @@ from dbmwalk.qsd import (
     survival_curve,
 )
 from dbmwalk.walk import (
+    SAMPLED_STARTS,
     START_STATE_LIMIT,
     STATIONARY_TOL,
     ProbVector,
     jump_target_frequencies,
     local_stationary,
-    select_starts,
     stationary,
 )
 
@@ -248,7 +251,8 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     assert np.abs(merged.operator @ pi_tilde - pi_tilde).sum() < 1e-12
 
     t_mix = dense_mixing_time(want, pi_tilde, cap=100)
-    assert mixing_time_estimate(merged, cap=100) == (t_mix, True)
+    got, starts = mixing_time_estimate(merged, cap=100)
+    assert got == t_mix and np.array_equal(starts, np.arange(k + 1))
 
     mass = return_mass(merged, t_mix)
     assert mass.t_horizon == math.ceil(t_mix * math.log(1.0 / pi_tilde.min()))
@@ -296,8 +300,8 @@ def test_return_mass_clamp_and_horizon_mechanics():
 def test_return_mass_matches_dense_powers():
     view = one_gate_complete_view(6)
     merged = build_merged_kernel(view)
-    t_mix, exhaustive = mixing_time_estimate(merged, cap=50)
-    assert exhaustive
+    t_mix, starts = mixing_time_estimate(merged, cap=50)
+    assert starts.size == merged.n_states
     mass = return_mass(merged, t_mix)
     dense = merged.operator.T.toarray()
     d = merged.merged_index
@@ -344,15 +348,15 @@ def test_hitting_time_estimate_tracks_oracle(small_community):
 def test_mixing_time_on_complete_digraph_is_one_step():
     view = one_gate_complete_view(6)
     merged = build_merged_kernel(view)
-    t_mix, exhaustive = mixing_time_estimate(merged, cap=10)
-    assert (t_mix, exhaustive) == (1, True)
+    t_mix, starts = mixing_time_estimate(merged, cap=10)
+    assert t_mix == 1 and starts.size == merged.n_states
 
 
 def test_mixing_time_matches_dense_definition(small_community):
     _, view = small_community
     merged = build_merged_kernel(view)
-    t_mix, exhaustive = mixing_time_estimate(merged, cap=500)
-    assert exhaustive
+    t_mix, starts = mixing_time_estimate(merged, cap=500)
+    assert starts.size == merged.n_states
     dense = merged.operator.T.toarray()
     pi = merged.pi_tilde.values
     power = np.eye(merged.n_states)
@@ -377,20 +381,61 @@ def test_mixing_time_cap_and_sampled_mode():
     t_slow, _ = mixing_time_estimate(slow, cap=100)
     assert 0.5 * 0.98**t_slow <= 1.0 / (2.0 * math.e) < 0.5 * 0.98 ** (t_slow - 1)
 
-    # a merged space above the 2000-state limit is sampled: every state
-    # steps straight into the absorbing merged state, so t_mix = 1
+    # a merged space above the 2000-state limit starts from the merged
+    # state and two collision witnesses: every state steps straight into
+    # the absorbing merged state, so t_mix = 1, and every candidate ties on
+    # out-degree and score, so the witnesses are the two lowest states
     ns = 2001
     absorbing = MergedKernel(
         operator=csr_matrix((np.ones(ns), (np.full(ns, ns - 1), np.arange(ns))), shape=(ns, ns)),
         pi_tilde=delta(ns, ns - 1, "merged:0"),
     )
-    with pytest.raises(ValueError, match="generator"):
-        mixing_time_estimate(absorbing, cap=10)
-    t_mix, exhaustive = mixing_time_estimate(
-        absorbing, cap=10, rng=np.random.default_rng(0)
-    )
-    assert not exhaustive
+    t_mix, starts = mixing_time_estimate(absorbing, cap=10)
     assert t_mix == 1
+    assert starts.tolist() == [0, 1, ns - 1]
+    t_mix, starts = mixing_time_estimate(absorbing, cap=10, k=None)
+    assert t_mix == 1 and starts.size == ns
+
+
+def test_collision_witnesses_score_the_lowest_out_degrees():
+    # out-degrees 4, 2, 2, 2, 3, and 1 for the absorbing merged state 5,
+    # which also has the top two-step collision score (1.0) but is never a
+    # candidate; the others score 0.2083, 0.25, 0.375, 0.2292 and 0.1944
+    p = np.zeros((6, 6))
+    p[0, [1, 2, 3, 4]] = 0.25
+    p[1, [0, 2]] = p[2, [3, 5]] = p[3, [0, 4]] = 0.5
+    p[4, [0, 1, 2]] = 1.0 / 3.0
+    p[5, 5] = 1.0
+    merged = MergedKernel(csr_matrix(p.T), uniform(6, "merged:0"))
+    score = ((p @ p) ** 2).sum(axis=1)
+    assert score.argmax() == 5 and score[2] > score[1] > score[3]
+    # k = 1 scores the one lowest-degree state, the lowest index of three ties
+    assert collision_witnesses(merged, 1).tolist() == [1]
+    assert collision_witnesses(merged, 3).tolist() == [2, 1]
+    # every state a candidate but the merged one, whatever k is
+    assert collision_witnesses(merged, 6).tolist() == [2, 1]
+    assert collision_witnesses(merged, 100).tolist() == [2, 1]
+
+    # every state steps into the merged state: equal degrees and scores,
+    # so the two lowest indices win
+    flat = np.zeros((5, 5))
+    flat[:, 4] = 1.0
+    merged = MergedKernel(csr_matrix(flat.T), uniform(5, "merged:0"))
+    assert collision_witnesses(merged, 3).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize(("seed", "i"), [(1, 1), (3, 0)])
+def test_witness_starts_find_the_worst_start_on_drawn_communities(seed, i):
+    # the criterion 4-7 sweep's communities (n = 4000, about 3870 merged
+    # states) where 64 uniform starts plus the merged state read t_mix = 4
+    # and stepping every state reads 5
+    graph, _ = generate(SWEEP_PARAMS, seed)
+    merged = build_merged_kernel(community_view(graph, i))
+    assert merged.n_states > START_STATE_LIMIT
+    t_mix, starts = mixing_time_estimate(merged, cap=200)
+    assert starts.size == 3 and starts[-1] == merged.merged_index
+    every, _ = mixing_time_estimate(merged, cap=200, k=None)
+    assert t_mix == every == 5
 
 
 class RecordingOperator:
@@ -398,6 +443,7 @@ class RecordingOperator:
 
     def __init__(self, operator: csr_matrix):
         self.operator, self.shape, self.products = operator, operator.shape, []
+        self.indices = operator.indices  # the witness candidates' out-degrees
 
     def __matmul__(self, block):
         out = self.operator @ block
@@ -416,24 +462,30 @@ def kept_columns(product: np.ndarray, reference: np.ndarray) -> list[int]:
     return kept
 
 
-def check_against_dense_loop(merged: MergedKernel, cap: int, seed: int) -> list[tuple[bool, int]]:
+def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[bool, int]]:
     """``mixing_time_estimate`` against ``dense_start_steps`` on its starts.
 
-    Sparse products must be the whole dense block; dense ones a subset
-    of its columns, the others dropped only once their TV was MIX_MARGIN
-    below 1/(2e), and only where they stay mixed until t.  Returns, for
-    each step, whether its product was sparse and the block's width.
+    The starts are every state up to START_STATE_LIMIT, and past it the
+    merged state and the collision witnesses among SAMPLED_STARTS
+    candidates, whose scoring takes the first two products.  Sparse
+    products must be the whole dense block; dense ones a subset of its
+    columns, the others dropped only once their TV was MIX_MARGIN below
+    1/(2e), and only where they stay mixed until t.  Returns, for each
+    step, whether its product was sparse and the block's width.
     """
+    ns = merged.n_states
     recorder = RecordingOperator(merged.operator)
-    got = mixing_time_estimate(
-        MergedKernel(recorder, merged.pi_tilde), cap, np.random.default_rng(seed)
-    )
-    starts = select_starts(
-        merged.n_states, np.random.default_rng(seed), witnesses=[merged.merged_index]
-    )
+    t_mix, starts = mixing_time_estimate(MergedKernel(recorder, merged.pi_tilde), cap)
+    if ns > START_STATE_LIMIT:
+        scoring, recorder.products = recorder.products[:2], recorder.products[2:]
+        assert [p.shape for p in scoring] == [(ns, min(SAMPLED_STARTS, ns - 1))] * 2
+        witnesses = collision_witnesses(merged, SAMPLED_STARTS)
+        assert np.array_equal(starts, np.append(np.sort(witnesses), ns - 1))
+    else:
+        assert np.array_equal(starts, np.arange(ns))
     blocks, tvs = dense_start_steps(merged.operator, merged.pi_tilde.values, starts, cap)
     assert tvs[-1].max() <= MIX_THRESHOLD
-    assert got == (len(blocks), starts.size == merged.n_states)
+    assert t_mix == len(blocks)
     assert len(recorder.products) == len(blocks)
     steps, kept = [], list(range(starts.size))
     for s, product in enumerate(recorder.products):
@@ -467,8 +519,9 @@ def test_mixing_time_drops_a_start_that_has_mixed():
     pi = np.array([0.35, 0.35, 0.15, 0.15])
     kernel = 0.5 * np.eye(4) + 0.5 * np.outer(np.ones(4), pi)
     merged = MergedKernel(operator=csr_matrix(kernel.T), pi_tilde=ProbVector(pi, "merged:0"))
-    assert check_against_dense_loop(merged, cap=10, seed=0) == [(True, 4), (False, 4), (False, 2)]
-    assert mixing_time_estimate(merged, cap=10) == (3, True)
+    assert check_against_dense_loop(merged, cap=10) == [(True, 4), (False, 4), (False, 2)]
+    t_mix, starts = mixing_time_estimate(merged, cap=10)
+    assert t_mix == 3 and starts.tolist() == [0, 1, 2, 3]
 
 
 @DIFFERENTIAL
@@ -479,8 +532,8 @@ def test_mixing_time_drops_a_start_that_has_mixed():
     data=st.data(),
 )
 def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_seed, i, data):
-    # exhaustive starts on small communities, 64 sampled starts plus the
-    # gate state once the merged space passes START_STATE_LIMIT
+    # exhaustive starts on small communities, the gate state and two
+    # collision witnesses once the merged space passes START_STATE_LIMIT
     if sampled:
         params = DbmParams(
             n=data.draw(st.integers(2100, 2300)), m=2, lam=2.0, alpha=0.001, seed=graph_seed
@@ -499,10 +552,10 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
     assume(pre_rewiring_subgraph(graph, i).is_strongly_connected())
     merged = build_merged_kernel(community_view(graph, i))
     assert (merged.n_states > START_STATE_LIMIT) == sampled
-    steps = check_against_dense_loop(merged, cap=200, seed=graph_seed)
-    # point masses are stepped sparse, and past 2000 states the block is
-    # still below the fill limit after one step
-    assert steps[0][0] and (steps[1][0] or not sampled)
+    steps = check_against_dense_loop(merged, cap=200)
+    # point masses are stepped sparse; past 2000 states the block is the
+    # merged state and two witnesses
+    assert steps[0][0] and (steps[0][1] == 3 or not sampled)
 
 
 def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):

@@ -14,6 +14,7 @@ from conftest import (
     DIFFERENTIAL,
     bincount_stationary,
     complete_digraph,
+    coo_transition_operator,
     cycle_digraph,
     delta,
     dense_kernel,
@@ -27,7 +28,7 @@ from conftest import (
 )
 from dbmwalk import walk
 from dbmwalk.experiments import analytic_entropic_time
-from dbmwalk.graph import DbmParams, Digraph, generate
+from dbmwalk.graph import DbmParams, Digraph, generate, pre_rewiring_subgraph
 from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
@@ -113,6 +114,16 @@ def test_batch_evolution_matches_single_columns():
     for j in range(4):
         (ref,) = propagate(operator, cols[:, j : j + 1], [6])
         assert np.abs(out[:, j] - ref[:, 0]).max() < 1e-13
+
+
+def test_kernel_arrays_equal_the_coordinate_build():
+    graph, _ = generate(DbmParams(n=600, m=2, lam=2.0, alpha=0.01, seed=5))
+    for g in (graph, pre_rewiring_subgraph(graph, 1)):
+        got, want = transition_operator(g), coo_transition_operator(g)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.shape == want.shape
 
 
 def test_evolution_rejects_sink_mass():
