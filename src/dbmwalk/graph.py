@@ -85,13 +85,6 @@ class DbmParams:
     def p(self) -> float:
         return self.lam * math.log(self.n) / self.n
 
-    @classmethod
-    def from_edge_probability(
-        cls, n: int, m: int, p: float, alpha: float, seed: int
-    ) -> "DbmParams":
-        """Build params from a raw edge probability instead of lambda."""
-        return cls(n=n, m=m, lam=p * n / math.log(n), alpha=alpha, seed=seed)
-
 
 class Digraph:
     """Immutable directed graph in compressed out-adjacency form.

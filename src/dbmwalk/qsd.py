@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, issparse
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from .graph import DbmParams, Digraph, pre_rewiring_subgraph
@@ -38,15 +38,11 @@ from .walk import (
 )
 
 MIX_THRESHOLD = 1.0 / (2.0 * math.e)
-# rounding allowance where a support bound or an earlier TV stands in for
-# the TV the dense loop computes: a step or a TV sum over 10^5 states is
-# off by about 1e-11, and a wider margin only keeps a column in the block,
-# or a TV check, for longer
-MIX_MARGIN = 1e-6
-# fill of the sparse start block past which it is stepped dense: a CSR
-# step cost as much as a dense one from about 5-10% fill, at 65 columns
-# on 19.2k states and at 2170 columns on 2170 states
-SPARSE_FILL_LIMIT = 0.05
+# fewest columns of a start block: timed one call per fresh interpreter
+# on an n = 4000 community (3680 merged states, 2 shared vCPUs), 16-32
+# columns took 0.63-0.87 s and 40-128 columns 1.20-1.84 s, a cliff that
+# in-process repeats hide
+START_BLOCK = 32
 HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
 # collision witnesses stepped beside the merged state on a large merged
 # space: the top 1 matched the exhaustive t_mix on 36 of 40 communities of
@@ -261,17 +257,14 @@ def mixing_time_estimate(
     states, the merged state last; they are every state exactly when
     their count is ``merged.n_states``.
 
-    The answer is that of stepping every start as one dense block and
-    checking TV after each step; two things make it cheaper.  The
-    point-mass block is stepped as CSR until its fill passes
-    SPARSE_FILL_LIMIT: CSR times CSR sums each entry over the operator's
-    row in the dense product's order and leaves out only exact zeros, so
-    its columns are the dense ones bit for bit.  While it is sparse, the
-    TV check is skipped when some column's support misses more than
-    1/(2e) + MIX_MARGIN of pi~, as TV >= 1 - pi~(support).  And columns
-    whose TV is MIX_MARGIN below 1/(2e) leave the block once at most
-    half of it is left (narrowing copies the block): pi~ is stationary,
-    so TV from a fixed start never rises, and they cannot decide t.
+    The starts are stepped as dense point masses in blocks of
+    START_BLOCK to 2 START_BLOCK - 1 columns (one block when there are
+    fewer), never a lone column: numpy sums a lone column pairwise but a
+    wider block row by row, so each column's TV is, bit for bit, that of
+    stepping every start as one block.  A block stops at its first step
+    whose worst TV is at most 1/(2e); pi~ is stationary, so TV from a
+    fixed start never rises, and the largest of those steps is the t of
+    all the starts.
     """
     ns = merged.n_states
     if every_state_starts(ns, k):
@@ -280,30 +273,18 @@ def mixing_time_estimate(
         witnesses = np.sort(collision_witnesses(merged, k))
         starts = np.append(witnesses, merged.merged_index)
     pi = merged.pi_tilde.values
-    block = csr_matrix(
-        (np.ones(starts.size), (starts, np.arange(starts.size))), shape=(ns, starts.size)
-    )
-    for t in range(1, cap + 1):
-        block = merged.operator @ block
-        if issparse(block):
-            support = csr_matrix((np.ones(block.nnz), block.indices, block.indptr), block.shape)
-            unmixed = 1.0 - (support.T @ pi).min() > MIX_THRESHOLD + MIX_MARGIN
-            if not unmixed or block.nnz > SPARSE_FILL_LIMIT * ns * block.shape[1]:
-                block = block.toarray()
-            if unmixed:
-                continue
-        diff = block - pi[:, None]
-        tv = 0.5 * np.abs(diff, out=diff).sum(axis=0)
-        del diff  # freed before the block is narrowed
-        if tv.max() <= MIX_THRESHOLD:
-            return t, starts
-        # numpy sums axis 0 of a block two or more columns wide row by row,
-        # as it sums the full block, but a lone column pairwise: keep two
-        keep = tv > MIX_THRESHOLD - MIX_MARGIN
-        keep[np.argsort(tv)[-2:]] = True
-        if 2 * keep.sum() <= keep.size:
-            block = block[:, keep]
-    raise RuntimeError(f"merged kernel did not mix within the cap of {cap} steps")
+    t_mix = 0
+    for cols in np.array_split(starts, max(1, starts.size // START_BLOCK)):
+        block = np.zeros((ns, cols.size))
+        block[cols, np.arange(cols.size)] = 1.0
+        for t in range(1, cap + 1):
+            block = merged.operator @ block
+            if 0.5 * np.abs(block - pi[:, None]).sum(axis=0).max() <= MIX_THRESHOLD:
+                t_mix = max(t_mix, t)
+                break
+        else:
+            raise RuntimeError(f"merged kernel did not mix within the cap of {cap} steps")
+    return t_mix, starts
 
 
 @dataclass(frozen=True)

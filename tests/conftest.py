@@ -35,6 +35,11 @@ def digraph_from_edges(n_vertices: int, edges: list[tuple[int, int]], m: int = 1
     return Digraph(n=n_vertices // m, m=m, indptr=indptr, targets=tgt, params=params)
 
 
+def params_from_edge_probability(n: int, m: int, p: float, alpha: float, seed: int) -> DbmParams:
+    """DBM params from a raw edge probability p instead of lambda = p n / log(n)."""
+    return DbmParams(n=n, m=m, lam=p * n / math.log(n), alpha=alpha, seed=seed)
+
+
 def cycle_digraph(k: int) -> Digraph:
     return digraph_from_edges(k, [(v, (v + 1) % k) for v in range(k)])
 
@@ -205,7 +210,7 @@ def dense_start_steps(operator, pi: np.ndarray, starts: np.ndarray, cap: int):
     Returns the blocks and their columns' TV to ``pi`` after steps
     1, 2, ..., ending at the first step whose worst TV is at most
     1/(2e), or at ``cap``: the reference the merged mixing time's
-    sparse and dropped-start steps must reproduce bit for bit.
+    narrower start blocks must reproduce column for column, bit for bit.
     """
     cols = np.zeros((operator.shape[0], starts.size))
     cols[starts, np.arange(starts.size)] = 1.0

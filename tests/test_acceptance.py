@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import dense_kernel, dense_stationary, random_sc_digraph
+from conftest import (
+    dense_kernel,
+    dense_stationary,
+    params_from_edge_probability,
+    random_sc_digraph,
+)
 from test_annealed import exact_two_step_law, outcome_counts
 
 from dbmwalk.annealed import (
@@ -400,7 +405,7 @@ def test_criterion_18_community_masses_critical():
 
 
 def test_criterion_19_annealed_equals_graph_average():
-    params = DbmParams.from_edge_probability(n=5, m=2, p=0.6, alpha=0.3, seed=0)
+    params = params_from_edge_probability(n=5, m=2, p=0.6, alpha=0.3, seed=0)
     exact = exact_two_step_law(params, 0)
     rng = derived_rng(0, NS_ANNEALED, 7)
     reps = 1_000_000

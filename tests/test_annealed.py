@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import params_from_edge_probability
+
 from dbmwalk.annealed import (
     annealed_community_law,
     annealed_jump_survival,
@@ -18,7 +20,7 @@ from dbmwalk.graph import DbmParams
 from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_ANNEALED, derived_rng
 
-SMALL = DbmParams.from_edge_probability(n=5, m=2, p=0.6, alpha=0.3, seed=0)
+SMALL = params_from_edge_probability(n=5, m=2, p=0.6, alpha=0.3, seed=0)
 
 
 def exact_two_step_law(params: DbmParams, start: int = 0) -> dict:
@@ -169,7 +171,7 @@ def test_path_law_enumerations_agree():
 def test_revisit_law_matches_exact_enumeration(m, t, reps):
     # at n=3 every vertex has at most two out-edges, so walks revisit often
     # and both slot reuse and rejection of revealed labels are exercised
-    prm = DbmParams.from_edge_probability(n=3, m=m, p=0.6, alpha=0.3, seed=0)
+    prm = params_from_edge_probability(n=3, m=m, p=0.6, alpha=0.3, seed=0)
     law = exact_path_law(prm, 0, t)
     assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
     walks = annealed_walks(prm, 0, t, reps, derived_rng(13, NS_ANNEALED, m))
@@ -186,7 +188,7 @@ def test_revisit_law_matches_exact_enumeration(m, t, reps):
 
 
 def test_batch_revelations_are_consistent():
-    prm = DbmParams.from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
+    prm = params_from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
     t = 30
     walks = annealed_walks(prm, 7, t, 2000, derived_rng(2, NS_ANNEALED, 0))
     src, dst = walks.path[:, :-1], walks.path[:, 1:]
@@ -205,7 +207,7 @@ def test_batch_revelations_are_consistent():
 
 
 def test_one_walk_is_a_batch_row():
-    prm = DbmParams.from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
+    prm = params_from_edge_probability(n=40, m=3, p=0.25, alpha=0.4, seed=0)
     one = annealed_walk(prm, 7, 12, derived_rng(3, NS_ANNEALED, 0))
     row = annealed_walks(prm, 7, 12, 1, derived_rng(3, NS_ANNEALED, 0))
     assert np.array_equal(one.vertices, row.path[0, : row.steps[0] + 1])
@@ -214,7 +216,7 @@ def test_one_walk_is_a_batch_row():
 
 
 def test_alpha_zero_walk_stays_home():
-    prm = DbmParams.from_edge_probability(n=50, m=2, p=0.3, alpha=0.0, seed=0)
+    prm = params_from_edge_probability(n=50, m=2, p=0.3, alpha=0.0, seed=0)
     rng = derived_rng(4, NS_ANNEALED, 0)
     for start in (0, 60):
         walks = annealed_walks(prm, start, 12, 1, rng)
@@ -224,7 +226,7 @@ def test_alpha_zero_walk_stays_home():
 
 
 def test_full_density_first_step_is_uniform():
-    prm = DbmParams.from_edge_probability(n=6, m=2, p=1.0, alpha=0.0, seed=0)
+    prm = params_from_edge_probability(n=6, m=2, p=1.0, alpha=0.0, seed=0)
     rng = derived_rng(5, NS_ANNEALED, 0)
     reps = 5000
     first = annealed_walks(prm, 0, 1, reps, rng).path[:, 1]
@@ -241,7 +243,7 @@ def test_exchangeable_starts_in_one_community():
 
 
 def test_community_law_matches_mean_field_row():
-    prm = DbmParams.from_edge_probability(n=400, m=3, p=0.02, alpha=1.0, seed=0)
+    prm = params_from_edge_probability(n=400, m=3, p=0.02, alpha=1.0, seed=0)
     law = annealed_community_law(prm, start=0, t=4, reps=10_000, seed=6)
     want = q_power_matrix(3, 1.0, 4)[0]
     assert np.abs(law.q_row - want).max() < 1e-14
@@ -267,7 +269,7 @@ def test_revisit_rate_matches_first_order_prediction():
 
 
 def test_horizon_guard():
-    prm = DbmParams.from_edge_probability(n=100, m=2, p=0.2, alpha=0.2, seed=0)
+    prm = params_from_edge_probability(n=100, m=2, p=0.2, alpha=0.2, seed=0)
     with pytest.raises(ValueError, match="short-time"):
         annealed_community_law(prm, start=0, t=101, reps=10, seed=0)
     with pytest.raises(ValueError, match="short-time"):
@@ -276,17 +278,17 @@ def test_horizon_guard():
 
 def test_community_law_refuses_when_no_run_is_cycle_free():
     # four vertices of out-degree 1 cannot give five distinct positions
-    prm = DbmParams.from_edge_probability(n=2, m=2, p=1.0, alpha=0.3, seed=0)
+    prm = params_from_edge_probability(n=2, m=2, p=1.0, alpha=0.3, seed=0)
     with pytest.raises(RuntimeError, match="no cycle-free runs"):
         annealed_community_law(prm, start=0, t=4, reps=50, seed=0)
 
 
 def test_jump_survival_extremes():
-    sure = DbmParams.from_edge_probability(n=30, m=2, p=0.5, alpha=1.0, seed=0)
+    sure = params_from_edge_probability(n=30, m=2, p=0.5, alpha=1.0, seed=0)
     surv = annealed_jump_survival(sure, t_max=3, reps=2000, seed=7)
     assert surv.survival[0] == 1.0
     assert surv.survival[1] == 0.0
-    never = DbmParams.from_edge_probability(n=30, m=2, p=0.5, alpha=0.0, seed=0)
+    never = params_from_edge_probability(n=30, m=2, p=0.5, alpha=0.0, seed=0)
     flat = annealed_jump_survival(never, t_max=5, reps=500, seed=8)
     assert np.all(flat.survival == 1.0)
     assert np.all(flat.theory == 1.0)

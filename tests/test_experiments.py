@@ -16,6 +16,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
+from conftest import params_from_edge_probability
+
 from dbmwalk import experiments, qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import _CONFIG_KEYS, main
@@ -102,7 +104,7 @@ def test_analytic_entropic_time_matches_direct_sum(n, lam):
 @pytest.mark.parametrize("n", [5, 50])
 def test_analytic_entropic_time_at_full_density(n):
     # p = 1: every out-degree is n - 1, and the ratio recurrence never forms p/(1-p)
-    params = DbmParams.from_edge_probability(n=n, m=2, p=1.0, alpha=0.1, seed=0)
+    params = params_from_edge_probability(n=n, m=2, p=1.0, alpha=0.1, seed=0)
     assert params.p == 1.0
     assert analytic_entropic_time(params) == pytest.approx(math.log(n) / math.log(n - 1), rel=1e-15)
 

@@ -16,6 +16,7 @@ from conftest import (
     digraph_from_edges,
     k_regular_digraph,
     leaving_out_degree,
+    params_from_edge_probability,
     pre_rewiring_in_degree,
     validate,
 )
@@ -42,7 +43,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         # p = lam log(n)/n > 1
         DbmParams(n=10, m=2, lam=10.0, alpha=0.1, seed=0)
-    prm = DbmParams.from_edge_probability(n=100, m=2, p=0.05, alpha=0.1, seed=0)
+    prm = params_from_edge_probability(n=100, m=2, p=0.05, alpha=0.1, seed=0)
     assert abs(prm.p - 0.05) < 1e-15
     assert DbmParams(n=100, m=2, lam=2.0, alpha=0.1, seed=2**63 - 1).seed == 2**63 - 1
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.sparse import csr_matrix, issparse
+from scipy.sparse import csr_matrix
 
 from conftest import (
     DIFFERENTIAL,
@@ -30,8 +30,8 @@ from test_acceptance import SWEEP_PARAMS
 from dbmwalk import walk
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
-    MIX_MARGIN,
     MIX_THRESHOLD,
+    START_BLOCK,
     CommunityView,
     MergedKernel,
     build_merged_kernel,
@@ -451,27 +451,15 @@ class RecordingOperator:
         return out
 
 
-def kept_columns(product: np.ndarray, reference: np.ndarray) -> list[int]:
-    """The reference columns ``product`` holds bit for bit, in order."""
-    kept, k = [], 0
-    for j in range(product.shape[1]):
-        while not np.array_equal(product[:, j], reference[:, k]):
-            k += 1  # an IndexError here is a column no start produces
-        kept.append(k)
-        k += 1
-    return kept
-
-
-def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[bool, int]]:
+def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[int, int]]:
     """``mixing_time_estimate`` against ``dense_start_steps`` on its starts.
 
     The starts are every state up to START_STATE_LIMIT, and past it the
     merged state and the collision witnesses among SAMPLED_STARTS
-    candidates, whose scoring takes the first two products.  Sparse
-    products must be the whole dense block; dense ones a subset of its
-    columns, the others dropped only once their TV was MIX_MARGIN below
-    1/(2e), and only where they stay mixed until t.  Returns, for each
-    step, whether its product was sparse and the block's width.
+    candidates, whose scoring takes the first two products.  t must be
+    the dense loop's, and every product at most 2 START_BLOCK - 1 columns
+    wide, the dense loop's next columns bit for bit, stepped until they
+    first mix.  Returns each block's width and step count.
     """
     ns = merged.n_states
     recorder = RecordingOperator(merged.operator)
@@ -486,42 +474,40 @@ def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[bool,
     blocks, tvs = dense_start_steps(merged.operator, merged.pi_tilde.values, starts, cap)
     assert tvs[-1].max() <= MIX_THRESHOLD
     assert t_mix == len(blocks)
-    assert len(recorder.products) == len(blocks)
-    steps, kept = [], list(range(starts.size))
-    for s, product in enumerate(recorder.products):
-        if issparse(product):
-            assert np.array_equal(product.toarray(), blocks[s])
-            now = list(range(starts.size))
+    assert all(p.shape[1] <= 2 * START_BLOCK - 1 for p in recorder.products)
+    stepped, col, step = [], 0, 0
+    for product in recorder.products:
+        width = product.shape[1]
+        assert np.array_equal(product, blocks[step][:, col : col + width])
+        if tvs[step][col : col + width].max() <= MIX_THRESHOLD:
+            stepped.append((width, step + 1))
+            col, step = col + width, 0
         else:
-            now = kept_columns(product, blocks[s])
-        dropped = sorted(set(kept) - set(now))
-        assert set(now) <= set(kept)
-        # a column leaves once its TV is MIX_MARGIN below the threshold,
-        # and it stays mixed until t, so it could not have decided t
-        assert all(tvs[s - 1][k] <= MIX_THRESHOLD - MIX_MARGIN for k in dropped)
-        assert all(tv[k] <= MIX_THRESHOLD for tv in tvs[s - 1 :] for k in dropped)
-        if s and not issparse(recorder.products[s - 1]):
-            # a dense step is always checked, and the mixed columns but the
-            # two worst leave the block once at most half of it is left
-            tv = tvs[s - 1][kept]
-            worst = {kept[j] for j in np.argsort(tv)[-2:]}
-            left = {k for k, v in zip(kept, tv) if v > MIX_THRESHOLD - MIX_MARGIN} | worst
-            assert set(now) == (left if 2 * len(left) <= len(kept) else set(kept))
-        kept = now
-        steps.append((issparse(product), len(now)))
-    return steps
+            step += 1
+    assert col == starts.size and step == 0
+    return stepped
 
 
-def test_mixing_time_drops_a_start_that_has_mixed():
-    # P = (1 - a) I + a 1 pi^T mixes start x with TV (1 - pi_x) (1 - a)^t:
-    # starts 0 and 1 (pi 0.35) are at 0.1625 after two steps and leave
-    # the block, the others reach 0.10625 at t = 3
-    pi = np.array([0.35, 0.35, 0.15, 0.15])
-    kernel = 0.5 * np.eye(4) + 0.5 * np.outer(np.ones(4), pi)
-    merged = MergedKernel(operator=csr_matrix(kernel.T), pi_tilde=ProbVector(pi, "merged:0"))
-    assert check_against_dense_loop(merged, cap=10) == [(True, 4), (False, 4), (False, 2)]
-    t_mix, starts = mixing_time_estimate(merged, cap=10)
-    assert t_mix == 3 and starts.tolist() == [0, 1, 2, 3]
+def test_mixing_time_takes_the_slowest_of_its_start_blocks():
+    # P = (1 - a) I + a 1 pi^T mixes start x with TV (1 - pi_x) (1 - a)^t;
+    # at 1 - a = 0.43 a start of pi 1e-4 mixes at t = 3, every other
+    # start (pi about 0.0101) at t = 2, so the block that holds the
+    # smallest-pi start decides t, wherever it sits among the three
+    ns, rate = 100, 0.43
+    assert ns > 2 * START_BLOCK
+    for slow in (0, ns // 2, ns - 1):
+        pi = np.full(ns, (1.0 - 1e-4) / (ns - 1))
+        pi[slow] = 1e-4
+        kernel = rate * np.eye(ns) + (1.0 - rate) * np.outer(np.ones(ns), pi)
+        merged = MergedKernel(operator=csr_matrix(kernel.T), pi_tilde=ProbVector(pi, "merged:0"))
+        closed = [min(t for t in range(1, 10) if (1 - p) * rate**t <= MIX_THRESHOLD) for p in pi]
+        assert max(closed) == 3 and sorted(closed)[-2] == 2
+        blocks = check_against_dense_loop(merged, cap=10)
+        steps = [2, 2, 2]
+        steps[slow * 3 // ns] = 3
+        assert blocks == list(zip([34, 33, 33], steps))
+        t_mix, starts = mixing_time_estimate(merged, cap=10)
+        assert t_mix == 3 and starts.tolist() == list(range(ns))
 
 
 @DIFFERENTIAL
@@ -552,10 +538,9 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
     assume(pre_rewiring_subgraph(graph, i).is_strongly_connected())
     merged = build_merged_kernel(community_view(graph, i))
     assert (merged.n_states > START_STATE_LIMIT) == sampled
-    steps = check_against_dense_loop(merged, cap=200)
-    # point masses are stepped sparse; past 2000 states the block is the
-    # merged state and two witnesses
-    assert steps[0][0] and (steps[0][1] == 3 or not sampled)
+    widths = [width for width, _ in check_against_dense_loop(merged, cap=200)]
+    # past 2000 states one block, the merged state and two witnesses
+    assert max(widths) <= 2 * START_BLOCK - 1 and (widths == [3] or not sampled)
 
 
 def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):

@@ -22,6 +22,7 @@ from conftest import (
     digraph_from_edges,
     k_regular_digraph,
     out_neighbors,
+    params_from_edge_probability,
     pre_rewiring_in_degree,
     random_sc_digraph,
     uniform,
@@ -278,7 +279,7 @@ def test_entropy_analytic_small_binomial():
     # E[log max(D, 1)] for D ~ Binomial(4, 1/2), by direct enumeration:
     # (6 log 2 + 4 log 3 + 2 log 2) / 16
     want = math.log(2) / 2 + math.log(3) / 4
-    params = DbmParams.from_edge_probability(n=5, m=2, p=0.5, alpha=0.1, seed=0)
+    params = params_from_edge_probability(n=5, m=2, p=0.5, alpha=0.1, seed=0)
     assert analytic_entropic_time(params) == pytest.approx(math.log(5) / want, rel=1e-12)
 
 
@@ -386,7 +387,7 @@ def test_stream_pins_hold_for_a_tiny_block(monkeypatch):
 def test_walker_loops_raise_only_on_reaching_a_sink():
     # 0 -> 1 -> 2 ends at the sink 2; 4 <-> 5 -> 6 -> 4 is closed and
     # sink-free; the one rewired edge, 3 -> 4, leaves a vertex no walker reaches
-    prm = DbmParams.from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
+    prm = params_from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
     edges = [(0, 1), (1, 2), (3, 4), (4, 5), (5, 4), (5, 6), (6, 4)]
     graph = digraph_from_edges(8, edges, m=2, params=prm)
     rng = derived_rng(0, NS_TRAJECTORY, 1)
@@ -442,7 +443,7 @@ def test_first_jump_samplers_keep_their_streams():
 def test_first_jumps_censor_walkers_that_cannot_jump():
     # 0 <-> 1 has no rewired edge; a walker on 2 <-> 3 leaves by 3 -> 4
     # at each visit to 3 with probability 1/2, well within 20/alpha = 40 steps
-    prm = DbmParams.from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
+    prm = params_from_edge_probability(n=4, m=2, p=0.5, alpha=0.5, seed=0)
     edges = [(0, 1), (1, 0), (2, 3), (3, 2), (3, 4), (4, 5), (5, 4), (6, 7), (7, 6)]
     graph = digraph_from_edges(8, edges, m=2, params=prm)
     starts = np.arange(4)  # walker k starts on k % 4
