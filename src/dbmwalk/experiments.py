@@ -170,6 +170,7 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"need at least one thread, got {self.threads}")
         self.validate_regime()
+        self.time_grid()
 
     @property
     def t_ent(self) -> float:
@@ -226,11 +227,13 @@ class ExperimentConfig:
         return ExperimentConfig(params=params, regime="critical", c=c, **kw)
 
     def time_grid(self) -> dict[float, int]:
-        """Map each beta to an integer step count on the configured scale."""
+        """Map each beta to an integer step count on the configured scale, below 2**63."""
         t_ent = self.t_ent
         out: dict[float, int] = {}
         for beta in self.beta_grid:
             raw = beta * t_ent if self.timescale == "entropic" else beta / self.params.alpha
+            if not raw < 2**63:
+                raise ValueError(f"beta {beta:g} takes {raw:.3g} steps, not below 2**63")
             out[beta] = max(1, round(raw))
         return out
 

@@ -229,16 +229,14 @@ def collision_witnesses(merged: MergedKernel, k: int) -> np.ndarray:
     ties going to the lower index.  Each scores its two-step collision
     probability sum_y P~^2(x, y)^2: a start whose two-step mass sits on
     few states is far from pi~.  The highest scores win, ties going to the
-    earlier candidate.  The k point masses are stepped as one CSR block,
+    earlier candidate.  A point mass's first step is its column of P~^T,
     so the scoring holds about k two-step supports, not k dense columns.
     """
     ns, op = merged.n_states, merged.operator
     degree = np.bincount(op.indices, minlength=ns)[: merged.merged_index]
     candidates = np.argsort(degree, kind="stable")[:k]
-    size = candidates.size
-    block = csr_matrix((np.ones(size), (candidates, np.arange(size))), shape=(ns, size))
-    two = op @ (op @ block)
-    score = np.bincount(two.indices, weights=two.data**2, minlength=size)
+    two = op @ op[:, candidates]
+    score = np.bincount(two.indices, weights=two.data**2, minlength=candidates.size)
     return candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
 
 
@@ -257,16 +255,17 @@ def mixing_time_estimate(
     states, the merged state last; they are every state exactly when
     their count is ``merged.n_states``.
 
-    The starts are stepped as dense point masses in blocks of
-    START_BLOCK to 2 START_BLOCK - 1 columns (one block when there are
-    fewer), never a lone column: numpy sums a lone column pairwise but a
-    wider block row by row, so each column's TV is, bit for bit, that of
-    stepping every start as one block.  A block stops at its first step
-    whose worst TV is at most 1/(2e); pi~ is stationary, so TV from a
-    fixed start never rises, and the largest of those steps is the t of
-    all the starts.
+    The starts are stepped in dense blocks of START_BLOCK to
+    2 START_BLOCK - 1 columns (one block when there are fewer), never a
+    lone column: numpy sums a lone column pairwise but a wider block row
+    by row, so each column's TV is, bit for bit, that of stepping every
+    start as one block.  A block's first step is its columns of P~^T (its
+    point masses' product, bit for bit), ``walk.propagate`` takes the rest,
+    and it stops at its first step whose worst TV is at most 1/(2e).  pi~
+    is stationary, so TV from a fixed start never rises, and the largest
+    of those steps is the t of all the starts.
     """
-    ns = merged.n_states
+    ns, operator = merged.n_states, merged.operator
     if every_state_starts(ns, k):
         starts = np.arange(ns)
     else:
@@ -275,10 +274,8 @@ def mixing_time_estimate(
     pi = merged.pi_tilde.values
     t_mix = 0
     for cols in np.array_split(starts, max(1, starts.size // START_BLOCK)):
-        block = np.zeros((ns, cols.size))
-        block[cols, np.arange(cols.size)] = 1.0
-        for t in range(1, cap + 1):
-            block = merged.operator @ block
+        first = operator[:, cols].toarray()
+        for t, block in enumerate(propagate(operator, first, range(cap)), start=1):
             if 0.5 * np.abs(block - pi[:, None]).sum(axis=0).max() <= MIX_THRESHOLD:
                 t_mix = max(t_mix, t)
                 break
@@ -304,16 +301,16 @@ def return_mass(merged: MergedKernel, t_mix: int) -> ReturnMass:
     """Return mass of the merged gate state over the standard horizon.
 
     The horizon is t_mix * log(1 / min pi~), the time by which every
-    start has equilibrated to precision min pi~.
+    start has equilibrated to precision min pi~.  The first step from the
+    merged state is its column of P~^T.
     """
     pi = merged.pi_tilde.values
     horizon = int(math.ceil(t_mix * math.log(1.0 / float(pi.min()))))
     d = merged.merged_index
     level = float(pi[d])
-    mu = np.zeros(merged.n_states)
-    mu[d] = 1.0
+    first = merged.operator[:, [d]].toarray()[:, 0]
     excess = 0.0
-    for mu in propagate(merged.operator, mu, range(1, horizon + 1)):
+    for mu in propagate(merged.operator, first, range(horizon)):
         excess += max(float(mu[d]) - level, 0.0)
     return ReturnMass(r_tilde=1.0 + excess, t_horizon=horizon)
 
@@ -406,9 +403,9 @@ def restart_process(
     out-degree / full out-degree) of the visited gate; the walk restarts
     from (QSD one step forward) after each visit.  Only the running
     walkers are stepped; each step with gate visits records its visitors
-    and one (t, count) pair, expanded into visit times once at the end.
-    Runs are censored at 100/iota steps.  The start draw, then at each
-    step the re-init, step and coin draws, read one
+    and their gaps since their ``last`` visit; a finished run's tau_rho is
+    its last visit.  Runs are censored at 100/iota steps.  The start draw,
+    then at each step the re-init, step and coin draws, read one
     ``walk._UniformStream`` of the walk's own generator, in that order.
     """
     cap = int(math.ceil(100.0 / max(solution.iota, 1e-12)))
@@ -421,8 +418,9 @@ def restart_process(
     pos = draw_start(uniforms, reps)
     at_gate = np.zeros(reps, dtype=bool)
     gated = 0  # walkers at a gate, carried over from the last step's hits
-    # an empty first entry keeps the records defined when no walker visits a gate (reps = 0)
-    visitors, visit_steps, visit_counts = [alive[:0]], [], []
+    last = np.zeros(reps, dtype=np.int64)  # each walker's last gate-visit time
+    # empty first entries keep the records defined when no walker visits a gate (reps = 0)
+    visitors, gaps = [alive[:0]], [last[:0]]
     for t in range(1, cap + 1):
         # the walkers at a gate re-init, then the others step; a step
         # without gate walkers draws no re-init doubles, as rng.random(0)
@@ -438,9 +436,10 @@ def restart_process(
         pos, gated = nxt, hits.size
         if gated == 0:
             continue
-        visitors.append(alive[hits])
-        visit_steps.append(t)
-        visit_counts.append(gated)
+        ids = alive[hits]
+        visitors.append(ids)
+        gaps.append(t - last[ids])
+        last[ids] = t
         stop = hits[uniforms.random(gated) < coin_p[nxt[hits]]]
         if stop.size:
             keep = np.ones(alive.size, dtype=bool)
@@ -455,16 +454,9 @@ def restart_process(
     censored[alive] = True
     ids = np.concatenate(visitors)
     order = np.argsort(ids, kind="stable")
-    times = np.repeat(np.array(visit_steps, dtype=np.int64), visit_counts)[order]
+    sigma = np.concatenate(gaps)[order]
     bounds = np.searchsorted(ids[order], np.arange(reps + 1))
-    # one diff over every walker's sorted visit times; a walker's first gap
-    # is its first visit time, not the distance to the walker before it
-    gaps = np.diff(times, prepend=0)
-    first = bounds[:-1][bounds[:-1] < bounds[1:]]
-    gaps[first] = times[first]
-    out = []
-    for r in range(reps):
-        lo, hi = bounds[r], bounds[r + 1]
-        tau = None if censored[r] else int(times[hi - 1])
-        out.append(RestartSample(tau_rho=tau, sigma_list=gaps[lo:hi]))
-    return out
+    return [
+        RestartSample(None if censored[r] else int(last[r]), sigma[bounds[r] : bounds[r + 1]])
+        for r in range(reps)
+    ]

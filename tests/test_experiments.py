@@ -794,6 +794,8 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
         ({"out_dir": 5}, [], "out_dir must be a string, got 5"),
         ({"out_dir": None}, [], "out_dir must be a string, got None"),
         ({}, ["--betas", "inf"], "beta_grid must be finite, got inf"),
+        ({}, ["--betas", "1e308"], r"beta 1e\+308 takes inf steps, not below 2\*\*63"),
+        ({}, ["--betas", "1e30"], r"beta 1e\+30 takes 2\.03e\+30 steps, not below 2\*\*63"),
         ({"beta_grid": [math.inf]}, [], "beta_grid must be finite, got inf"),
         ({}, ["--betas", "nan"], "beta_grid must be finite, got nan"),
         ({"regime": "critical", "alpha": None}, ["--C", "nan"], "c must be finite, got nan"),
@@ -821,7 +823,7 @@ def test_cli_config_file_value_of_the_wrong_type(tmp_path, capsys, raw):
          "bad_seed_flag", "bad_beta_flag", "bad_starts_flag", "bad_beta_key",
          "subcritical_on_alpha_clock", "critical_alpha_mismatch",
          "bool_lambda", "bool_c", "bool_beta", "int_out_dir", "null_out_dir",
-         "inf_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
+         "inf_beta_flag", "overflowing_beta_flag", "int64_beta_flag", "inf_beta_key", "nan_beta_flag", "nan_critical_c",
          "inf_critical_c", "zero_critical_c", "negative_seed", "big_seed",
          "seed_redrawing_past_int64", "unknown_key",
          "start_policy_key", "base_seed_key", "sampled_starts_flag"],
@@ -835,7 +837,9 @@ def test_cli_config_is_validated_not_coerced(tmp_path, capsys, raw, flags, messa
     # used to end in a TypeError traceback; an infinite beta or a critical
     # constant of zero used to end in a traceback, a NaN beta or constant
     # or an infinite constant in a failed run (exit 3), a negative seed in
-    # numpy's refusal after the output directory was made, a seed past
+    # numpy's refusal after the output directory was made, a beta whose
+    # step count is infinite or not below 2**63 in an OverflowError
+    # traceback (exit 1) with an empty output directory, a seed past
     # the graph file's int64 in an OverflowError traceback (exit 1) after
     # it was made, a seed whose re-draw passes it, once its first graph
     # was rejected, in a refused re-draw seed (exit 3), and an unknown

@@ -32,6 +32,7 @@ from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
     MIX_THRESHOLD,
     START_BLOCK,
+    WITNESSES,
     CommunityView,
     MergedKernel,
     build_merged_kernel,
@@ -436,14 +437,23 @@ def test_witness_starts_find_the_worst_start_on_drawn_communities(seed, i):
     assert starts.size == 3 and starts[-1] == merged.merged_index
     every, _ = mixing_time_estimate(merged, cap=200, k=None)
     assert t_mix == every == 5
+    check_point_mass_references(merged, t_mix)
 
 
 class RecordingOperator:
-    """A merged operator that keeps every block it returns."""
+    """A merged operator that keeps every block it returns.
+
+    A column read is kept as a dense block, a product as it comes.
+    """
 
     def __init__(self, operator: csr_matrix):
         self.operator, self.shape, self.products = operator, operator.shape, []
         self.indices = operator.indices  # the witness candidates' out-degrees
+
+    def __getitem__(self, key):
+        out = self.operator[key]
+        self.products.append(out.toarray())
+        return out
 
     def __matmul__(self, block):
         out = self.operator @ block
@@ -451,15 +461,51 @@ class RecordingOperator:
         return out
 
 
+def check_point_mass_references(merged: MergedKernel, t_mix: int) -> None:
+    """Column reads against the point-mass loops they replaced, byte for byte.
+
+    The collision scores of the SAMPLED_STARTS witness candidates are
+    stepped twice from a CSR block of their point masses, and r~ from the
+    merged state's point mass, as ``collision_witnesses`` and
+    ``return_mass`` once did.
+    """
+    ns, op = merged.n_states, merged.operator
+    degree = np.bincount(op.indices, minlength=ns)[: ns - 1]
+    candidates = np.argsort(degree, kind="stable")[:SAMPLED_STARTS]
+    size = candidates.size
+    one = op @ csr_matrix((np.ones(size), (candidates, np.arange(size))), shape=(ns, size))
+    recorder = RecordingOperator(op)
+    witnesses = collision_witnesses(MergedKernel(recorder, merged.pi_tilde), SAMPLED_STARTS)
+    read, two = recorder.products
+    assert read.tobytes() == one.toarray().tobytes()
+    score, want = (
+        np.bincount(p.indices, weights=p.data**2, minlength=size) for p in (two, op @ one)
+    )
+    assert score.tobytes() == want.tobytes()
+    assert np.array_equal(witnesses, candidates[np.argsort(-want, kind="stable")[:WITNESSES]])
+
+    d, pi = ns - 1, merged.pi_tilde.values
+    mass = return_mass(merged, t_mix)
+    assert mass.t_horizon == math.ceil(t_mix * math.log(1.0 / pi.min()))
+    mu = np.zeros(ns)
+    mu[d] = 1.0
+    excess = 0.0
+    for _ in range(mass.t_horizon):
+        mu = op @ mu
+        excess += max(float(mu[d]) - float(pi[d]), 0.0)
+    assert np.float64(mass.r_tilde).tobytes() == np.float64(1.0 + excess).tobytes()
+
+
 def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[int, int]]:
     """``mixing_time_estimate`` against ``dense_start_steps`` on its starts.
 
     The starts are every state up to START_STATE_LIMIT, and past it the
     merged state and the collision witnesses among SAMPLED_STARTS
-    candidates, whose scoring takes the first two products.  t must be
-    the dense loop's, and every product at most 2 START_BLOCK - 1 columns
+    candidates, whose scoring takes a column read and a product.  t must
+    be the dense loop's, and every block at most 2 START_BLOCK - 1 columns
     wide, the dense loop's next columns bit for bit, stepped until they
-    first mix.  Returns each block's width and step count.
+    first mix: a start block's first step is its column read, the later
+    ones products.  Returns each block's width and step count.
     """
     ns = merged.n_states
     recorder = RecordingOperator(merged.operator)
@@ -538,7 +584,9 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
     assume(pre_rewiring_subgraph(graph, i).is_strongly_connected())
     merged = build_merged_kernel(community_view(graph, i))
     assert (merged.n_states > START_STATE_LIMIT) == sampled
-    widths = [width for width, _ in check_against_dense_loop(merged, cap=200)]
+    blocks = check_against_dense_loop(merged, cap=200)
+    check_point_mass_references(merged, max(steps for _, steps in blocks))
+    widths = [width for width, _ in blocks]
     # past 2000 states one block, the merged state and two witnesses
     assert max(widths) <= 2 * START_BLOCK - 1 and (widths == [3] or not sampled)
 
