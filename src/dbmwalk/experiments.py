@@ -539,6 +539,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         "mixing_time_starts": [],
         "mixing_time_witnesses": [],
         "return_mass_horizon": [],
+        "hitting_oracle": [],
     }
     for i in range(prm.m):
         view = qsd.community_view(graph, i)
@@ -555,6 +556,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
         mass = qsd.return_mass(merged, t_mix)
         diag["return_mass_horizon"].append(mass.t_horizon)
         hit = qsd.hitting_time_estimates(view, mass)
+        diag["hitting_oracle"].append({"z": mass.z, "bound": mass.bound, "steps": mass.steps})
         rows.append(
             [
                 i,
@@ -563,7 +565,7 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
                 mass.r_tilde,
                 t_mix,
                 hit.estimate,
-                hit.oracle if hit.oracle is not None else float("nan"),
+                hit.oracle,
                 view.gate_labels.size,
                 qsd.nice_fraction(graph, view),
             ]

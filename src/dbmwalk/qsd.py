@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.linalg import spsolve
+from scipy.sparse import csr_matrix
 
 from .graph import DbmParams, Digraph, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
@@ -43,11 +42,8 @@ MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 # columns took 0.63-0.87 s and 40-128 columns 1.20-1.84 s, a cliff that
 # in-process repeats hide
 START_BLOCK = 32
-HITTING_ORACLE_LIMIT = 2000  # largest community with an exact hitting time
-# collision witnesses stepped beside the merged state on a large merged
-# space: the top 1 matched the exhaustive t_mix on 36 of 40 communities of
-# the n = 4000 sweep, the top 2 on all 40
-WITNESSES = 2
+HITTING_ORACLE_RTOL = 1e-10  # bound on the oracle's unsummed tail, relative
+WITNESSES = 2  # top collision scores stepped on a large merged space (README)
 
 
 @dataclass
@@ -222,22 +218,24 @@ def iota_first_order(params: DbmParams) -> float:
 
 
 def collision_witnesses(merged: MergedKernel, k: int) -> np.ndarray:
-    """The WITNESSES likeliest slowest starts among k candidates.
+    """The likeliest slowest starts among k candidates.
 
     The candidates are the k states of lowest merged out-degree (the
     nonzeros of the state's row of P~), the merged state left out and
     ties going to the lower index.  Each scores its two-step collision
     probability sum_y P~^2(x, y)^2: a start whose two-step mass sits on
-    few states is far from pi~.  The highest scores win, ties going to the
-    earlier candidate.  A point mass's first step is its column of P~^T,
-    so the scoring holds about k two-step supports, not k dense columns.
+    few states is far from pi~.  The WITNESSES highest scores win, ties
+    going to the earlier candidate, and the first candidate joins them.
+    A point mass's first step is its column of P~^T, so the scoring
+    holds about k two-step supports, not k dense columns.
     """
     ns, op = merged.n_states, merged.operator
     degree = np.bincount(op.indices, minlength=ns)[: merged.merged_index]
     candidates = np.argsort(degree, kind="stable")[:k]
     two = op @ op[:, candidates]
     score = np.bincount(two.indices, weights=two.data**2, minlength=candidates.size)
-    return candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
+    top = candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
+    return top if candidates[0] in top else np.append(top, candidates[0])
 
 
 def mixing_time_estimate(
@@ -249,7 +247,7 @@ def mixing_time_estimate(
 
     Every state is a start when ``walk.every_state_starts``; otherwise
     the starts are the merged gate state and the ``collision_witnesses``
-    among k candidates.  Those witnesses found the exhaustive t on every
+    among k candidates.  Those starts found the exhaustive t on every
     measured draw (README, "Escape mixing time"), but they do not certify
     it: t is then a lower estimate.  The starts come back as sorted merged
     states, the merged state last; they are every state exactly when
@@ -286,58 +284,58 @@ def mixing_time_estimate(
 
 @dataclass(frozen=True)
 class ReturnMass:
-    """Accumulated returns to the merged gate state before mixing.
+    """Returns to the merged gate state d.
 
-    ``r_tilde`` sums the excess of the return probability over its
-    stationary level (clamped below at zero), plus one for the start;
-    it is >= 1 by construction and tends to 1 when gates are spread out.
+    ``r_tilde`` is one plus the clamped excess of the return probability
+    over pi~(d) to ``t_horizon``: >= 1, near 1 when gates are spread out.
+    ``z``, the unclamped sum over ``steps``, is Z~_dd within ``bound``.
     """
 
     r_tilde: float
     t_horizon: int
+    z: float
+    bound: float
+    steps: int
 
 
 def return_mass(merged: MergedKernel, t_mix: int) -> ReturnMass:
-    """Return mass of the merged gate state over the standard horizon.
+    """Return mass of the merged gate state d, and Z~_dd = sum_t (P~^t - Pi~)_dd.
 
-    The horizon is t_mix * log(1 / min pi~), the time by which every
-    start has equilibrated to precision min pi~.  The first step from the
-    merged state is its column of P~^T.
+    Both sums step d's column of P~^T to the horizon H = t_mix log(1 /
+    min pi~), when every start has equilibrated to precision min pi~, and
+    on to the first t >= H whose tail bound (README, "Hitting-time oracle")
+    is at most HITTING_ORACLE_RTOL z; they raise after H + t_mix log(1 /
+    RTOL) steps, as when pi~ is not stationary.
     """
     pi = merged.pi_tilde.values
     horizon = int(math.ceil(t_mix * math.log(1.0 / float(pi.min()))))
+    cap = horizon + math.ceil(t_mix * math.log(1.0 / HITTING_ORACLE_RTOL))
     d = merged.merged_index
     level = float(pi[d])
     first = merged.operator[:, [d]].toarray()[:, 0]
-    excess = 0.0
-    for mu in propagate(merged.operator, first, range(horizon)):
-        excess += max(float(mu[d]) - level, 0.0)
-    return ReturnMass(r_tilde=1.0 + excess, t_horizon=horizon)
+    excess, z = 0.0, 1.0 - level
+    for t, mu in enumerate(propagate(merged.operator, first, range(cap)), start=1):
+        z += float(mu[d]) - level
+        if t <= horizon:
+            excess += max(float(mu[d]) - level, 0.0)
+        if t >= horizon:
+            bound = 0.5 * (t_mix - 1 + t_mix / (math.e - 1)) * float(np.abs(mu - pi).sum())
+            if bound <= HITTING_ORACLE_RTOL * z:
+                return ReturnMass(1.0 + excess, horizon, z, bound, t)
+    raise RuntimeError(f"return sum not within {HITTING_ORACLE_RTOL} after {cap} steps")
 
 
 @dataclass(frozen=True)
 class HittingEstimate:
-    """Return-mass estimate of the stationary gate hitting time."""
+    """Return-mass estimate of the stationary gate hitting time, and its oracle."""
 
     estimate: float
-    oracle: float | None
+    oracle: float
 
 
 def hitting_time_estimates(view: CommunityView, mass: ReturnMass) -> HittingEstimate:
-    """Estimate E_pi[tau_gate] as r_tilde / pi~(gate state).
-
-    On small communities the exact value is solved from the linear
-    system h = 1 + [P]h on non-gate states (gates contribute 0) and
-    averaged under pi.
-    """
-    oracle = None
-    if view.n <= HITTING_ORACLE_LIMIT:
-        kept = view.kept
-        # I - P on the kept states, as CSR (the survivor operator is P^T)
-        i_minus_p = identity(kept.size, format="csr") - view.survivor.T
-        h = spsolve(i_minus_p, np.ones(kept.size))
-        oracle = float((view.pi_local.values[kept] * h).sum())
-    return HittingEstimate(estimate=mass.r_tilde / view.gate_mass, oracle=oracle)
+    """E_pi[tau_gate] = E_pi~[tau_d]: estimated as r_tilde / pi~(d), exactly z / pi~(d)."""
+    return HittingEstimate(mass.r_tilde / view.gate_mass, mass.z / view.gate_mass)
 
 
 def nice_fraction(graph: Digraph, view: CommunityView) -> float:

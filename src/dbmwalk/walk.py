@@ -315,8 +315,6 @@ def mixing_profile(
         raise ValueError("times must be non-negative")
     starts = np.asarray(starts, dtype=np.int64)
     operator = transition_operator(graph)
-    cols = np.zeros((graph.vertex_count, starts.size))
-    cols[starts, np.arange(starts.size)] = 1.0
     ref = reference.values[:, None]
     per_start = np.zeros((starts.size, times.size))
 
@@ -324,6 +322,8 @@ def mixing_profile(
         per_start[:, times == t] = 0.5 * np.abs(block - ref).sum(axis=0)[:, None]
 
     recorded = set(times.tolist())
+    if 0 in recorded:  # the point masses themselves, summed as a stepped block is
+        record(0, (np.arange(graph.vertex_count)[:, None] == starts).astype(np.float64))
     last = int(times[-1]) if times.size else 0
     max_rank = starts.size // 4
     checkpoints = []
@@ -331,8 +331,9 @@ def mixing_profile(
     while max_rank and t < last:
         checkpoints.append(t)
         t *= 2
-    schedule = sorted(recorded.union(checkpoints))
-    for t, cols in zip(schedule, propagate(operator, cols, schedule)):
+    schedule = sorted(recorded.union(checkpoints) - {0})
+    cols = operator[:, starts].toarray()  # the point masses' first step, bit for bit
+    for t, cols in zip(schedule, propagate(operator, cols, [s - 1 for s in schedule])):
         if t in recorded:
             record(t, cols)
         if t in checkpoints:

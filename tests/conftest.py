@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
+from scipy.sparse.linalg import spsolve
 
 from dbmwalk.graph import DbmParams, Digraph, generate
 from dbmwalk.walk import ProbVector
@@ -222,6 +223,20 @@ def dense_start_steps(operator, pi: np.ndarray, starts: np.ndarray, cap: int):
         if tvs[-1].max() <= 1.0 / (2.0 * math.e):
             break
     return blocks, tvs
+
+
+def spsolve_hitting_oracle(view) -> float:
+    """E_pi[tau_gate] of a ``qsd.CommunityView`` by a sparse direct solve.
+
+    h = 1 + P h on the kept states (h = 0 on the gates), averaged under
+    pi: the reference for the return-sum oracle of
+    ``qsd.hitting_time_estimates``.
+    """
+    kept = view.kept
+    # I - P on the kept states, as CSR (the survivor operator is P^T)
+    i_minus_p = identity(kept.size, format="csr") - view.survivor.T
+    h = spsolve(i_minus_p, np.ones(kept.size))
+    return float((view.pi_local.values[kept] * h).sum())
 
 
 def meanfield_tv(m: int, alpha: float, t: int) -> float:

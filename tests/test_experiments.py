@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
-from conftest import params_from_edge_probability
+from conftest import params_from_edge_probability, spsolve_hitting_oracle
 
 from dbmwalk import experiments, qsd
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
@@ -470,9 +470,9 @@ def test_qsd_run_artifacts(tmp_path):
     assert [r["seed"] for r in records] == [3, 4]
     for diag in records:
         assert sorted(diag) == [
-            "local_stationary", "mixing_time_exhaustive", "mixing_time_starts",
-            "mixing_time_witnesses", "qsd", "restart_censored", "return_mass_horizon",
-            "seed", "tau_jump_censored",
+            "hitting_oracle", "local_stationary", "mixing_time_exhaustive",
+            "mixing_time_starts", "mixing_time_witnesses", "qsd", "restart_censored",
+            "return_mass_horizon", "seed", "tau_jump_censored",
         ]
         assert len(diag["qsd"]) == config.params.m
         assert all(r["residual"] < STATIONARY_TOL and r["iterations"] > 0 for r in diag["qsd"])
@@ -523,36 +523,40 @@ def test_qsd_exhaustive_starts_cover_a_large_merged_space(tmp_path):
     assert diag["mixing_time_exhaustive"] == [True] * config.params.m
     assert diag["mixing_time_starts"] == [config.params.n - g + 1 for g in gate_counts]
 
-    # the default k steps the merged state and two collision witnesses,
-    # recorded as distinct non-gate labels, and reads the same t_mix here
+    # the default k steps the merged state, two collision witnesses and the
+    # lowest-out-degree candidate when it is not one of them, recorded as
+    # distinct non-gate labels, and reads the same t_mix here
     run_qsd_experiment(super_config(str(tmp_path / "witness"), n=2200, alpha=0.001))
     csv = (tmp_path / "witness/qsd_seed1.csv").read_text().splitlines()[1:]
     assert [r.split(",")[4] for r in csv] == [row[4] for row in rows]
     payload = json.loads((tmp_path / "witness/manifest.json").read_text())
     (diag,) = payload["diagnostics"]["per_seed"]
     assert diag["mixing_time_exhaustive"] == [False] * config.params.m
-    assert diag["mixing_time_starts"] == [3] * config.params.m
     graph, _ = generate(config.params, diag["seed"])
     for i, labels in enumerate(diag["mixing_time_witnesses"]):
-        assert len(set(labels)) == 2
+        assert len(set(labels)) == len(labels) in (2, 3)
+        assert diag["mixing_time_starts"][i] == len(labels) + 1
         assert not graph.rewired_out_degree[i * config.params.n + np.array(labels)].any()
 
 
-def test_qsd_run_writes_nan_above_the_hitting_oracle_limit(tmp_path, monkeypatch):
-    # the exact hitting time is solved only up to HITTING_ORACLE_LIMIT
-    # vertices (escape-n20000 is above it); past it the row keeps every
-    # other column and writes nan for the oracle
-    def qsd_rows(out: Path) -> list[list[str]]:
-        run_qsd_experiment(super_config(str(out)))
-        return [row.split(",") for row in (out / "qsd_seed1.csv").read_text().splitlines()[1:]]
-
-    solved = qsd_rows(tmp_path / "solved")
-    monkeypatch.setattr(qsd, "HITTING_ORACLE_LIMIT", 499)
-    skipped = qsd_rows(tmp_path / "skipped")
-    assert [row[6] for row in skipped] == ["nan", "nan"]
-    assert all(math.isfinite(float(row[6])) for row in solved)
-    for a, b in zip(solved, skipped):
-        assert a[:6] + a[7:] == b[:6] + b[7:]
+def test_qsd_run_reads_the_hitting_oracle_above_2000_vertices(tmp_path):
+    # at 2200 vertices per community every row has a finite oracle, z / pi~(d)
+    # of the manifest's return sum, whose tail bound passes and holds against
+    # the sparse direct solve
+    config = super_config(str(tmp_path), n=2200, alpha=0.001)
+    run_qsd_experiment(config)
+    rows = [r.split(",") for r in (tmp_path / "qsd_seed1.csv").read_text().splitlines()[1:]]
+    (diag,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    records, horizons = diag["hitting_oracle"], diag["return_mass_horizon"]
+    assert len(rows) == len(records) == len(horizons) == config.params.m
+    graph, _ = generate(config.params, diag["seed"])
+    for row, record, horizon in zip(rows, records, horizons):
+        oracle = float(row[6])
+        assert math.isfinite(oracle) and record["steps"] >= horizon
+        assert record["bound"] <= qsd.HITTING_ORACLE_RTOL * record["z"]
+        view = qsd.community_view(graph, int(row[0]))
+        assert view.n > 2000 and oracle == record["z"] / view.gate_mass
+        assert abs(oracle - spsolve_hitting_oracle(view)) <= record["bound"] / view.gate_mass
 
 
 def test_qsd_run_fails_a_ks_verdict_whose_samples_are_all_censored(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from conftest import (
     digraph_from_edges,
     leaving_out_degree,
     random_sc_digraph,
+    spsolve_hitting_oracle,
     uniform,
     validate,
 )
@@ -30,6 +31,7 @@ from test_acceptance import SWEEP_PARAMS
 from dbmwalk import walk
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
 from dbmwalk.qsd import (
+    HITTING_ORACLE_RTOL,
     MIX_THRESHOLD,
     START_BLOCK,
     WITNESSES,
@@ -267,6 +269,10 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     hit = hitting_time_estimates(view, mass)
     h = np.linalg.solve(np.eye(k) - p[np.ix_(kept, kept)], np.ones(k))
     assert hit.oracle == pytest.approx(float(pi[kept] @ h), rel=1e-10)
+    # the oracle is z / pi~(d), and the stop rule's bound covers its unsummed tail
+    assert level == view.gate_mass and hit.oracle == mass.z / level
+    assert mass.steps >= mass.t_horizon and mass.bound <= HITTING_ORACLE_RTOL * mass.z
+    assert abs(hit.oracle - float(pi[kept] @ h)) <= mass.bound / level + 1e-12 * hit.oracle
     assert hit.estimate == mass.r_tilde / pi[gate].sum()
 
     # the QSD is the Perron left eigenvector of the survivor block; it is
@@ -285,17 +291,51 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
 
 
 def test_return_mass_clamp_and_horizon_mechanics():
-    # horizon = ceil(t_mix * log(1/min pi)) = 1, and the single return
-    # probability 0.5 sits below the stationary level 0.6, so the clamped
-    # excess vanishes
-    matrix = np.array([[0.0, 1.0], [0.5, 0.5]])
+    # horizon = ceil(t_mix * log(1/min pi)) = ceil(log(7/3)) = 1, and the
+    # single return probability 0.55 sits below the stationary level 4/7,
+    # so the clamped excess vanishes
+    matrix = np.array([[0.4, 0.6], [0.45, 0.55]])
     merged = MergedKernel(
         operator=csr_matrix(matrix.T),
-        pi_tilde=ProbVector(np.array([0.4, 0.6]), "merged:0"),
+        pi_tilde=ProbVector(np.array([3.0, 4.0]) / 7.0, "merged:0"),
     )
     mass = return_mass(merged, t_mix=1)
     assert mass.t_horizon == 1
     assert mass.r_tilde == 1.0
+    # P^t(d, d) - pi(d) = (3/7) (-0.05)^t, so Z_dd = (3/7) / 1.05; the
+    # bound (||P^t(d, .) - pi||_1 / (2 (e - 1)) here) takes steps past H
+    assert mass.z == pytest.approx(3.0 / 7.0 / 1.05, rel=1e-14)
+    assert mass.steps == 8 and mass.bound <= HITTING_ORACLE_RTOL * mass.z
+
+
+def test_return_mass_raises_when_pi_tilde_is_not_stationary(small_community):
+    # 1e-6 of mass moved between two states leaves |P~^t(d, .) - pi~|_1
+    # near 2e-6, so the oracle's tail bound never reaches 1e-10 z
+    _, view = small_community
+    merged = build_merged_kernel(view)
+    t_mix, _ = mixing_time_estimate(merged, cap=500)
+    return_mass(merged, t_mix)
+    values = merged.pi_tilde.values.copy()
+    values[0] -= 1e-6
+    values[-1] += 1e-6
+    off = MergedKernel(merged.operator, ProbVector(values, "merged:0"))
+    with pytest.raises(RuntimeError, match="return sum"):
+        return_mass(off, t_mix)
+
+
+@pytest.mark.parametrize(("n", "alpha", "seed"), [(500, 0.02, 3), (2000, 0.002, 1)])
+def test_hitting_oracle_matches_the_sparse_solve_on_drawn_communities(n, alpha, seed):
+    # the return-sum oracle against the sparse direct solve it replaced,
+    # within its own bound, on every community of a drawn graph
+    graph, _ = generate(DbmParams(n=n, m=2, lam=3.0, alpha=alpha, seed=seed), seed)
+    for i in range(graph.m):
+        view = community_view(graph, i)
+        merged = build_merged_kernel(view)
+        t_mix, _ = mixing_time_estimate(merged, cap=500)
+        mass = return_mass(merged, t_mix)
+        hit = hitting_time_estimates(view, mass)
+        assert mass.steps >= mass.t_horizon and mass.bound <= HITTING_ORACLE_RTOL * mass.z
+        assert abs(hit.oracle - spsolve_hitting_oracle(view)) <= mass.bound / view.gate_mass
 
 
 def test_return_mass_matches_dense_powers():
@@ -425,19 +465,30 @@ def test_collision_witnesses_score_the_lowest_out_degrees():
     assert collision_witnesses(merged, 3).tolist() == [0, 1]
 
 
-@pytest.mark.parametrize(("seed", "i"), [(1, 1), (3, 0)])
-def test_witness_starts_find_the_worst_start_on_drawn_communities(seed, i):
+@pytest.mark.parametrize(
+    ("alpha", "seed", "i", "size"),
+    [(0.002, 1, 1, 3), (0.002, 3, 0, 3), (0.005, 1, 1, 4)],
+    ids=["1-1", "3-0", "alpha0.005-1-1"],
+)
+def test_witness_starts_find_the_worst_start_on_drawn_communities(alpha, seed, i, size):
     # the criterion 4-7 sweep's communities (n = 4000, about 3870 merged
     # states) where 64 uniform starts plus the merged state read t_mix = 4
-    # and stepping every state reads 5
-    graph, _ = generate(SWEEP_PARAMS, seed)
+    # and stepping every state reads 5; and a community at alpha = 0.005
+    # (3680 merged states) where the two collision witnesses read 4, and
+    # the slow start is the lowest-out-degree candidate, state 1862
+    graph, _ = generate(replace(SWEEP_PARAMS, alpha=alpha), seed)
     merged = build_merged_kernel(community_view(graph, i))
     assert merged.n_states > START_STATE_LIMIT
     t_mix, starts = mixing_time_estimate(merged, cap=200)
-    assert starts.size == 3 and starts[-1] == merged.merged_index
+    assert starts.size == size and starts[-1] == merged.merged_index
     every, _ = mixing_time_estimate(merged, cap=200, k=None)
     assert t_mix == every == 5
     check_point_mass_references(merged, t_mix)
+    if size == 4:
+        top = np.sort(collision_witnesses(merged, SAMPLED_STARTS)[:WITNESSES])
+        pi, cols = merged.pi_tilde.values, np.append(top, merged.merged_index)
+        assert 1862 in starts and 1862 not in top
+        assert len(dense_start_steps(merged.operator, pi, cols, cap=200)[0]) == 4
 
 
 class RecordingOperator:
@@ -482,7 +533,8 @@ def check_point_mass_references(merged: MergedKernel, t_mix: int) -> None:
         np.bincount(p.indices, weights=p.data**2, minlength=size) for p in (two, op @ one)
     )
     assert score.tobytes() == want.tobytes()
-    assert np.array_equal(witnesses, candidates[np.argsort(-want, kind="stable")[:WITNESSES]])
+    top = candidates[np.argsort(-want, kind="stable")[:WITNESSES]].tolist()
+    assert witnesses.tolist() == top + [c for c in candidates[:1].tolist() if c not in top]
 
     d, pi = ns - 1, merged.pi_tilde.values
     mass = return_mass(merged, t_mix)
@@ -587,8 +639,9 @@ def test_mixing_time_matches_the_dense_loop_on_drawn_communities(sampled, graph_
     blocks = check_against_dense_loop(merged, cap=200)
     check_point_mass_references(merged, max(steps for _, steps in blocks))
     widths = [width for width, _ in blocks]
-    # past 2000 states one block, the merged state and two witnesses
-    assert max(widths) <= 2 * START_BLOCK - 1 and (widths == [3] or not sampled)
+    # past 2000 states one block, the merged state, two collision witnesses
+    # and the lowest-out-degree candidate when it is not one of them
+    assert max(widths) <= 2 * START_BLOCK - 1 and (widths in ([3], [4]) or not sampled)
 
 
 def test_nice_fraction_counts_single_edge_gates_in_the_degree_window(small_community):
