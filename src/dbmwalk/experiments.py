@@ -35,7 +35,7 @@ from .graph import (
     require_seed,
     save_binary,
 )
-from .proxy import TwoScaleSchedule, mixture_identity_gap, surrogate_measures
+from .proxy import TwoScaleSchedule, surrogate_measures
 from .rng import NS_EXPERIMENT, derived_rng
 from .walk import (
     SAMPLED_STARTS,
@@ -463,9 +463,7 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
 
         limit_name = config.limit_regime()
         steps = config.timescale == "entropic"  # every t/t_ent limit jumps at beta = 1
-        curve_betas = [b / 100.0 for b in range(5, int(100 * (max(betas) + 0.5)) + 1, 5)]
-        if steps:  # sample both sides of the jump instead
-            curve_betas = sorted([b for b in curve_betas if abs(b - 1.0) > 1e-9] + [0.999, 1.001])
+        curve_betas = _curve_betas(max(betas), steps)
         curve_values = np.array(
             [meanfield.limiting_profile(limit_name, b, prm.m, config.c) for b in curve_betas]
         )
@@ -496,26 +494,44 @@ def run_profile_experiment(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _curve_betas(max_beta: float, steps: bool) -> list[float]:
+    """Where the limiting curve is drawn: at most 400 exact b/100 points up to max_beta + 0.5.
+
+    The stride is 0.05 while max_beta + 0.5 <= 20 and a whole multiple of
+    0.05 beyond; a step at beta = 1 is sampled just either side instead.
+    """
+    top = int(100 * (max_beta + 0.5))
+    betas = [b / 100.0 for b in range(5, top + 1, 5 * math.ceil(top / 2000))]
+    if steps:
+        betas = sorted([b for b in betas if abs(b - 1.0) > 1e-9] + [0.999, 1.001])
+    return betas
+
+
 def _profile_verdicts(
     config: ExperimentConfig, mean_dist: dict[float, float], manifest: RunManifest
 ) -> None:
+    """One verdict per beta in its regime's windows; a grid with none gets one failed verdict."""
     if config.regime == "subcritical":
         tol = PROFILE_TOLERANCES["subcritical"]
         early, late = tol["early_min"], tol["late_max"]
+        windows = "beta <= 0.75 or beta >= 1.25"
         for beta, d in mean_dist.items():
             if beta <= 0.75:
                 verdict = Verdict(f"early_distance_beta_{beta:g}", d > early, d, f"> {early}")
                 manifest.verdicts.append(verdict)
             elif beta >= 1.25:
                 manifest.check(f"late_distance_beta_{beta:g}", d, late)
-        return
-    limit = config.limit_regime()
-    prefix, first_beta, tol, shown = PROFILE_GAPS[limit]
-    for beta, d in mean_dist.items():
-        if beta < first_beta:
-            continue  # the tail and the plateau come only past the step
-        gap = abs(d - meanfield.limiting_profile(limit, beta, config.params.m, config.c))
-        manifest.check(f"{prefix}_beta_{beta:g}", gap, tol, f"|d - {shown}| < {tol}")
+    else:
+        limit = config.limit_regime()
+        prefix, first_beta, tol, shown = PROFILE_GAPS[limit]
+        windows = f"beta >= {first_beta:g}"
+        for beta, d in mean_dist.items():
+            if beta < first_beta:
+                continue  # the tail and the plateau come only past the step
+            gap = abs(d - meanfield.limiting_profile(limit, beta, config.params.m, config.c))
+            manifest.check(f"{prefix}_beta_{beta:g}", gap, tol, f"|d - {shown}| < {tol}")
+    if not manifest.verdicts:  # a grid that checks nothing fails, as a KS test of no samples
+        manifest.verdicts.append(Verdict("checked_betas", False, 0.0, f"> 0 betas with {windows}"))
 
 
 # -- qsd -------------------------------------------------------------------
@@ -703,7 +719,15 @@ def run_annealed_experiment(
 
 # -- proxy -------------------------------------------------------------------
 
-PROXY_IDENTITY_TOL = 1e-12
+# Bound on max_i TV(nu_i, exact law_i).  Swept over n in {200, 500, 1000,
+# 4000}, lambda in {1.5, 2, 3, 4}, m in {2, 3, 5}, alpha 0.3, 0.02, 0.05 and
+# C = 2 (critical), seeds 1-5, schedules from the exact t_ent (960 graphs):
+# surrogates read 0.0035-0.077 (above 0.05 only at n = 200, lambda = 2, a
+# one-step burn-in); mixtures of the columns without their burn-in read
+# 0.079-0.25 (below 0.08 on 3 graphs, all lambda 4, n = 4000, m = 2); mixing
+# by Q^L in place of Q^(L+1) reads 0.0083-0.15, which no bound catches at
+# every size.
+PROXY_TRUE_LAW_TOL = 0.08
 
 
 def _proxy_seed(config: ExperimentConfig, seed: int):
@@ -711,21 +735,22 @@ def _proxy_seed(config: ExperimentConfig, seed: int):
     sch = TwoScaleSchedule.from_entropic_time(config.t_ent)
     sm = surrogate_measures(graph, sch)
     pi = stationary(graph)
-    result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), mixture_identity_gap(sm))
+    result = (sch, sm.tv_to_average, tv_distance(sm.average, pi), sm.tv_to_true)
     return _solver_diagnostics(pi, seed=used), result
 
 
 def run_proxy_experiment(config: ExperimentConfig) -> RunManifest:
-    """Two-scale surrogate sweep: spread and distance to stationarity."""
+    """Two-scale surrogate sweep: spread, distance to stationarity and to the exact law."""
     with _run(config, _proxy_seed) as (manifest, per_seed):
         rows = [
-            [i, tv_to_nu[i], tv_pi, sch.eps, sch.burn_in, sch.long_leg]
-            for sch, tv_to_nu, tv_pi, _ in per_seed
+            [i, tv_to_nu[i], tv_pi, tv_to_true[i], sch.eps, sch.burn_in, sch.long_leg]
+            for sch, tv_to_nu, tv_pi, tv_to_true in per_seed
             for i in range(config.params.m)
         ]
-        header = ["i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps"]
+        header = ["i", "tv_to_nu", "tv_nu_to_pi", "tv_to_true", "eps", "h_eps", "s_eps"]
         manifest.write_csv("proxy.csv", header, rows)
-        manifest.check("mixture_identity_gap", max(gap for *_, gap in per_seed), PROXY_IDENTITY_TOL)
+        worst = max(tv_to_true.max() for *_, tv_to_true in per_seed)
+        manifest.check("tv_to_true_max", worst, PROXY_TRUE_LAW_TOL)
     return manifest
 
 

@@ -16,17 +16,6 @@ import numpy as np
 REGIMES = ("subcritical", "critical", "supercritical_ent", "supercritical_alpha")
 
 
-def q_matrix(m: int, alpha: float) -> np.ndarray:
-    """One-step community kernel."""
-    if m < 2:
-        raise ValueError("need at least two communities")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    q = np.full((m, m), alpha / (m - 1))
-    np.fill_diagonal(q, 1.0 - alpha)
-    return q
-
-
 def subdominant_eigenvalue(m: int, alpha: float) -> float:
     """b = 1 - m*alpha/(m-1), the community kernel's eigenvalue off uniform.
 

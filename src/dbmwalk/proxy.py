@@ -6,8 +6,9 @@ surrogate for the time-t law built from two ingredients: the community
 mean-field chain run for the long leg, and a short quenched burn-in of
 the uniform measure for the within-community shape.  The surrogates for
 different starting communities share the burn-in columns and differ
-only in mixture weights, so their average collapses to one global
-burn-in (an exact algebraic identity used as a self-check).
+only in mixture weights.  The loop that burns the columns in also steps
+them on to the schedule horizon, which gives the exact law each
+surrogate stands for.
 """
 
 from __future__ import annotations
@@ -50,20 +51,23 @@ class TwoScaleSchedule:
 
 @dataclass(frozen=True)
 class SurrogateMeasures:
-    """Per-start-community surrogates and their common average.
+    """Per-start-community surrogates, their common average, and two distances.
 
-    ``per_community[i]`` approximates the law of the walk started in
-    community i at the schedule horizon; ``average`` is their mean,
-    equal (exactly) to the global uniform measure burned in for the
-    schedule's ``burn_in`` steps.  ``tv_to_average[i]`` is the TV
-    distance from surrogate i to the average: near zero once the
-    community chain has equilibrated over the long leg, near its
-    starting value when it has not.
+    ``per_community[i]`` approximates the law of the walk started
+    uniformly in community i at the schedule horizon; ``average`` is
+    their mean, the global uniform measure burned in for the schedule's
+    ``burn_in`` steps.  ``tv_to_average[i]`` is the TV distance from
+    surrogate i to the average: near zero once the community chain has
+    equilibrated over the long leg, near its starting value when it has
+    not.  ``tv_to_true[i]`` is the TV distance from surrogate i to the
+    law it approximates, the uniform measure on community i stepped
+    long_leg + 1 + burn_in times by the quenched kernel.
     """
 
     per_community: tuple[ProbVector, ...]
     average: ProbVector
     tv_to_average: np.ndarray
+    tv_to_true: np.ndarray
 
 
 def surrogate_measures(
@@ -72,30 +76,17 @@ def surrogate_measures(
     """Build the two-scale surrogates on a generated graph."""
     n, m = graph.params.n, graph.params.m
     big_n = graph.vertex_count
-    # burn in a uniform column per community, all in one batch
+    # step a uniform column per community, all in one batch, to the end
+    # of the burn-in and on to the horizon
     cols = np.zeros((big_n, m))
     for k in range(m):
         cols[k * n : (k + 1) * n, k] = 1.0 / n
-    (burned,) = propagate(transition_operator(graph), cols, [schedule.burn_in])
+    horizon = schedule.long_leg + 1 + schedule.burn_in
+    burned, exact = propagate(transition_operator(graph), cols, [schedule.burn_in, horizon])
     weights = q_power_matrix(m, graph.params.alpha, schedule.long_leg + 1)
     mixed = burned @ weights.T  # column i: sum_k weights[i,k] * burned[:,k]
     average = ProbVector(burned.mean(axis=1))
-    average.check()
-    parts = []
-    tvs = np.empty(m)
-    for i in range(m):
-        nu_i = ProbVector(mixed[:, i])
-        nu_i.check()
-        parts.append(nu_i)
-        tvs[i] = tv_distance(nu_i, average)
-    return SurrogateMeasures(per_community=tuple(parts), average=average, tv_to_average=tvs)
-
-
-def mixture_identity_gap(measures: SurrogateMeasures) -> float:
-    """Max-abs gap between mean(per_community) and the stored average.
-
-    Zero up to float roundoff by construction; a drift means the
-    mixture weights stopped being doubly stochastic.
-    """
-    stack = np.stack([pv.values for pv in measures.per_community])
-    return float(np.abs(stack.mean(axis=0) - measures.average.values).max())
+    parts = tuple(ProbVector(mixed[:, i]) for i in range(m))
+    tvs = [tv_distance(nu_i, average) for nu_i in parts]
+    to_true = [tv_distance(nu_i, ProbVector(exact[:, i])) for i, nu_i in enumerate(parts)]
+    return SurrogateMeasures(parts, average, np.array(tvs), np.array(to_true))

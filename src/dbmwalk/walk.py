@@ -52,13 +52,6 @@ class ProbVector:
     def size(self) -> int:
         return int(self.values.shape[0])
 
-    def check(self) -> None:
-        if np.any(self.values < -1e-15):
-            raise AssertionError("negative probability entry")
-        s = float(self.values.sum())
-        if abs(s - 1.0) > 1e-12:
-            raise AssertionError(f"probabilities sum to {s}, not 1")
-
 
 @dataclass(frozen=True)
 class EntropyResult:

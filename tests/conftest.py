@@ -126,6 +126,15 @@ def out_neighbors(graph: Digraph, v: int) -> np.ndarray:
     return graph.targets[graph.indptr[v] : graph.indptr[v + 1]]
 
 
+def check_prob_vector(vec: ProbVector) -> None:
+    """Raise AssertionError unless ``vec`` is non-negative and sums to 1."""
+    if np.any(vec.values < -1e-15):
+        raise AssertionError("negative probability entry")
+    s = float(vec.values.sum())
+    if abs(s - 1.0) > 1e-12:
+        raise AssertionError(f"probabilities sum to {s}, not 1")
+
+
 def delta(size: int, v: int, domain: str = "global") -> ProbVector:
     values = np.zeros(size)
     values[v] = 1.0
@@ -237,6 +246,27 @@ def spsolve_hitting_oracle(view) -> float:
     i_minus_p = identity(kept.size, format="csr") - view.survivor.T
     h = spsolve(i_minus_p, np.ones(kept.size))
     return float((view.pi_local.values[kept] * h).sum())
+
+
+def q_matrix(m: int, alpha: float) -> np.ndarray:
+    """One-step community kernel: stay with 1 - alpha, move to each other with alpha/(m-1)."""
+    if m < 2:
+        raise ValueError("need at least two communities")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    q = np.full((m, m), alpha / (m - 1))
+    np.fill_diagonal(q, 1.0 - alpha)
+    return q
+
+
+def mixture_identity_gap(measures) -> float:
+    """Max-abs gap between the mean of a ``proxy.SurrogateMeasures``'s surrogates and its average.
+
+    Zero up to float roundoff by construction; a drift means the
+    mixture weights stopped being doubly stochastic.
+    """
+    stack = np.stack([pv.values for pv in measures.per_community])
+    return float(np.abs(stack.mean(axis=0) - measures.average.values).max())
 
 
 def meanfield_tv(m: int, alpha: float, t: int) -> float:

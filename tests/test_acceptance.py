@@ -20,6 +20,7 @@ from conftest import (
     dense_kernel,
     dense_stationary,
     params_from_edge_probability,
+    q_matrix,
     random_sc_digraph,
 )
 from test_annealed import exact_two_step_law, outcome_counts
@@ -31,7 +32,7 @@ from dbmwalk.annealed import (
 )
 from dbmwalk.experiments import ExperimentConfig, _accepted_graph, analytic_entropic_time
 from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph
-from dbmwalk.meanfield import limiting_profile, q_matrix, q_power_matrix
+from dbmwalk.meanfield import limiting_profile, q_power_matrix
 from dbmwalk.proxy import TwoScaleSchedule, surrogate_measures
 from dbmwalk.qsd import (
     build_merged_kernel,

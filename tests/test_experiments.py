@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from dbmwalk.experiments import (
     ExperimentConfig,
     Verdict,
     _accepted_graph,
+    _curve_betas,
     _ks_exp1,
     _new_manifest,
     _profile_verdicts,
@@ -281,6 +283,41 @@ def test_profile_verdicts_in_every_regime():
         ("plateau_gap_beta_2", True, gap(2 / 3 - 0.6), "|d - (m-1)/m| < 0.12"),
         ("plateau_gap_beta_3", False, gap(2 / 3 - 0.4), "|d - (m-1)/m| < 0.12"),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, windows",
+    [
+        (["--alpha", "0.01", "--betas", "0.5,1.5"], "beta >= 2"),
+        (["--regime", "critical", "--C", "2", "--betas", "0.5,1.5"], "beta >= 2"),
+        (["--regime", "subcritical", "--alpha", "0.4", "--betas", "1.0"],
+         "beta <= 0.75 or beta >= 1.25"),
+    ],
+    ids=["supercritical", "critical", "subcritical"],
+)
+def test_cli_profile_whose_grid_checks_nothing_fails(tmp_path, capsys, argv, windows):
+    # no beta of the grid lies in a window of its regime: one failed
+    # verdict names the windows, and the run exits 1
+    base = ["profile", "--n", "200", "--m", "2", "--lambda", "3", "--seeds", "1"]
+    assert main(base + argv + ["--out", str(tmp_path)]) == 1
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert verdicts == [f"[FAIL] checked_betas: value 0, tolerance > 0 betas with {windows}"]
+
+
+def test_limiting_curve_points_stay_bounded_as_beta_grows():
+    # up to a largest beta of 19.5 the curve keeps its 0.05 grid, so
+    # those theory.csv and profile.svg files keep their bytes
+    for top, steps in [(0.5, True), (3.0, True), (19.5, True), (2.0, False), (19.5, False)]:
+        grid = [b / 100.0 for b in range(5, int(100 * (top + 0.5)) + 1, 5)]
+        if steps:
+            grid = sorted([b for b in grid if abs(b - 1.0) > 1e-9] + [0.999, 1.001])
+        assert _curve_betas(top, steps) == grid
+    # beyond, at most 400 exact b/100 points, plus the two around the step
+    for top in (1e4, 1e6):
+        far = _curve_betas(top, True)
+        assert len(far) <= 402 and 0.999 in far and 1.001 in far and far[-1] <= top + 0.5
+        assert all(b == round(100 * b) / 100 for b in far if b not in (0.999, 1.001))
+    assert len(_curve_betas(1e4, True)) == 402
 
 
 def test_manifest_hash_and_verdicts():
@@ -642,10 +679,10 @@ def test_proxy_and_generate_runs(tmp_path):
     config = super_config(str(tmp_path / "proxy"), seeds=(1,))
     manifest = run_proxy_experiment(config)
     assert read_csv_header(tmp_path / "proxy" / "proxy.csv") == [
-        "i", "tv_to_nu", "tv_nu_to_pi", "eps", "h_eps", "s_eps",
+        "i", "tv_to_nu", "tv_nu_to_pi", "tv_to_true", "eps", "h_eps", "s_eps",
     ]
     assert manifest.all_passed
-    assert manifest.verdicts[0].name == "mixture_identity_gap"
+    assert [v.name for v in manifest.verdicts] == ["tv_to_true_max"]
     assert_solver_diagnostics(manifest.diagnostics, [1])
 
     gen = super_config(str(tmp_path / "gen"), seeds=(5,))
@@ -672,6 +709,16 @@ def test_proxy_schedule_comes_from_the_exact_entropic_time(tmp_path):
     assert [row.split(",")[-2:] for row in rows] == [["2", "2"]] * config.params.m
 
 
+def test_proxy_verdict_passes_on_the_readme_example(tmp_path, capsys):
+    # README: dbmwalk proxy --regime subcritical --n 4000 --m 2 --lambda 2 --alpha 0.3
+    argv = ["proxy", "--regime", "subcritical", "--n", "4000", "--m", "2", "--lambda", "2"]
+    assert main(argv + ["--alpha", "0.3", "--out", str(tmp_path)]) == 0
+    assert "[pass] tv_to_true_max" in capsys.readouterr().out
+    with open(tmp_path / "proxy.csv", newline="") as fh:
+        worst = max(float(row["tv_to_true"]) for row in csv.DictReader(fh))
+    assert 0.0 < worst < experiments.PROXY_TRUE_LAW_TOL
+
+
 def test_generated_graph_files_record_their_own_seed(tmp_path):
     run_generate(super_config(str(tmp_path), n=200, seeds=(1, 2)))
     loaded = load_binary(str(tmp_path / "graph_seed2.npz"))
@@ -691,7 +738,7 @@ def test_cli_proxy_run_and_report(tmp_path, capsys):
     )
     shown = capsys.readouterr().out
     assert code == 0
-    assert "[pass] mixture_identity_gap" in shown
+    assert "[pass] tv_to_true_max" in shown
     assert "artifacts: proxy.csv" in shown
 
     code = main(["report", out])

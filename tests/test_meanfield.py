@@ -7,11 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import meanfield_tv
+from conftest import meanfield_tv, q_matrix
 from dbmwalk.meanfield import (
     REGIMES,
     limiting_profile,
-    q_matrix,
     q_power_matrix,
     subdominant_eigenvalue,
 )

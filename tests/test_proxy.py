@@ -1,18 +1,21 @@
-"""Two-scale surrogate tests: exact identities plus regime sanity."""
+"""Two-scale surrogate tests: exact identities, the exact law, and regime sanity."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import dense_kernel, digraph_from_edges, meanfield_tv
-from dbmwalk.graph import DbmParams, generate
-from dbmwalk.proxy import (
-    SurrogateMeasures,
-    TwoScaleSchedule,
+from conftest import (
+    check_prob_vector,
+    dense_kernel,
+    digraph_from_edges,
+    meanfield_tv,
     mixture_identity_gap,
-    surrogate_measures,
 )
+from dbmwalk.experiments import PROXY_TRUE_LAW_TOL
+from dbmwalk.graph import DbmParams, generate
+from dbmwalk.meanfield import q_power_matrix
+from dbmwalk.proxy import SurrogateMeasures, TwoScaleSchedule, surrogate_measures
 from dbmwalk.walk import tv_distance
 
 
@@ -57,6 +60,24 @@ def test_mixture_identity_is_exact(fast_forgetting):
     assert mixture_identity_gap(meas) < 1e-15
 
 
+@pytest.mark.parametrize("m, alpha", [(2, 0.3), (3, 0.05)])
+def test_tv_to_true_is_the_distance_to_the_dense_kernel_law(m, alpha):
+    # the law nu_i stands for: uniform on community i, stepped
+    # long_leg + 1 + burn_in times by a dense power of the kernel
+    graph, _ = generate(DbmParams(n=150, m=m, lam=3.0, alpha=alpha, seed=3), 3)
+    sched = TwoScaleSchedule.from_entropic_time(2.5)
+    meas = surrogate_measures(graph, sched)
+    n, horizon = graph.n, sched.long_leg + 1 + sched.burn_in
+    starts = np.kron(np.eye(m), np.full(n, 1.0 / n))  # row i: uniform on community i
+    laws = starts @ np.linalg.matrix_power(dense_kernel(graph), horizon)
+    want = 0.5 * np.abs(np.stack([nu.values for nu in meas.per_community]) - laws).sum(axis=1)
+    assert np.abs(meas.tv_to_true - want).max() < 1e-14
+    assert meas.tv_to_true.max() < PROXY_TRUE_LAW_TOL
+    # the same mixture of the columns without their burn-in misses the law
+    unburned = q_power_matrix(m, alpha, sched.long_leg + 1) @ starts
+    assert 0.5 * np.abs(unburned - laws).sum(axis=1).max() > PROXY_TRUE_LAW_TOL
+
+
 def test_two_community_surrogates_are_symmetric_about_average(fast_forgetting):
     # at m = 2 the average is the midpoint, so both TVs agree exactly
     graph, sched = fast_forgetting
@@ -97,8 +118,8 @@ def test_surrogates_are_probability_vectors(fast_forgetting):
     graph, sched = fast_forgetting
     meas = surrogate_measures(graph, sched)
     for nu in meas.per_community:
-        nu.check()
-    meas.average.check()
+        check_prob_vector(nu)
+    check_prob_vector(meas.average)
     # reported TVs are the actual distances
     for nu, tv in zip(meas.per_community, meas.tv_to_average):
         assert tv == pytest.approx(tv_distance(nu, meas.average), abs=1e-15)

@@ -13,6 +13,7 @@ from scipy import stats
 from conftest import (
     DIFFERENTIAL,
     bincount_stationary,
+    check_prob_vector,
     complete_digraph,
     coo_transition_operator,
     cycle_digraph,
@@ -65,12 +66,12 @@ def test_probvector_basics():
     assert d.values[2] == 1.0 and d.values.sum() == 1.0
     u = uniform(4)
     assert np.allclose(u.values, 0.25)
-    d.check()
-    u.check()
+    check_prob_vector(d)
+    check_prob_vector(u)
     with pytest.raises(AssertionError):
-        ProbVector(np.array([0.5, 0.4])).check()
+        check_prob_vector(ProbVector(np.array([0.5, 0.4])))
     with pytest.raises(AssertionError):
-        ProbVector(np.array([1.5, -0.5])).check()
+        check_prob_vector(ProbVector(np.array([1.5, -0.5])))
 
 
 @DIFFERENTIAL
@@ -241,7 +242,7 @@ def test_global_solve_converges_at_the_within_community_rate():
     pi = stationary(graph)
     assert pi.iterations <= 200
     assert pi.residual < 1e-12
-    pi.check()
+    check_prob_vector(pi)
 
 
 def test_stationary_refuses_a_graph_that_is_not_strongly_connected():
@@ -799,7 +800,7 @@ def test_local_stationary_domain(desk_graph):
     pi0 = local_stationary(graph, 0)
     assert pi0.domain == "community:0"
     assert pi0.size == graph.n
-    pi0.check()
+    check_prob_vector(pi0)
 
 
 def test_indegree_approximation(desk_graph):
