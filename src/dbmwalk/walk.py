@@ -25,6 +25,7 @@ PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
 SAMPLED_STARTS = 64  # starts drawn, or witness candidates scored, on a larger space
+PROFILE_STARTS_PER_RANK = 4  # a profile of K starts compresses to rank <= K/4
 UNIFORM_BLOCK = 2**14  # doubles a walker sampler draws from its generator at a time
 
 
@@ -274,6 +275,34 @@ def select_starts(
     return np.unique(np.concatenate([sampled, np.asarray(witnesses, dtype=np.int64)]))
 
 
+def lumped_bound(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
+    """Each vertex's lumping lower bound on its TV distance to ``pi`` at step t.
+
+    The m community indicators are stepped t times by P, so
+    h_c(x) = P^t(x, c) for every x at once, and the bound is
+    1/2 sum_c |h_c(x) - w_c| <= d_x(t), w_c the mass of c under ``pi``:
+    lumping the vertices into communities does not increase TV.
+    """
+    indicators = np.repeat(np.eye(graph.m), graph.n, axis=0)  # column c: 1 on community c
+    (h,) = propagate(transition_operator(graph).T, indicators, [t])
+    return 0.5 * np.abs(h - community_mass(graph, pi)).sum(axis=1)
+
+
+def lumped_witnesses(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
+    """Each community's PROFILE_STARTS_PER_RANK top ``lumped_bound`` vertices, sorted.
+
+    Past local mixing P^t(x, .) is close to sum_c h_c(x) pi|_c / w_c, so
+    the bound is nearly d_x(t) and its top vertices are the likeliest
+    worst starts.  Taking them per community keeps every community's
+    local equilibrium among the starts, so a stepped block of them spans
+    the m-state tail, and their count caps ``mixing_profile``'s rank at
+    exactly m; ties go to the lower label.
+    """
+    score = lumped_bound(graph, pi, t).reshape(graph.m, graph.n)
+    top = np.argsort(-score, axis=1, kind="stable")[:, :PROFILE_STARTS_PER_RANK]
+    return np.sort((top + graph.n * np.arange(graph.m)[:, None]).ravel())
+
+
 def mixing_profile(
     graph: Digraph,
     starts: np.ndarray,
@@ -318,7 +347,7 @@ def mixing_profile(
     if 0 in recorded:  # the point masses themselves, summed as a stepped block is
         record(0, (np.arange(graph.vertex_count)[:, None] == starts).astype(np.float64))
     last = int(times[-1]) if times.size else 0
-    max_rank = starts.size // 4
+    max_rank = starts.size // PROFILE_STARTS_PER_RANK
     checkpoints = []
     t = PROFILE_CHECKPOINT
     while max_rank and t < last:

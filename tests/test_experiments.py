@@ -19,7 +19,7 @@ from scipy.stats import binom, kstest
 
 from conftest import params_from_edge_probability, spsolve_hitting_oracle
 
-from dbmwalk import experiments, qsd
+from dbmwalk import experiments, qsd, walk
 from dbmwalk.annealed import annealed_community_law, annealed_jump_survival
 from dbmwalk.cli import _CONFIG_KEYS, main
 from dbmwalk.experiments import (
@@ -42,6 +42,7 @@ from dbmwalk.experiments import (
 )
 from dbmwalk.graph import DbmParams, generate, load_binary
 from dbmwalk.proxy import TwoScaleSchedule
+from dbmwalk.rng import NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import STATIONARY_TOL
 
 
@@ -428,7 +429,7 @@ def test_profile_run_artifacts(tmp_path):
     last = max(config.time_grid().values())
     for r in payload["diagnostics"]["per_seed"]:
         assert r["profile_compression"] == {
-            "starts": 1600, "checkpoint": None, "rank": None, "tv_bound": 0.0,
+            "starts": 1600, "witnesses": [], "checkpoint": None, "rank": None, "tv_bound": 0.0,
             "tail_spectrum": None, "meanfield_rate": 1.0 - 2 * 0.3,
             "col_steps": 1600 * last,
         }
@@ -481,6 +482,70 @@ def test_profile_determinism_across_threads(tmp_path):
         a = (tmp_path / "flat" / name).read_bytes()
         b = (tmp_path / "pooled" / name).read_bytes()
         assert a == b, name
+
+
+def test_profile_above_2000_vertices_steps_the_lumped_witnesses(tmp_path):
+    # every recorded time lies past the first checkpoint, so the 64
+    # sampled starts give way to the 4 highest lumped-bound vertices of
+    # each community; they read the every-vertex maximum, above the
+    # sampled starts' lower estimate
+    def run(tag: str, **kw) -> tuple[list[float], dict]:
+        config = super_config(
+            str(tmp_path / tag), n=1100, lam=2.0, alpha=0.005, beta_grid=(0.5, 1.0, 2.0),
+            timescale="inverse_alpha", **kw,
+        )
+        assert run_profile_experiment(config).all_passed
+        rows = csv.DictReader((tmp_path / tag / "profile.csv").read_text().splitlines())
+        (record,) = json.loads((tmp_path / tag / "manifest.json").read_text())["diagnostics"][
+            "per_seed"
+        ]
+        return [float(r["distance"]) for r in rows], record
+
+    got, record = run("witness")
+    every, every_record = run("every", sample_starts=None)
+    drawn, drawn_record = run("k", sample_starts=2200)  # k of every vertex: exact
+    compression = record["profile_compression"]
+    witnesses = np.array(compression["witnesses"])
+    assert compression["starts"] == witnesses.size == 8
+    assert np.bincount(witnesses // 1100).tolist() == [4, 4]
+    assert (compression["checkpoint"], compression["rank"]) == (32, 2)
+    assert every_record["profile_compression"]["starts"] == 2200
+    assert every_record["profile_compression"]["witnesses"] == []
+    assert drawn_record["profile_compression"] == every_record["profile_compression"]
+    assert drawn == every
+    assert np.abs(np.array(got) - every).max() <= 1e-12
+
+    graph, _ = generate(DbmParams(n=1100, m=2, lam=2.0, alpha=0.005, seed=1), record["seed"])
+    pi = walk.stationary(graph)
+    deg = graph.out_degree
+    rng = derived_rng(record["seed"], NS_EXPERIMENT, 0)
+    sampled = walk.select_starts(2200, rng, 64, [int(deg.argmin()), int(deg.argmax())])
+    before = walk.mixing_profile(graph, sampled, [100, 200, 400], pi)
+    assert np.all(np.array(got) >= before.distances)
+
+
+def test_profile_above_2000_vertices_with_an_early_time_keeps_the_sampled_starts(tmp_path):
+    # t = 1, 3, 5: before local mixing the slowest start is a local
+    # feature that community masses do not see, so the lumped witnesses
+    # read well below the 64 draws and the degree extremes at t = 3
+    config = super_config(str(tmp_path), n=1100, lam=2.0, alpha=0.002, beta_grid=(0.5, 1.0, 2.0))
+    assert run_profile_experiment(config).all_passed
+    rows = csv.DictReader((tmp_path / "profile.csv").read_text().splitlines())
+    got = [float(r["distance"]) for r in rows]
+    (record,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
+    graph, _ = generate(config.params, record["seed"])
+    deg = graph.out_degree
+    compression = record["profile_compression"]
+    assert compression["starts"] == 66
+    assert compression["witnesses"] == [int(deg.argmin()), int(deg.argmax())]
+
+    pi = walk.stationary(graph)
+    times = sorted(set(config.time_grid().values()))
+    assert times == [1, 3, 5]
+    lumped = walk.mixing_profile(
+        graph, walk.lumped_witnesses(graph, pi, walk.PROFILE_CHECKPOINT), times, pi
+    )
+    assert got[1] > lumped.distances[1] + 0.05
 
 
 def test_qsd_run_artifacts(tmp_path):

@@ -35,6 +35,7 @@ from dbmwalk.meanfield import q_power_matrix
 from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     PROFILE_CHECKPOINT,
+    PROFILE_STARTS_PER_RANK,
     PROFILE_COMPRESS_TOL,
     UNIFORM_BLOCK,
     ProbVector,
@@ -50,6 +51,8 @@ from dbmwalk.walk import (
     indegree_approximation,
     jump_target_frequencies,
     local_stationary,
+    lumped_bound,
+    lumped_witnesses,
     mixing_profile,
     path_mass_ratios,
     propagate,
@@ -793,6 +796,69 @@ def test_select_starts_sampled_includes_degree_extremes():
     # k = None is the exhaustive policy: every state, above the limit too
     got = select_starts(graph.vertex_count, None, None, witnesses)
     assert np.array_equal(got, np.arange(graph.vertex_count))
+
+
+@DIFFERENTIAL
+@given(
+    m=st.integers(2, 4),
+    width=st.integers(3, 30),
+    graph_seed=st.integers(0, 2**32 - 1),
+)
+def test_lumped_bound_lies_below_every_start_distance(m, width, graph_seed):
+    # a random digraph relabelled into m blocks has no block structure,
+    # yet lumping its vertices into communities still cannot raise TV
+    flat = random_sc_digraph(np.random.default_rng(graph_seed), m * width)
+    graph = Digraph(width, m, flat.indptr, flat.targets)
+    pi = stationary(graph)
+    times = [1, 2, 5, PROFILE_CHECKPOINT]
+    every = mixing_profile(graph, np.arange(graph.vertex_count), times, pi)
+    assert every.checkpoint is None
+    kernel = dense_kernel(graph)
+    blocks = np.kron(np.eye(m), np.ones((width, 1)))  # column c: the indicator of c
+    for j, t in enumerate(times):
+        bound = lumped_bound(graph, pi, t)
+        assert np.all(bound <= every.per_start[:, j] + 1e-15)
+        h = np.linalg.matrix_power(kernel, t) @ blocks  # P^t(x, c), not (P^T)^t
+        want = 0.5 * np.abs(h - community_mass(graph, pi)).sum(axis=1)
+        assert np.abs(bound - want).max() < 1e-12
+
+
+ALPHA_CLOCK = (0.5, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "lam", "alpha", "seed", "betas"),
+    [
+        (500, 2, 2.0, 0.005, 1, ALPHA_CLOCK),
+        (500, 2, 2.0, 0.01, 2, ALPHA_CLOCK),
+        (500, 2, 3.0, 0.005, 3, ALPHA_CLOCK),
+        (500, 2, 3.0, 0.01, 4, ALPHA_CLOCK),
+        (333, 3, 2.0, 0.005, 5, ALPHA_CLOCK),
+        (333, 3, 2.0, 0.01, 6, ALPHA_CLOCK),
+        (333, 3, 3.0, 0.005, 7, ALPHA_CLOCK),
+        (333, 3, 3.0, 0.01, 8, ALPHA_CLOCK),
+        (200, 5, 2.0, 0.005, 9, ALPHA_CLOCK),
+        # critical: alpha near 1/(C t_ent) = 0.199 for C = 2; t = 35, 45, 60
+        pytest.param(500, 2, 2.0, 0.2, 11, (7.0, 9.0, 12.0), id="critical"),
+    ],
+)
+def test_lumped_witnesses_attain_the_every_start_maximum(n, m, lam, alpha, seed, betas):
+    # drawn graphs of about 1000 vertices: past local mixing the 4m
+    # witnesses' worst distance is the worst over every vertex, within
+    # the two certificates
+    graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
+    assert graph.is_strongly_connected()
+    pi = stationary(graph)
+    times = sorted({round(beta / alpha) for beta in betas})
+    assert times[0] >= PROFILE_CHECKPOINT
+    witnesses = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
+    per_community = np.bincount(witnesses // n, minlength=m)
+    assert np.array_equal(per_community, [PROFILE_STARTS_PER_RANK] * m)
+    got = mixing_profile(graph, witnesses, times, pi)
+    every = mixing_profile(graph, np.arange(graph.vertex_count), times, pi)
+    assert got.rank == m
+    gap = np.abs(got.distances - every.distances)
+    assert gap.max() <= got.tv_bound + every.tv_bound + 1e-15
 
 
 def test_local_stationary_domain(desk_graph):

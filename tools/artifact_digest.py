@@ -3,9 +3,9 @@
     PYTHONPATH=src python3 tools/artifact_digest.py > digest.json
 
 Runs each of the five runners on a small config (the profile runner in
-all three regimes), plus the benchmark's ``escape-n20000`` workload at
-full size, as ``perfbench/workloads.py`` defines it, in a temporary
-directory.  Prints one JSON object that maps
+all three regimes, and above 2000 vertices on its lumped-witness path),
+plus the benchmark's ``escape-n20000`` workload at full size, as
+``perfbench/workloads.py`` defines it, in a temporary directory.  Prints one JSON object that maps
 ``<run>/<artifact>`` to the sha256 of each artifact except
 ``manifest.json`` (it holds timings) and ``<run>/verdicts`` to the
 ``[name, passed, value]`` of each verdict.  A ``.npz`` graph is digested
@@ -79,6 +79,9 @@ def _runs(root: Path):
             root / "profile-sub", 800, 0.3, "subcritical", seeds=(1, 2),
             beta_grid=(0.5, 2.5), sample_starts=None))),
         ("profile-critical", lambda: run_profile_experiment(critical)),
+        ("profile-witness", lambda: run_profile_experiment(_config(
+            root / "profile-witness", 1100, 0.005, seeds=(1, 2), lam=2.0,
+            beta_grid=(0.5, 1.0, 2.0), timescale="inverse_alpha"))),
         ("qsd-small", lambda: run_qsd_experiment(
             _config(root / "qsd-small", 500, 0.02, seeds=(3, 4)))),
         ("annealed", lambda: run_annealed_experiment(
