@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DbmParams
+from .graph import DbmParams, rewire
 from .meanfield import q_power_matrix
 from .rng import NS_ANNEALED, derived_rng
 
@@ -93,11 +93,7 @@ def annealed_walks(
             todo, used = todo[clash], used[clash]
             label[todo] = rng.integers(0, n - 1, size=todo.size)
             label[todo] += label[todo] >= src[todo] % n
-        coin = rng.random(new.size) < alpha
-        comm = src // n
-        off = rng.integers(0, m - 1, size=int(coin.sum()))
-        comm[coin] = off + (off >= comm[coin])
-        path[new, s] = comm * n + label
+        path[new, s] = rewire(rng, src // n, m, alpha) * n + label
     steps = (path >= 0).sum(axis=1) - 1
     ordered = np.sort(path, axis=1)
     repeat = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)

@@ -36,17 +36,13 @@ from .graph import (
     save_binary,
 )
 from .proxy import TwoScaleSchedule, surrogate_measures
-from .rng import NS_EXPERIMENT, derived_rng
 from .walk import (
-    PROFILE_CHECKPOINT,
     SAMPLED_STARTS,
     ProbVector,
     community_mass,
-    every_state_starts,
-    lumped_witnesses,
     mixing_profile,
+    profile_starts,
     sample_tau_jump,
-    select_starts,
     stationary,
     tv_distance,
 )
@@ -71,12 +67,13 @@ RESEED_STRIDE = 7_777_777  # retry k of seed s generates with s + k*stride
 # Profile tolerances (desk scale).  The subcritical profile is checked
 # on either side of its step; every other limit by the gap |d - limit|
 # from a first beta on: (verdict prefix, first beta, tolerance, limit
-# as printed in the tolerance).
+# as printed in the tolerance).  The entropic plateau (m-1)/m holds while
+# alpha*t is small: it is read off the mean field at the same step t.
 PROFILE_TOLERANCES = {"subcritical": {"early_min": 0.8, "late_max": 0.25}}
 PROFILE_GAPS = {
     "critical": ("tail_gap", 2.0, 0.15, "limit"),
     "supercritical_alpha": ("curve_gap", 0.0, 0.1, "limit"),
-    "supercritical_ent": ("plateau_gap", 2.0, 0.12, "(m-1)/m"),
+    "supercritical_ent": ("plateau_gap", 2.0, 0.12, "mean field at t"),
 }
 
 
@@ -429,22 +426,11 @@ def _profile_seed(config: ExperimentConfig, seed: int):
     graph, used = _accepted_graph(config, seed)
     pi = stationary(graph)
     times = sorted(set(config.time_grid().values()))
-    k, size = config.sample_starts, graph.vertex_count
-    if times[0] >= PROFILE_CHECKPOINT and not every_state_starts(size, k) and k < size:
-        # past local mixing a start's distance is set by its community
-        # masses; at t = 1 or 3 the witnesses missed the worst start by up
-        # to 0.23 (README), so a grid with an earlier time keeps the draws,
-        # and a k of every vertex keeps its exact maximum
-        starts = witnesses = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
-    else:
-        rng = derived_rng(used, NS_EXPERIMENT, 0)
-        deg = graph.out_degree  # slow and fast spreading witnesses
-        witnesses = np.array([deg.argmin(), deg.argmax()])
-        starts = select_starts(size, rng, k, witnesses)
+    starts, witnesses = profile_starts(graph, pi, times, config.sample_starts, used)
     profile = mixing_profile(graph, starts, times, pi)
     compression = {
         "starts": int(starts.size),
-        "witnesses": [] if starts.size == size else witnesses.tolist(),
+        "witnesses": witnesses.tolist(),
         "checkpoint": profile.checkpoint,
         "rank": profile.rank,
         "tv_bound": profile.tv_bound,
@@ -537,11 +523,15 @@ def _profile_verdicts(
         limit = config.limit_regime()
         prefix, first_beta, tol, shown = PROFILE_GAPS[limit]
         windows = f"beta >= {first_beta:g}"
+        grid, m, alpha = config.time_grid(), config.params.m, config.params.alpha
         for beta, d in mean_dist.items():
             if beta < first_beta:
                 continue  # the tail and the plateau come only past the step
-            gap = abs(d - meanfield.limiting_profile(limit, beta, config.params.m, config.c))
-            manifest.check(f"{prefix}_beta_{beta:g}", gap, tol, f"|d - {shown}| < {tol}")
+            if limit == "supercritical_ent":
+                want = meanfield.limiting_profile("supercritical_alpha", alpha * grid[beta], m)
+            else:
+                want = meanfield.limiting_profile(limit, beta, m, config.c)
+            manifest.check(f"{prefix}_beta_{beta:g}", abs(d - want), tol, f"|d - {shown}| < {tol}")
     if not manifest.verdicts:  # a grid that checks nothing fails, as a KS test of no samples
         manifest.verdicts.append(Verdict("checked_betas", False, 0.0, f"> 0 betas with {windows}"))
 

@@ -183,11 +183,7 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.nd
     for i in range(m):
         rng = derived_rng(params.seed, NS_GRAPH, i)
         src_label, tgt_label = _community_edge_labels(rng, n, p)
-        flags = rng.random(src_label.shape[0]) < alpha
-        target = i * n + tgt_label
-        off = rng.integers(0, m - 1, size=int(np.count_nonzero(flags)))
-        other = off + (off >= i)
-        target[flags] = other * n + tgt_label[flags]
+        target = rewire(rng, np.full(tgt_label.size, i), m, alpha) * n + tgt_label
         # a source's targets are distinct: one integer sort restores their
         # order; the keys are nearly sorted, which the stable sort runs through
         seg_targets.append(np.sort(src_label * nv + target, kind="stable") % nv)
@@ -197,6 +193,19 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.nd
     np.cumsum(np.concatenate(seg_counts), out=indptr[1:])
     graph = Digraph(n, m, indptr, np.concatenate(seg_targets), params=params)
     return graph, graph.rewired_out_degree
+
+
+def rewire(rng: np.random.Generator, home: np.ndarray, m: int, alpha: float) -> np.ndarray:
+    """Each edge's community: ``home`` unless its coin, a double below ``alpha``, moves it.
+
+    A moved edge draws a uniform other community.  The one rewiring draw
+    of ``generate`` and of ``annealed``'s revealed walk, one coin per edge.
+    """
+    coin = rng.random(home.shape[0]) < alpha
+    comm = home.copy()
+    off = rng.integers(0, m - 1, size=int(np.count_nonzero(coin)))
+    comm[coin] = off + (off >= home[coin])
+    return comm
 
 
 def _community_edge_labels(

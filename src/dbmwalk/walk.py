@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Digraph, pre_rewiring_subgraph
-from .rng import NS_TRAJECTORY, derived_rng
+from .rng import NS_EXPERIMENT, NS_TRAJECTORY, derived_rng
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
@@ -158,10 +158,7 @@ def stationary(graph: Digraph, domain: str = "global") -> ProbVector:
     mu = np.full(n, 1.0 / n)
     m = graph.m
     if m > 1:
-        # P(v, d): each vertex's one-step probability into each community
-        labels = np.arange(n)
-        indicator = csr_matrix((np.ones(n), (labels // graph.n, labels)), shape=(m, n))
-        to_block = np.ascontiguousarray((indicator @ pt).toarray().T).reshape(m, graph.n, m)
+        to_block = community_reach(graph, 1).reshape(m, graph.n, m)  # P(v, d)
     for it in range(STATIONARY_MAX_ITER):
         stepped = pt @ mu
         residual = float(np.abs(stepped - mu).sum())
@@ -252,40 +249,24 @@ def every_state_starts(size: int, k: int | None) -> bool:
     return k is None or size <= START_STATE_LIMIT
 
 
-def select_starts(
-    size: int,
-    rng: np.random.Generator | None,
-    k: int | None = SAMPLED_STARTS,
-    witnesses: Iterable[int] = (),
-) -> np.ndarray:
-    """Start states, sorted and distinct, for a worst-start maximum.
+def community_reach(graph: Digraph, t: int) -> np.ndarray:
+    """h[x, c] = P^t(x, c): the m community indicators stepped t times by P.
 
-    Every one of the ``size`` states when ``k`` is None or there are at
-    most START_STATE_LIMIT, whatever ``k`` is: a profile on a graph of at
-    most 2000 vertices starts from every vertex, and its manifest records
-    that count as ``profile_compression.starts``.  Otherwise k states
-    drawn from ``rng`` plus the ``witnesses`` (states expected to be
-    among the slowest), which makes the maximum a lower estimate.
+    The one builder of the community-lumped kernel, which ``stationary``
+    reads at t = 1 and ``lumped_bound`` at t.
     """
-    if every_state_starts(size, k):
-        return np.arange(size, dtype=np.int64)
-    if rng is None:
-        raise ValueError("sampled starts need a generator")
-    sampled = rng.choice(size, size=min(k, size), replace=False)
-    return np.unique(np.concatenate([sampled, np.asarray(witnesses, dtype=np.int64)]))
+    indicators = np.repeat(np.eye(graph.m), graph.n, axis=0)  # column c: 1 on community c
+    (h,) = propagate(transition_operator(graph).T, indicators, [t])
+    return h
 
 
 def lumped_bound(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
     """Each vertex's lumping lower bound on its TV distance to ``pi`` at step t.
 
-    The m community indicators are stepped t times by P, so
-    h_c(x) = P^t(x, c) for every x at once, and the bound is
-    1/2 sum_c |h_c(x) - w_c| <= d_x(t), w_c the mass of c under ``pi``:
-    lumping the vertices into communities does not increase TV.
+    1/2 sum_c |h_c(x) - w_c| <= d_x(t), h = ``community_reach(graph, t)``
+    and w_c the mass of c under ``pi``: lumping does not increase TV.
     """
-    indicators = np.repeat(np.eye(graph.m), graph.n, axis=0)  # column c: 1 on community c
-    (h,) = propagate(transition_operator(graph).T, indicators, [t])
-    return 0.5 * np.abs(h - community_mass(graph, pi)).sum(axis=1)
+    return 0.5 * np.abs(community_reach(graph, t) - community_mass(graph, pi)).sum(axis=1)
 
 
 def lumped_witnesses(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
@@ -301,6 +282,29 @@ def lumped_witnesses(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
     score = lumped_bound(graph, pi, t).reshape(graph.m, graph.n)
     top = np.argsort(-score, axis=1, kind="stable")[:, :PROFILE_STARTS_PER_RANK]
     return np.sort((top + graph.n * np.arange(graph.m)[:, None]).ravel())
+
+
+def profile_starts(
+    graph: Digraph, pi: ProbVector, times: Iterable[int], k: int | None, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, witnesses) of a worst-start profile, the starts sorted and distinct.
+
+    Every vertex and no witness when ``every_state_starts(size, k)`` or
+    k >= size: an exact maximum.  Otherwise a lower estimate: the
+    ``lumped_witnesses`` when every time is at least PROFILE_CHECKPOINT,
+    past local mixing; before it they miss slow starts (README), so k
+    draws of ``seed``'s experiment stream and the out-degree extremes.
+    """
+    size = graph.vertex_count
+    if every_state_starts(size, k) or k >= size:
+        return np.arange(size, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if min(times) >= PROFILE_CHECKPOINT:
+        witnesses = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
+        return witnesses, witnesses
+    deg = graph.out_degree
+    witnesses = np.array([deg.argmin(), deg.argmax()])
+    sampled = derived_rng(seed, NS_EXPERIMENT, 0).choice(size, size=k, replace=False)
+    return np.unique(np.concatenate([sampled, witnesses])), witnesses
 
 
 def mixing_profile(

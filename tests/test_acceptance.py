@@ -54,7 +54,6 @@ from dbmwalk.walk import (
     mixing_profile,
     path_mass_ratios,
     sample_tau_jump,
-    select_starts,
     stationary,
     tv_distance,
 )

@@ -42,7 +42,6 @@ from dbmwalk.experiments import (
 )
 from dbmwalk.graph import DbmParams, generate, load_binary
 from dbmwalk.proxy import TwoScaleSchedule
-from dbmwalk.rng import NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import STATIONARY_TOL
 
 
@@ -278,11 +277,16 @@ def test_profile_verdicts_in_every_regime():
         ("curve_gap_beta_0.5", True, gap(0.3 - 2 / 3 * math.exp(-0.75)), "|d - limit| < 0.1"),
         ("curve_gap_beta_1", False, gap(0.6 - 2 / 3 * math.exp(-1.5)), "|d - limit| < 0.1"),
     ]
-    # entropic time scale, m = 3: plateau 2/3 from beta = 2 on
+    # entropic time scale, m = 3: from beta = 2 on, the plateau 2/3 as
+    # the mean field at the same step t has it, (2/3) exp(-alpha t * 3/2)
     ent = super_config("unused", m=3, beta_grid=(0.5, 2.0, 3.0))
+    grid = ent.time_grid()
+    mean_field = {b: 2 / 3 * math.exp(-0.02 * grid[b] * 1.5) for b in (2.0, 3.0)}
+    assert mean_field[3.0] < mean_field[2.0] < 2 / 3
+    shown = "|d - mean field at t| < 0.12"
     assert profile_verdicts(ent, {0.5: 0.99, 2.0: 0.6, 3.0: 0.4}) == [
-        ("plateau_gap_beta_2", True, gap(2 / 3 - 0.6), "|d - (m-1)/m| < 0.12"),
-        ("plateau_gap_beta_3", False, gap(2 / 3 - 0.4), "|d - (m-1)/m| < 0.12"),
+        ("plateau_gap_beta_2", True, gap(mean_field[2.0] - 0.6), shown),
+        ("plateau_gap_beta_3", False, gap(mean_field[3.0] - 0.4), shown),
     ]
 
 
@@ -303,6 +307,16 @@ def test_cli_profile_whose_grid_checks_nothing_fails(tmp_path, capsys, argv, win
     assert main(base + argv + ["--out", str(tmp_path)]) == 1
     verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
     assert verdicts == [f"[FAIL] checked_betas: value 0, tolerance > 0 betas with {windows}"]
+
+
+def test_cli_profile_plateau_past_small_alpha_t_passes(tmp_path, capsys):
+    # beta = 20 is t = 39 and alpha t = 0.39: the walk has left the
+    # plateau (m-1)/m = 0.5 by 0.26, and the mean field at t = 39 with it
+    argv = ["profile", "--n", "200", "--m", "2", "--lambda", "3", "--alpha", "0.01",
+            "--seeds", "1", "--betas", "20", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert len(verdicts) == 1 and verdicts[0].startswith("[pass] plateau_gap_beta_20: ")
 
 
 def test_limiting_curve_points_stay_bounded_as_beta_grows():
@@ -517,9 +531,8 @@ def test_profile_above_2000_vertices_steps_the_lumped_witnesses(tmp_path):
 
     graph, _ = generate(DbmParams(n=1100, m=2, lam=2.0, alpha=0.005, seed=1), record["seed"])
     pi = walk.stationary(graph)
-    deg = graph.out_degree
-    rng = derived_rng(record["seed"], NS_EXPERIMENT, 0)
-    sampled = walk.select_starts(2200, rng, 64, [int(deg.argmin()), int(deg.argmax())])
+    # the 64 draws and the degree extremes a grid with an earlier time steps
+    sampled, _ = walk.profile_starts(graph, pi, [1], 64, record["seed"])
     before = walk.mixing_profile(graph, sampled, [100, 200, 400], pi)
     assert np.all(np.array(got) >= before.distances)
 

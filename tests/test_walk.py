@@ -32,11 +32,12 @@ from dbmwalk import walk
 from dbmwalk.experiments import analytic_entropic_time
 from dbmwalk.graph import DbmParams, Digraph, generate, pre_rewiring_subgraph
 from dbmwalk.meanfield import q_power_matrix
-from dbmwalk.rng import NS_TRAJECTORY, derived_rng
+from dbmwalk.rng import NS_EXPERIMENT, NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     PROFILE_CHECKPOINT,
     PROFILE_STARTS_PER_RANK,
     PROFILE_COMPRESS_TOL,
+    START_STATE_LIMIT,
     UNIFORM_BLOCK,
     ProbVector,
     _UniformStream,
@@ -55,9 +56,9 @@ from dbmwalk.walk import (
     lumped_witnesses,
     mixing_profile,
     path_mass_ratios,
+    profile_starts,
     propagate,
     sample_tau_jump,
-    select_starts,
     stationary,
     transition_operator,
     tv_distance,
@@ -775,27 +776,64 @@ def test_path_mass_ratio_concentrates(desk_graph):
     assert (np.abs(ratios - 1.0) < 0.35).mean() > 0.9
 
 
-def test_select_starts_exhaustive_below_limit():
-    got = select_starts(30, np.random.default_rng(0), k=4, witnesses=[7])
-    assert np.array_equal(got, np.arange(30))
-    # up to the limit every state is a start, whatever k says
-    assert select_starts(2000, None, k=4).size == 2000
+@pytest.fixture(scope="module")
+def desk_pi(desk_graph):
+    return stationary(desk_graph)
 
 
-def test_select_starts_sampled_includes_degree_extremes():
-    graph, _ = generate(DbmParams(n=1100, m=2, lam=3.0, alpha=0.05, seed=4), 4)
-    assert graph.vertex_count > 2000
-    deg = graph.out_degree
-    witnesses = [int(deg.argmin()), int(deg.argmax())]
-    got = select_starts(graph.vertex_count, np.random.default_rng(1), 12, witnesses)
-    assert set(witnesses) <= set(got.tolist())
-    assert 12 <= got.size <= 14
-    assert np.array_equal(got, np.unique(got))
-    with pytest.raises(ValueError, match="generator"):
-        select_starts(graph.vertex_count, None, 12, witnesses)
-    # k = None is the exhaustive policy: every state, above the limit too
-    got = select_starts(graph.vertex_count, None, None, witnesses)
-    assert np.array_equal(got, np.arange(graph.vertex_count))
+def test_profile_starts_every_vertex_up_to_the_limit():
+    # START_STATE_LIMIT vertices: every one is a start, whatever k and
+    # the times say, and none is a witness
+    graph = accepted_dbm(1000, 2, 0.05)
+    assert graph.vertex_count == START_STATE_LIMIT
+    pi = stationary(graph)
+    for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
+        starts, witnesses = profile_starts(graph, pi, times, 4, seed=1)
+        assert np.array_equal(starts, np.arange(graph.vertex_count))
+        assert witnesses.size == 0
+
+
+def test_profile_starts_every_vertex_when_k_is_none(desk_graph, desk_pi):
+    # k = None is the exhaustive policy, above the limit too
+    assert desk_graph.vertex_count > START_STATE_LIMIT
+    for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
+        starts, witnesses = profile_starts(desk_graph, desk_pi, times, None, seed=1)
+        assert np.array_equal(starts, np.arange(desk_graph.vertex_count))
+        assert witnesses.size == 0
+
+
+def test_profile_starts_every_vertex_when_k_reaches_the_vertex_count(desk_graph, desk_pi):
+    # a k of every vertex keeps the exact maximum, past local mixing too
+    size = desk_graph.vertex_count
+    for k in (size, size + 1):
+        for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
+            starts, witnesses = profile_starts(desk_graph, desk_pi, times, k, seed=1)
+            assert np.array_equal(starts, np.arange(size))
+            assert witnesses.size == 0
+
+
+def test_profile_starts_past_local_mixing_are_the_lumped_witnesses(desk_graph, desk_pi):
+    # every time at least the first checkpoint: 4 witnesses per
+    # community, which are the starts, and the seed draws nothing
+    graph, times = desk_graph, [PROFILE_CHECKPOINT, 100]
+    starts, witnesses = profile_starts(graph, desk_pi, times, 64, seed=1)
+    assert np.array_equal(starts, lumped_witnesses(graph, desk_pi, PROFILE_CHECKPOINT))
+    assert np.array_equal(witnesses, starts)
+    assert np.bincount(starts // graph.n).tolist() == [PROFILE_STARTS_PER_RANK] * graph.m
+    assert np.array_equal(profile_starts(graph, desk_pi, times, 64, seed=2)[0], starts)
+
+
+def test_profile_starts_with_an_early_time_draw_k_plus_the_degree_extremes(desk_graph, desk_pi):
+    # one time before the first checkpoint: k draws from the seed's
+    # experiment stream, as the runner drew them, plus the degree extremes
+    size, deg = desk_graph.vertex_count, desk_graph.out_degree
+    times = [PROFILE_CHECKPOINT - 1, 100]
+    starts, witnesses = profile_starts(desk_graph, desk_pi, times, 12, seed=3)
+    assert witnesses.tolist() == [int(deg.argmin()), int(deg.argmax())]
+    drawn = derived_rng(3, NS_EXPERIMENT, 0).choice(size, size=12, replace=False)
+    assert np.array_equal(starts, np.unique(np.concatenate([drawn, witnesses])))
+    assert np.all(np.diff(starts) > 0)  # sorted and distinct
+    assert 12 <= starts.size <= 14
 
 
 @DIFFERENTIAL

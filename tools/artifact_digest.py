@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tools/artifact_digest.py > digest.json
 
 Runs each of the five runners on a small config (the profile runner in
-all three regimes, and above 2000 vertices on its lumped-witness path),
+all three regimes, and above 2000 vertices on both sides of its start
+rule: the lumped witnesses, and the sampled starts of an early grid),
 plus the benchmark's ``escape-n20000`` workload at full size, as
 ``perfbench/workloads.py`` defines it, in a temporary directory.  Prints one JSON object that maps
 ``<run>/<artifact>`` to the sha256 of each artifact except
@@ -82,6 +83,9 @@ def _runs(root: Path):
         ("profile-witness", lambda: run_profile_experiment(_config(
             root / "profile-witness", 1100, 0.005, seeds=(1, 2), lam=2.0,
             beta_grid=(0.5, 1.0, 2.0), timescale="inverse_alpha"))),
+        ("profile-early", lambda: run_profile_experiment(_config(
+            root / "profile-early", 1100, 0.002, seeds=(1, 2), lam=2.0,
+            beta_grid=(0.5, 1.0, 2.0, 5.0)))),
         ("qsd-small", lambda: run_qsd_experiment(
             _config(root / "qsd-small", 500, 0.02, seeds=(3, 4)))),
         ("annealed", lambda: run_annealed_experiment(
