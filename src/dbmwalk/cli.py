@@ -31,7 +31,7 @@ from .experiments import (
     run_qsd_experiment,
 )
 from .graph import DbmParams, require_real
-from .walk import SAMPLED_STARTS
+from .walk import WITNESS_CANDIDATES
 
 _COMMANDS = {
     "generate": (run_generate, "generate graphs and a degree summary"),
@@ -74,7 +74,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
     p.add_argument(
         "--starts",
-        help=f"'exhaustive' or a sample size (default {SAMPLED_STARTS})",
+        help=f"'exhaustive' or a witness candidate count (default {WITNESS_CANDIDATES})",
     )
     p.add_argument("--threads", type=int, help="worker threads across seeds")
     p.add_argument("--out", help="output directory (default out/<command>)")

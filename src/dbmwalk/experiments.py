@@ -37,7 +37,7 @@ from .graph import (
 )
 from .proxy import TwoScaleSchedule, surrogate_measures
 from .walk import (
-    SAMPLED_STARTS,
+    WITNESS_CANDIDATES,
     ProbVector,
     community_mass,
     mixing_profile,
@@ -120,7 +120,7 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...]
     timescale: str = "entropic"  # or "inverse_alpha"
     c: float | None = None
-    sample_starts: int | None = SAMPLED_STARTS  # None: every state
+    sample_starts: int | None = WITNESS_CANDIDATES  # None: every state
     seeds: tuple[int, ...] = (1,)
     out_dir: str = "out"
     threads: int = 1
@@ -138,7 +138,7 @@ class ExperimentConfig:
         if self.sample_starts is not None:
             require_int("sample_starts", self.sample_starts)
             if self.sample_starts < 1:
-                raise ValueError(f"need at least one sampled start, got {self.sample_starts}")
+                raise ValueError(f"need at least one witness candidate, got {self.sample_starts}")
         require_int("threads", self.threads)
         if self.c is not None:
             require_real("c", self.c)
@@ -426,7 +426,7 @@ def _profile_seed(config: ExperimentConfig, seed: int):
     graph, used = _accepted_graph(config, seed)
     pi = stationary(graph)
     times = sorted(set(config.time_grid().values()))
-    starts, witnesses = profile_starts(graph, pi, times, config.sample_starts, used)
+    starts, witnesses = profile_starts(graph, pi, times, config.sample_starts)
     profile = mixing_profile(graph, starts, times, pi)
     compression = {
         "starts": int(starts.size),

@@ -24,12 +24,13 @@ from scipy.sparse import csr_matrix
 from .graph import DbmParams, Digraph, pre_rewiring_subgraph
 from .rng import NS_RESTART, derived_rng
 from .walk import (
-    SAMPLED_STARTS,
     STATIONARY_MAX_ITER,
     STATIONARY_TOL,
+    WITNESS_CANDIDATES,
     ProbVector,
     _step_walkers,
     _UniformStream,
+    collision_witnesses,
     every_state_starts,
     local_stationary,
     propagate,
@@ -43,7 +44,6 @@ MIX_THRESHOLD = 1.0 / (2.0 * math.e)
 # in-process repeats hide
 START_BLOCK = 32
 HITTING_ORACLE_RTOL = 1e-10  # bound on the oracle's unsummed tail, relative
-WITNESSES = 2  # top collision scores stepped on a large merged space (README)
 
 
 @dataclass
@@ -217,41 +217,21 @@ def iota_first_order(params: DbmParams) -> float:
     return params.lam * params.alpha * math.log(params.n)
 
 
-def collision_witnesses(merged: MergedKernel, k: int) -> np.ndarray:
-    """The likeliest slowest starts among k candidates.
-
-    The candidates are the k states of lowest merged out-degree (the
-    nonzeros of the state's row of P~), the merged state left out and
-    ties going to the lower index.  Each scores its two-step collision
-    probability sum_y P~^2(x, y)^2: a start whose two-step mass sits on
-    few states is far from pi~.  The WITNESSES highest scores win, ties
-    going to the earlier candidate, and the first candidate joins them.
-    A point mass's first step is its column of P~^T, so the scoring
-    holds about k two-step supports, not k dense columns.
-    """
-    ns, op = merged.n_states, merged.operator
-    degree = np.bincount(op.indices, minlength=ns)[: merged.merged_index]
-    candidates = np.argsort(degree, kind="stable")[:k]
-    two = op @ op[:, candidates]
-    score = np.bincount(two.indices, weights=two.data**2, minlength=candidates.size)
-    top = candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
-    return top if candidates[0] in top else np.append(top, candidates[0])
-
-
 def mixing_time_estimate(
     merged: MergedKernel,
     cap: int,
-    k: int | None = SAMPLED_STARTS,
+    k: int | None = WITNESS_CANDIDATES,
 ) -> tuple[int, np.ndarray]:
     """Smallest t with worst-start TV(P~^t(x, .), pi~) <= 1/(2e), and its starts.
 
-    Every state is a start when ``walk.every_state_starts``; otherwise
-    the starts are the merged gate state and the ``collision_witnesses``
-    among k candidates.  Those starts found the exhaustive t on every
-    measured draw (README, "Escape mixing time"), but they do not certify
-    it: t is then a lower estimate.  The starts come back as sorted merged
-    states, the merged state last; they are every state exactly when
-    their count is ``merged.n_states``.
+    Every state is a start when ``walk.every_state_starts``; otherwise the
+    starts are the merged gate state and the ``collision_witnesses`` among
+    the k lowest merged out-degrees (nonzeros of a row of P~), the merged
+    state left out.  Those starts found the exhaustive t on every measured
+    draw (README, "Escape mixing time"), but they do not certify it: t is
+    then a lower estimate.  The starts come back as sorted merged states,
+    the merged state last; they are every state exactly when their count is
+    ``merged.n_states``.
 
     The starts are stepped in dense blocks of START_BLOCK to
     2 START_BLOCK - 1 columns (one block when there are fewer), never a
@@ -267,7 +247,8 @@ def mixing_time_estimate(
     if every_state_starts(ns, k):
         starts = np.arange(ns)
     else:
-        witnesses = np.sort(collision_witnesses(merged, k))
+        degree = np.bincount(operator.indices, minlength=ns)[: merged.merged_index]
+        witnesses = np.sort(collision_witnesses(operator, degree, k))
         starts = np.append(witnesses, merged.merged_index)
     pi = merged.pi_tilde.values
     t_mix = 0

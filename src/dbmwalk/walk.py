@@ -17,14 +17,15 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .graph import Digraph, pre_rewiring_subgraph
-from .rng import NS_EXPERIMENT, NS_TRAJECTORY, derived_rng
+from .rng import NS_TRAJECTORY, derived_rng
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
 PROFILE_CHECKPOINT = 32  # first step at which a profile block may be compressed
 PROFILE_COMPRESS_TOL = 1e-12  # max L1 residual of a compressed start column
 START_STATE_LIMIT = 2000  # largest state space whose worst start is exact
-SAMPLED_STARTS = 64  # starts drawn, or witness candidates scored, on a larger space
+WITNESS_CANDIDATES = 64  # lowest-degree starts scored for collision witnesses on a larger space
+WITNESSES = 2  # top collision scores stepped on a larger space (README)
 PROFILE_STARTS_PER_RANK = 4  # a profile of K starts compresses to rank <= K/4
 UNIFORM_BLOCK = 2**14  # doubles a walker sampler draws from its generator at a time
 
@@ -245,8 +246,26 @@ def entropy_and_entropic_time(graph: Digraph) -> EntropyResult:
 
 
 def every_state_starts(size: int, k: int | None) -> bool:
-    """Whether a worst-start maximum over ``size`` states starts from all."""
-    return k is None or size <= START_STATE_LIMIT
+    """Whether a worst-start maximum over ``size`` states starts from all (k >= size too)."""
+    return k is None or size <= START_STATE_LIMIT or k >= size
+
+
+def collision_witnesses(operator: csr_matrix, degree: np.ndarray, k: int) -> np.ndarray:
+    """The likeliest slowest starts among the k lowest ``degree`` states of P^T.
+
+    Ties among the candidates go to the lower index.  Each scores its
+    two-step collision probability sum_y P^2(x, y)^2: a start whose
+    two-step mass sits on few states is far from equilibrium.  The
+    WITNESSES highest scores win, ties going to the earlier candidate,
+    and the first candidate joins them.  A point mass's first step is
+    its column of P^T, so the scoring holds k two-step supports, not
+    k dense columns.
+    """
+    candidates = np.argsort(degree, kind="stable")[:k]
+    two = operator @ operator[:, candidates]
+    score = np.bincount(two.indices, weights=two.data**2, minlength=candidates.size)
+    top = candidates[np.argsort(-score, kind="stable")[:WITNESSES]]
+    return top if candidates[0] in top else np.append(top, candidates[0])
 
 
 def community_reach(graph: Digraph, t: int) -> np.ndarray:
@@ -285,26 +304,25 @@ def lumped_witnesses(graph: Digraph, pi: ProbVector, t: int) -> np.ndarray:
 
 
 def profile_starts(
-    graph: Digraph, pi: ProbVector, times: Iterable[int], k: int | None, seed: int
+    graph: Digraph, pi: ProbVector, times: Iterable[int], k: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(starts, witnesses) of a worst-start profile, the starts sorted and distinct.
 
-    Every vertex and no witness when ``every_state_starts(size, k)`` or
-    k >= size: an exact maximum.  Otherwise a lower estimate: the
-    ``lumped_witnesses`` when every time is at least PROFILE_CHECKPOINT,
-    past local mixing; before it they miss slow starts (README), so k
-    draws of ``seed``'s experiment stream and the out-degree extremes.
+    Every vertex and no witness when ``every_state_starts(size, k)``: an
+    exact maximum.  Otherwise a lower estimate from witnesses, which are
+    the starts: the ``lumped_witnesses``, past local mixing the likeliest
+    worst starts, joined by the ``collision_witnesses`` among k
+    candidates, the likeliest before it, when a time is before
+    PROFILE_CHECKPOINT (README, "Which starts").
     """
     size = graph.vertex_count
-    if every_state_starts(size, k) or k >= size:
+    if every_state_starts(size, k):
         return np.arange(size, dtype=np.int64), np.empty(0, dtype=np.int64)
-    if min(times) >= PROFILE_CHECKPOINT:
-        witnesses = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
-        return witnesses, witnesses
-    deg = graph.out_degree
-    witnesses = np.array([deg.argmin(), deg.argmax()])
-    sampled = derived_rng(seed, NS_EXPERIMENT, 0).choice(size, size=k, replace=False)
-    return np.unique(np.concatenate([sampled, witnesses])), witnesses
+    witnesses = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
+    if min(times) < PROFILE_CHECKPOINT:
+        local = collision_witnesses(transition_operator(graph), graph.out_degree, k)
+        witnesses = np.union1d(witnesses, local)
+    return witnesses, witnesses
 
 
 def mixing_profile(

@@ -42,7 +42,19 @@ from dbmwalk.experiments import (
 )
 from dbmwalk.graph import DbmParams, generate, load_binary
 from dbmwalk.proxy import TwoScaleSchedule
+from dbmwalk.rng import NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import STATIONARY_TOL
+
+
+def retired_draw(graph, seed: int) -> np.ndarray:
+    """The starts an early grid stepped before the collision witnesses.
+
+    64 uniform draws of ``seed``'s experiment stream and the out-degree
+    extremes, sorted and distinct.
+    """
+    deg = graph.out_degree
+    drawn = derived_rng(seed, NS_EXPERIMENT, 0).choice(graph.vertex_count, size=64, replace=False)
+    return np.unique(np.concatenate([drawn, [deg.argmin(), deg.argmax()]]))
 
 
 def super_config(out_dir: str, **kw) -> ExperimentConfig:
@@ -203,7 +215,7 @@ def test_config_misc_guards():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig(**{**good, "seeds": ()})
     for size in (0, -5):
-        with pytest.raises(ValueError, match="sampled start"):
+        with pytest.raises(ValueError, match="witness candidate"):
             ExperimentConfig(**{**good, "sample_starts": size})
     # seed s re-draws as s + k*RESEED_STRIDE for k up to MAX_GRAPH_REJECTS
     for k in (1, MAX_GRAPH_REJECTS):
@@ -499,10 +511,10 @@ def test_profile_determinism_across_threads(tmp_path):
 
 
 def test_profile_above_2000_vertices_steps_the_lumped_witnesses(tmp_path):
-    # every recorded time lies past the first checkpoint, so the 64
-    # sampled starts give way to the 4 highest lumped-bound vertices of
-    # each community; they read the every-vertex maximum, above the
-    # sampled starts' lower estimate
+    # every recorded time lies past the first checkpoint, so the starts
+    # are the 4 highest lumped-bound vertices of each community; they
+    # read the every-vertex maximum, above the retired random starts'
+    # lower estimate
     def run(tag: str, **kw) -> tuple[list[float], dict]:
         config = super_config(
             str(tmp_path / tag), n=1100, lam=2.0, alpha=0.005, beta_grid=(0.5, 1.0, 2.0),
@@ -531,34 +543,60 @@ def test_profile_above_2000_vertices_steps_the_lumped_witnesses(tmp_path):
 
     graph, _ = generate(DbmParams(n=1100, m=2, lam=2.0, alpha=0.005, seed=1), record["seed"])
     pi = walk.stationary(graph)
-    # the 64 draws and the degree extremes a grid with an earlier time steps
-    sampled, _ = walk.profile_starts(graph, pi, [1], 64, record["seed"])
-    before = walk.mixing_profile(graph, sampled, [100, 200, 400], pi)
+    before = walk.mixing_profile(graph, retired_draw(graph, record["seed"]), [100, 200, 400], pi)
     assert np.all(np.array(got) >= before.distances)
 
 
-def test_profile_above_2000_vertices_with_an_early_time_keeps_the_sampled_starts(tmp_path):
+def test_profile_above_2000_vertices_with_an_early_time_adds_the_collision_witnesses(tmp_path):
     # t = 1, 3, 5: before local mixing the slowest start is a local
     # feature that community masses do not see, so the lumped witnesses
-    # read well below the 64 draws and the degree extremes at t = 3
+    # alone read well below the profile at t = 3, which also steps the
+    # collision witnesses among the 64 lowest out-degrees
     config = super_config(str(tmp_path), n=1100, lam=2.0, alpha=0.002, beta_grid=(0.5, 1.0, 2.0))
     assert run_profile_experiment(config).all_passed
     rows = csv.DictReader((tmp_path / "profile.csv").read_text().splitlines())
     got = [float(r["distance"]) for r in rows]
     (record,) = json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["per_seed"]
     graph, _ = generate(config.params, record["seed"])
-    deg = graph.out_degree
-    compression = record["profile_compression"]
-    assert compression["starts"] == 66
-    assert compression["witnesses"] == [int(deg.argmin()), int(deg.argmax())]
-
     pi = walk.stationary(graph)
     times = sorted(set(config.time_grid().values()))
     assert times == [1, 3, 5]
-    lumped = walk.mixing_profile(
-        graph, walk.lumped_witnesses(graph, pi, walk.PROFILE_CHECKPOINT), times, pi
+    lumped = walk.lumped_witnesses(graph, pi, walk.PROFILE_CHECKPOINT)
+    local = walk.collision_witnesses(walk.transition_operator(graph), graph.out_degree, 64)
+    compression = record["profile_compression"]
+    assert compression["witnesses"] == np.union1d(lumped, local).tolist()
+    assert compression["starts"] == len(compression["witnesses"])
+    assert compression["starts"] // walk.PROFILE_STARTS_PER_RANK == 2
+    assert got[1] > walk.mixing_profile(graph, lumped, times, pi).distances[1] + 0.05
+
+
+@pytest.mark.parametrize("alpha", [0.002, 0.005])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_early_grid_witnesses_read_the_every_vertex_maximum(alpha, seed):
+    # the entropic grid at beta 0.5, 1, 2 steps t = 1, 3, 5 on the
+    # 2200 vertices: the lumped and collision witnesses read the maximum
+    # over every vertex at each time, and never below the 64 uniform
+    # draws and degree extremes that such a grid once stepped
+    config = super_config(
+        "unused", n=1100, lam=2.0, alpha=alpha, seeds=(seed,), beta_grid=(0.5, 1.0, 2.0)
     )
-    assert got[1] > lumped.distances[1] + 0.05
+    graph, used = experiments._accepted_graph(config, seed)
+    pi = walk.stationary(graph)
+    times = sorted(set(config.time_grid().values()))
+    assert times == [1, 3, 5]
+    starts, _ = walk.profile_starts(graph, pi, times, config.sample_starts)
+    got = walk.mixing_profile(graph, starts, times, pi).distances
+    every = np.max(
+        [
+            walk.mixing_profile(graph, block, times, pi).distances
+            for block in np.array_split(np.arange(graph.vertex_count), 4)
+        ],
+        axis=0,
+    )
+    gap = every - got
+    assert np.all(gap <= 1e-15), dict(zip(times, gap.tolist()))
+    retired = walk.mixing_profile(graph, retired_draw(graph, used), times, pi).distances
+    assert np.all(got >= retired), dict(zip(times, (retired - got).tolist()))
 
 
 def test_qsd_run_artifacts(tmp_path):
@@ -1033,7 +1071,7 @@ def test_cli_refuses_an_unreadable_config_file(tmp_path, capsys, text, message):
 def test_cli_rejects_empty_or_negative_start_samples(tmp_path, capsys, starts):
     argv = ["generate", "--n", "300", "--lambda", "3", "--alpha", "0.02", "--seeds", "1"]
     argv += ["--starts", starts, "--out", str(tmp_path / "run")]
-    assert_refused(capsys, argv, "invalid configuration: need at least one sampled start")
+    assert_refused(capsys, argv, "invalid configuration: need at least one witness candidate")
     assert not (tmp_path / "run").exists()
 
 

@@ -34,11 +34,9 @@ from dbmwalk.qsd import (
     HITTING_ORACLE_RTOL,
     MIX_THRESHOLD,
     START_BLOCK,
-    WITNESSES,
     CommunityView,
     MergedKernel,
     build_merged_kernel,
-    collision_witnesses,
     community_view,
     hitting_time_estimates,
     iota_first_order,
@@ -50,10 +48,12 @@ from dbmwalk.qsd import (
     survival_curve,
 )
 from dbmwalk.walk import (
-    SAMPLED_STARTS,
     START_STATE_LIMIT,
     STATIONARY_TOL,
+    WITNESS_CANDIDATES,
+    WITNESSES,
     ProbVector,
+    collision_witnesses,
     jump_target_frequencies,
     local_stationary,
     stationary,
@@ -438,6 +438,16 @@ def test_mixing_time_cap_and_sampled_mode():
     assert t_mix == 1 and starts.size == ns
 
 
+def merged_witnesses(merged: MergedKernel, k: int) -> np.ndarray:
+    """``collision_witnesses`` as ``mixing_time_estimate`` scores them.
+
+    The candidates' degrees are the merged out-degrees, the merged state
+    left out.
+    """
+    degree = np.bincount(merged.operator.indices, minlength=merged.n_states)
+    return collision_witnesses(merged.operator, degree[: merged.merged_index], k)
+
+
 def test_collision_witnesses_score_the_lowest_out_degrees():
     # out-degrees 4, 2, 2, 2, 3, and 1 for the absorbing merged state 5,
     # which also has the top two-step collision score (1.0) but is never a
@@ -451,18 +461,18 @@ def test_collision_witnesses_score_the_lowest_out_degrees():
     score = ((p @ p) ** 2).sum(axis=1)
     assert score.argmax() == 5 and score[2] > score[1] > score[3]
     # k = 1 scores the one lowest-degree state, the lowest index of three ties
-    assert collision_witnesses(merged, 1).tolist() == [1]
-    assert collision_witnesses(merged, 3).tolist() == [2, 1]
+    assert merged_witnesses(merged, 1).tolist() == [1]
+    assert merged_witnesses(merged, 3).tolist() == [2, 1]
     # every state a candidate but the merged one, whatever k is
-    assert collision_witnesses(merged, 6).tolist() == [2, 1]
-    assert collision_witnesses(merged, 100).tolist() == [2, 1]
+    assert merged_witnesses(merged, 6).tolist() == [2, 1]
+    assert merged_witnesses(merged, 100).tolist() == [2, 1]
 
     # every state steps into the merged state: equal degrees and scores,
     # so the two lowest indices win
     flat = np.zeros((5, 5))
     flat[:, 4] = 1.0
     merged = MergedKernel(csr_matrix(flat.T), uniform(5, "merged:0"))
-    assert collision_witnesses(merged, 3).tolist() == [0, 1]
+    assert merged_witnesses(merged, 3).tolist() == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -485,10 +495,26 @@ def test_witness_starts_find_the_worst_start_on_drawn_communities(alpha, seed, i
     assert t_mix == every == 5
     check_point_mass_references(merged, t_mix)
     if size == 4:
-        top = np.sort(collision_witnesses(merged, SAMPLED_STARTS)[:WITNESSES])
+        top = np.sort(merged_witnesses(merged, WITNESS_CANDIDATES)[:WITNESSES])
         pi, cols = merged.pi_tilde.values, np.append(top, merged.merged_index)
         assert 1862 in starts and 1862 not in top
         assert len(dense_start_steps(merged.operator, pi, cols, cap=200)[0]) == 4
+
+
+def test_a_candidate_count_of_every_state_steps_every_state():
+    # 2142 merged states in community 0: a k of every state steps each
+    # one, as the profile does for a k of every vertex, and reads the
+    # exhaustive t; one candidate fewer keeps the witnesses
+    graph, _ = generate(DbmParams(n=2500, m=2, lam=2.0, alpha=0.01, seed=1), 1)
+    merged = build_merged_kernel(community_view(graph, 0))
+    ns = merged.n_states
+    assert ns == 2142
+    every, _ = mixing_time_estimate(merged, cap=200, k=None)
+    for k in (ns, ns + 1):
+        t_mix, starts = mixing_time_estimate(merged, cap=200, k=k)
+        assert np.array_equal(starts, np.arange(ns)) and t_mix == every
+    _, starts = mixing_time_estimate(merged, cap=200, k=ns - 1)
+    assert starts.size < ns
 
 
 class RecordingOperator:
@@ -515,18 +541,18 @@ class RecordingOperator:
 def check_point_mass_references(merged: MergedKernel, t_mix: int) -> None:
     """Column reads against the point-mass loops they replaced, byte for byte.
 
-    The collision scores of the SAMPLED_STARTS witness candidates are
+    The collision scores of the WITNESS_CANDIDATES candidates are
     stepped twice from a CSR block of their point masses, and r~ from the
     merged state's point mass, as ``collision_witnesses`` and
     ``return_mass`` once did.
     """
     ns, op = merged.n_states, merged.operator
     degree = np.bincount(op.indices, minlength=ns)[: ns - 1]
-    candidates = np.argsort(degree, kind="stable")[:SAMPLED_STARTS]
+    candidates = np.argsort(degree, kind="stable")[:WITNESS_CANDIDATES]
     size = candidates.size
     one = op @ csr_matrix((np.ones(size), (candidates, np.arange(size))), shape=(ns, size))
     recorder = RecordingOperator(op)
-    witnesses = collision_witnesses(MergedKernel(recorder, merged.pi_tilde), SAMPLED_STARTS)
+    witnesses = collision_witnesses(recorder, degree, WITNESS_CANDIDATES)
     read, two = recorder.products
     assert read.tobytes() == one.toarray().tobytes()
     score, want = (
@@ -552,7 +578,7 @@ def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[int, 
     """``mixing_time_estimate`` against ``dense_start_steps`` on its starts.
 
     The starts are every state up to START_STATE_LIMIT, and past it the
-    merged state and the collision witnesses among SAMPLED_STARTS
+    merged state and the collision witnesses among WITNESS_CANDIDATES
     candidates, whose scoring takes a column read and a product.  t must
     be the dense loop's, and every block at most 2 START_BLOCK - 1 columns
     wide, the dense loop's next columns bit for bit, stepped until they
@@ -564,8 +590,8 @@ def check_against_dense_loop(merged: MergedKernel, cap: int) -> list[tuple[int, 
     t_mix, starts = mixing_time_estimate(MergedKernel(recorder, merged.pi_tilde), cap)
     if ns > START_STATE_LIMIT:
         scoring, recorder.products = recorder.products[:2], recorder.products[2:]
-        assert [p.shape for p in scoring] == [(ns, min(SAMPLED_STARTS, ns - 1))] * 2
-        witnesses = collision_witnesses(merged, SAMPLED_STARTS)
+        assert [p.shape for p in scoring] == [(ns, min(WITNESS_CANDIDATES, ns - 1))] * 2
+        witnesses = merged_witnesses(merged, WITNESS_CANDIDATES)
         assert np.array_equal(starts, np.append(np.sort(witnesses), ns - 1))
     else:
         assert np.array_equal(starts, np.arange(ns))

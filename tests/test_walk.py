@@ -32,7 +32,7 @@ from dbmwalk import walk
 from dbmwalk.experiments import analytic_entropic_time
 from dbmwalk.graph import DbmParams, Digraph, generate, pre_rewiring_subgraph
 from dbmwalk.meanfield import q_power_matrix
-from dbmwalk.rng import NS_EXPERIMENT, NS_TRAJECTORY, derived_rng
+from dbmwalk.rng import NS_TRAJECTORY, derived_rng
 from dbmwalk.walk import (
     PROFILE_CHECKPOINT,
     PROFILE_STARTS_PER_RANK,
@@ -47,6 +47,7 @@ from dbmwalk.walk import (
     _first_jumps,
     _pivoted_gram_schmidt,
     _step_walkers,
+    collision_witnesses,
     community_mass,
     entropy_and_entropic_time,
     indegree_approximation,
@@ -788,7 +789,7 @@ def test_profile_starts_every_vertex_up_to_the_limit():
     assert graph.vertex_count == START_STATE_LIMIT
     pi = stationary(graph)
     for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
-        starts, witnesses = profile_starts(graph, pi, times, 4, seed=1)
+        starts, witnesses = profile_starts(graph, pi, times, 4)
         assert np.array_equal(starts, np.arange(graph.vertex_count))
         assert witnesses.size == 0
 
@@ -797,7 +798,7 @@ def test_profile_starts_every_vertex_when_k_is_none(desk_graph, desk_pi):
     # k = None is the exhaustive policy, above the limit too
     assert desk_graph.vertex_count > START_STATE_LIMIT
     for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
-        starts, witnesses = profile_starts(desk_graph, desk_pi, times, None, seed=1)
+        starts, witnesses = profile_starts(desk_graph, desk_pi, times, None)
         assert np.array_equal(starts, np.arange(desk_graph.vertex_count))
         assert witnesses.size == 0
 
@@ -807,33 +808,39 @@ def test_profile_starts_every_vertex_when_k_reaches_the_vertex_count(desk_graph,
     size = desk_graph.vertex_count
     for k in (size, size + 1):
         for times in ([1, 3], [PROFILE_CHECKPOINT, 100]):
-            starts, witnesses = profile_starts(desk_graph, desk_pi, times, k, seed=1)
+            starts, witnesses = profile_starts(desk_graph, desk_pi, times, k)
             assert np.array_equal(starts, np.arange(size))
             assert witnesses.size == 0
 
 
 def test_profile_starts_past_local_mixing_are_the_lumped_witnesses(desk_graph, desk_pi):
     # every time at least the first checkpoint: 4 witnesses per
-    # community, which are the starts, and the seed draws nothing
+    # community, which are the starts
     graph, times = desk_graph, [PROFILE_CHECKPOINT, 100]
-    starts, witnesses = profile_starts(graph, desk_pi, times, 64, seed=1)
+    starts, witnesses = profile_starts(graph, desk_pi, times, 64)
     assert np.array_equal(starts, lumped_witnesses(graph, desk_pi, PROFILE_CHECKPOINT))
     assert np.array_equal(witnesses, starts)
     assert np.bincount(starts // graph.n).tolist() == [PROFILE_STARTS_PER_RANK] * graph.m
-    assert np.array_equal(profile_starts(graph, desk_pi, times, 64, seed=2)[0], starts)
 
 
-def test_profile_starts_with_an_early_time_draw_k_plus_the_degree_extremes(desk_graph, desk_pi):
-    # one time before the first checkpoint: k draws from the seed's
-    # experiment stream, as the runner drew them, plus the degree extremes
-    size, deg = desk_graph.vertex_count, desk_graph.out_degree
-    times = [PROFILE_CHECKPOINT - 1, 100]
-    starts, witnesses = profile_starts(desk_graph, desk_pi, times, 12, seed=3)
-    assert witnesses.tolist() == [int(deg.argmin()), int(deg.argmax())]
-    drawn = derived_rng(3, NS_EXPERIMENT, 0).choice(size, size=12, replace=False)
-    assert np.array_equal(starts, np.unique(np.concatenate([drawn, witnesses])))
-    assert np.all(np.diff(starts) > 0)  # sorted and distinct
-    assert 12 <= starts.size <= 14
+def test_profile_starts_with_an_early_time_add_the_collision_witnesses(desk_graph, desk_pi):
+    # a time before the first checkpoint joins the collision witnesses
+    # among the k lowest out-degrees to the lumped witnesses, and a grid
+    # from the checkpoint on scores none; 4m plus at most 3 starts keep
+    # the compression's rank cap at m
+    graph, pi, k = desk_graph, desk_pi, 12
+    lumped = lumped_witnesses(graph, pi, PROFILE_CHECKPOINT)
+    local = collision_witnesses(transition_operator(graph), graph.out_degree, k)
+    assert 2 <= local.size <= 3 and np.setdiff1d(local, lumped).size > 0
+    assert np.argsort(graph.out_degree, kind="stable")[0] in local
+    for times in ([0, 100], [PROFILE_CHECKPOINT - 1, 100], [PROFILE_CHECKPOINT, 100]):
+        starts, witnesses = profile_starts(graph, pi, times, k)
+        assert np.array_equal(witnesses, starts)
+        assert np.all(np.diff(starts) > 0)  # sorted and distinct
+        assert np.isin(lumped, starts).all()
+        early = min(times) < PROFILE_CHECKPOINT
+        assert np.array_equal(starts, np.union1d(lumped, local) if early else lumped)
+        assert starts.size // PROFILE_STARTS_PER_RANK == graph.m
 
 
 @DIFFERENTIAL

@@ -4,7 +4,8 @@
 
 Runs each of the five runners on a small config (the profile runner in
 all three regimes, and above 2000 vertices on both sides of its start
-rule: the lumped witnesses, and the sampled starts of an early grid),
+rule: the lumped witnesses alone, and joined by the collision witnesses
+on an early grid),
 plus the benchmark's ``escape-n20000`` workload at full size, as
 ``perfbench/workloads.py`` defines it, in a temporary directory.  Prints one JSON object that maps
 ``<run>/<artifact>`` to the sha256 of each artifact except
