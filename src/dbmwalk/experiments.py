@@ -540,7 +540,7 @@ def _profile_verdicts(
 
 QSD_IOTA_RELERR_TOL = 0.25
 QSD_KS_TOL = 0.08
-RESTART_REPS = 600  # restart and tau_jump samples per seed
+TAU_JUMP_REPS = 600  # tau_jump samples per seed
 
 
 def _qsd_seed(config: ExperimentConfig, seed: int):
@@ -586,18 +586,13 @@ def _qsd_seed(config: ExperimentConfig, seed: int):
                 hit.oracle,
                 view.gate_labels.size,
                 qsd.nice_fraction(graph, view),
+                qsd.restart_rate(view, sol),
             ]
         )
-        if i == 0:
-            restarts = qsd.restart_process(view, sol, reps=RESTART_REPS, seed=used)
-            diag["restart_censored"] = sum(s.tau_rho is None for s in restarts)
-            tau_jump, diag["tau_jump_censored"] = sample_tau_jump(
-                graph,
-                starts=graph.community_vertices(0),
-                reps=RESTART_REPS,
-                seed=used,
-            )
-    return diag, (rows, restarts, tau_jump)
+    tau_jump, diag["tau_jump_censored"] = sample_tau_jump(
+        graph, starts=graph.community_vertices(0), reps=TAU_JUMP_REPS, seed=used
+    )
+    return diag, (rows, tau_jump)
 
 
 def _ks_exp1(x: np.ndarray) -> float:
@@ -607,8 +602,22 @@ def _ks_exp1(x: np.ndarray) -> float:
     return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))
 
 
+def _ks_geometric_exp1(q: list[float], alpha: float) -> float:
+    """Exact KS distance between alpha*T and Exp(1), T the equal mixture of Geometric(q_j).
+
+    T lives on {1, 2, ...}, so its CDF is flat on [k, k+1): the gap is
+    read at both ends of every step, out to the first k where each law's
+    tail, and so the mixture's, is below 1e-12; past that k no gap
+    exceeds the last one read by more than 1e-12.
+    """
+    k = np.arange(math.ceil(math.log(1e-12) / math.log1p(-min(q))) + 1)
+    tail = sum(np.exp(k * math.log1p(-r)) for r in q) / len(q)  # P(T > k)
+    survival = np.exp(-alpha * np.append(k, k[-1] + 1))  # P(Exp(1) > alpha k)
+    return float(max(np.abs(survival[:-1] - tail).max(), np.abs(survival[1:] - tail).max()))
+
+
 def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
-    """Per-community escape pipeline plus restart/jump statistics."""
+    """Per-community escape pipeline plus the restart and jump laws of community 0."""
     with _run(config, _qsd_seed) as (manifest, per_seed):
         header = [
             "i",
@@ -620,24 +629,13 @@ def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
             "hitting_oracle",
             "gate_count",
             "nice_fraction",
+            "q",
         ]
-        for used, (rows, _, _) in zip(manifest.seeds_used, per_seed):
+        for used, (rows, _) in zip(manifest.seeds_used, per_seed):
             manifest.write_csv(f"qsd_seed{used}.csv", header, rows)
 
-        restarts = [s for _, rs, _ in per_seed for s in rs]
-        restart_rows = [
-            [
-                k,
-                float(s.tau_rho) if s.tau_rho is not None else float("nan"),
-                s.kappa_final,
-                s.rho_final,
-            ]
-            for k, s in enumerate(restarts)
-        ]
-        manifest.write_csv("restart.csv", ["rep", "tau_rho", "kappa", "rho"], restart_rows)
-
         first_order = qsd.iota_first_order(config.params)
-        iotas = np.array([row[1] for rows, _, _ in per_seed for row in rows])
+        iotas = np.array([row[1] for rows, _ in per_seed for row in rows])
         rel = np.abs(iotas / first_order - 1.0)
         manifest.check(
             "iota_first_order_relerr",
@@ -645,27 +643,20 @@ def run_qsd_experiment(config: ExperimentConfig) -> RunManifest:
             QSD_IOTA_RELERR_TOL,
             f"median < {QSD_IOTA_RELERR_TOL}",
         )
-        # the KS tests see the uncensored samples; each verdict counts the
-        # rest, and with none left reads the largest KS distance, 1, and fails
-        records = manifest.diagnostics["per_seed"]
-        samples = {
-            "tau_rho": (
-                np.array([float(s.tau_rho) for s in restarts if s.tau_rho is not None]),
-                sum(r["restart_censored"] for r in records),
-            ),
-            "tau_jump": (
-                np.concatenate([tj for _, _, tj in per_seed]),
-                sum(r["tau_jump_censored"] for r in records),
-            ),
-        }
-        for name, (arr, censored) in samples.items():
-            manifest.check(
-                f"ks_alpha_{name}_exp1",
-                _ks_exp1(config.params.alpha * arr) if arr.size else 1.0,
-                QSD_KS_TOL,
-                censored=censored,
-                censoring_bound=censored / (arr.size + censored),
-            )
+        alpha = config.params.alpha
+        q = [rows[0][-1] for rows, _ in per_seed]  # community 0's restart rate per seed
+        manifest.check("ks_alpha_tau_rho_exp1", _ks_geometric_exp1(q, alpha), QSD_KS_TOL)
+        # the tau_jump KS test sees the uncensored samples; the verdict counts
+        # the rest, and with none left reads the largest KS distance, 1, and fails
+        arr = np.concatenate([tj for _, tj in per_seed])
+        censored = sum(r["tau_jump_censored"] for r in manifest.diagnostics["per_seed"])
+        manifest.check(
+            "ks_alpha_tau_jump_exp1",
+            _ks_exp1(alpha * arr) if arr.size else 1.0,
+            QSD_KS_TOL,
+            censored=censored,
+            censoring_bound=censored / (arr.size + censored),
+        )
     return manifest
 
 

@@ -5,8 +5,9 @@ Within one community, the vertices owning at least one rewired out-edge
 community walk relative to its gates: the kernel with all gates merged
 into a single absorbing-and-releasing state, the quasi-stationary
 distribution of the walk killed at the gates, return masses and hitting
-time estimates for the merged state, and the marked restart process
-whose jump times become exponential on the alpha^-1 time scale.
+time estimates for the merged state, and the marked restart process,
+whose jump time is exactly geometric and becomes exponential on the
+alpha^-1 time scale.
 
 All community-level objects are indexed by labels 0..n-1; the walk here
 is the one on the community's pre-rewiring graph.
@@ -336,6 +337,24 @@ def nice_fraction(graph: Digraph, view: CommunityView) -> float:
     return float(((view.d_rewired[gate] == 1) & in_window).mean())
 
 
+def _reentry_law(view: CommunityView, solution: QsdSolution) -> np.ndarray:
+    """mu* P: the law of the restart walk one step after its QSD start or a gate visit."""
+    return transition_operator(view.local) @ solution.mu_star.values
+
+
+def restart_rate(view: CommunityView, solution: QsdSolution) -> float:
+    """Success probability q of every restart-walk step: tau_rho ~ Geometric(q).
+
+    Until the first success the walk stands at mu* off the gates, since
+    mu* S = (1 - iota) mu*, or re-enters after a gate, so each step lands
+    by ``_reentry_law`` whatever came before: on gate g with probability
+    (mu* P)(g), where the coin succeeds with g's rewired-edge fraction.
+    So q = sum_g (mu* P)(g) d_rewired(g) / deg(g), summed by numpy, not by
+    a BLAS dot, so that q does not depend on the BLAS thread count.
+    """
+    return float((_reentry_law(view, solution) * view.d_rewired / view.local.out_degree).sum())
+
+
 @dataclass
 class RestartSample:
     """One run of the marked community walk.
@@ -348,16 +367,6 @@ class RestartSample:
 
     tau_rho: int | None
     sigma_list: np.ndarray
-
-    @property
-    def kappa_final(self) -> int:
-        """Number of gate visits, one coin each."""
-        return int(self.sigma_list.size)
-
-    @property
-    def rho_final(self) -> int:
-        """1 if a coin succeeded before the cap, else 0."""
-        return int(self.tau_rho is not None)
 
 
 def _cdf_sampler(weights: np.ndarray):
@@ -391,7 +400,7 @@ def restart_process(
     uniforms = _UniformStream(derived_rng(seed, NS_RESTART, view.i))
     coin_p = view.d_rewired / view.local.out_degree
     draw_start = _cdf_sampler(solution.mu_star.values)
-    draw_reinit = _cdf_sampler(transition_operator(view.local) @ solution.mu_star.values)
+    draw_reinit = _cdf_sampler(_reentry_law(view, solution))
 
     alive = np.arange(reps)
     pos = draw_start(uniforms, reps)

@@ -31,6 +31,7 @@ from dbmwalk.experiments import (
     _accepted_graph,
     _curve_betas,
     _ks_exp1,
+    _ks_geometric_exp1,
     _new_manifest,
     _profile_verdicts,
     analytic_entropic_time,
@@ -138,6 +139,20 @@ def test_ks_exp1_matches_kstest(size, seed, decimals, zeros):
     x = np.round(rng.exponential(rng.uniform(0.2, 5.0), size), decimals)
     x[:zeros] = 0.0
     assert abs(_ks_exp1(x) - kstest(x, "expon").statistic) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [[0.017], [0.015, 0.019, 0.021, 0.024]])
+def test_ks_geometric_exp1_is_the_sup_over_a_dense_grid(q):
+    # the grid reads the gap within h of each jump of T's CDF and Exp(1)'s
+    # density is at most 1, so the exact sup is at least the grid maximum
+    # and at most h above it
+    alpha = 0.02
+    x, h = np.linspace(0.0, 40.0, 2_000_000, retstep=True)
+    k = np.floor(x / alpha)
+    cdf = np.mean([1.0 - (1.0 - r) ** k for r in q], axis=0)
+    grid = np.abs(cdf + np.expm1(-x)).max()
+    exact = _ks_geometric_exp1(q, alpha)
+    assert grid <= exact <= grid + h, (exact - grid, h)
 
 
 def test_no_run_imports_scipy_stats():
@@ -605,13 +620,20 @@ def test_qsd_run_artifacts(tmp_path):
     for seed in (3, 4):
         assert read_csv_header(tmp_path / f"qsd_seed{seed}.csv") == [
             "i", "iota", "lambda_alpha_logn", "r_tilde", "t_mix",
-            "hitting_estimate", "hitting_oracle", "gate_count", "nice_fraction",
+            "hitting_estimate", "hitting_oracle", "gate_count", "nice_fraction", "q",
         ]
         rows = (tmp_path / f"qsd_seed{seed}.csv").read_text().splitlines()[1:]
         assert len(rows) == config.params.m
-    assert read_csv_header(tmp_path / "restart.csv") == ["rep", "tau_rho", "kappa", "rho"]
-    restarts = (tmp_path / "restart.csv").read_text().splitlines()[1:]
-    assert len(restarts) == 2 * 600
+    assert not (tmp_path / "restart.csv").exists()
+    # q = iota times the mean coin of a gate visit, and the tau_rho verdict
+    # is the exact KS of the seeds' community-0 Geometric(q) laws
+    rates = []  # (iota, q) per seed and community
+    for seed in (3, 4):
+        lines = (tmp_path / f"qsd_seed{seed}.csv").read_text().splitlines()[1:]
+        rates.append([(float(r.split(",")[1]), float(r.split(",")[9])) for r in lines])
+    assert all(0.0 < q <= iota for seed_rates in rates for iota, q in seed_rates)
+    ks_rho = _ks_geometric_exp1([seed_rates[0][1] for seed_rates in rates], config.params.alpha)
+    assert manifest.verdicts[1] == Verdict("ks_alpha_tau_rho_exp1", True, ks_rho, f"< {QSD_KS_TOL}")
     names = [v.name for v in manifest.verdicts]
     assert names[0] == "iota_first_order_relerr"
     assert "ks_alpha_tau_rho_exp1" in names
@@ -624,7 +646,7 @@ def test_qsd_run_artifacts(tmp_path):
     for diag in records:
         assert sorted(diag) == [
             "hitting_oracle", "local_stationary", "mixing_time_exhaustive",
-            "mixing_time_starts", "mixing_time_witnesses", "qsd", "restart_censored",
+            "mixing_time_starts", "mixing_time_witnesses", "qsd",
             "return_mass_horizon", "seed", "tau_jump_censored",
         ]
         assert len(diag["qsd"]) == config.params.m
@@ -644,21 +666,22 @@ def test_qsd_run_artifacts(tmp_path):
         assert len(diag["local_stationary"]) == config.params.m
         assert all(r["stationary_residual"] < 1e-12 for r in diag["local_stationary"])
         assert 0 <= diag["tau_jump_censored"] <= 600
-    nan_rows = sum(r.split(",")[1] == "nan" for r in restarts)
-    assert sum(r["restart_censored"] for r in records) == nan_rows > 0
-    # each KS verdict counts the censored samples it left out, over all seeds
+    # the sampled KS verdict counts the censored samples it left out, over
+    # all seeds; the tau_rho verdict reads an exact law and censors nothing
     censored = {v.name: v.censored for v in manifest.verdicts}
+    jump_censored = sum(r["tau_jump_censored"] for r in records)
     assert censored == {
         "iota_first_order_relerr": None,
-        "ks_alpha_tau_rho_exp1": sum(r["restart_censored"] for r in records),
-        "ks_alpha_tau_jump_exp1": sum(r["tau_jump_censored"] for r in records),
+        "ks_alpha_tau_rho_exp1": None,
+        "ks_alpha_tau_jump_exp1": jump_censored,
     }
     # and bounds the CDF shift that conditioning on the kept ones causes
     # by the censored share of the 2 x 600 samples
     bounds = {v.name: v.censoring_bound for v in manifest.verdicts}
     assert bounds == {
         "iota_first_order_relerr": None,
-        **{name: c / 1200 for name, c in censored.items() if name.startswith("ks_")},
+        "ks_alpha_tau_rho_exp1": None,
+        "ks_alpha_tau_jump_exp1": jump_censored / 1200,
     }
     with pytest.raises(ValueError, match="alpha"):
         run_qsd_experiment(super_config(str(tmp_path), alpha=0.0))

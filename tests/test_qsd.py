@@ -44,6 +44,7 @@ from dbmwalk.qsd import (
     nice_fraction,
     quasi_stationary,
     restart_process,
+    restart_rate,
     return_mass,
     survival_curve,
 )
@@ -713,14 +714,10 @@ def test_restart_bookkeeping_invariants(small_community):
     samples = restart_process(view, sol, 300, seed=5)
     hit = 0
     for s in samples:
-        assert len(s.sigma_list) == s.kappa_final
         assert np.all(s.sigma_list >= 1)
         if s.tau_rho is not None:
-            assert s.rho_final == 1
             assert s.sigma_list.sum() == s.tau_rho
             hit += 1
-        else:
-            assert s.rho_final == 0
     assert hit > 250  # cap censors only a tail
 
 
@@ -733,10 +730,9 @@ def test_restart_process_keeps_its_stream(small_community):
         29, 153, 5, 18, 65, 3, 12, 126, 10, 52, 4, 63,
         28, 75, 6, 6, 56, 41, 56, 133, 173, 24, 7, 24,
     ]
-    assert [s.kappa_final for s in samples] == [
+    assert [len(s.sigma_list) for s in samples] == [
         10, 55, 2, 9, 19, 2, 6, 31, 4, 16, 1, 18, 11, 23, 3, 3, 10, 13, 19, 33, 59, 13, 2, 11
     ]
-    assert all(s.rho_final == 1 for s in samples)
     assert samples[0].sigma_list.tolist() == [2, 5, 1, 2, 1, 2, 3, 1, 1, 11]
     assert samples[2].sigma_list.tolist() == [4, 1]
     assert samples[3].sigma_list.tolist() == [2, 1, 2, 4, 3, 3, 1, 1, 1]
@@ -746,8 +742,7 @@ def test_restart_process_keeps_its_stream(small_community):
     view = one_gate_complete_view(6, coin=0.002)
     samples = restart_process(view, quasi_stationary(view), 6, seed=2)
     assert [s.tau_rho for s in samples] == [None, 495, None, None, None, 1]
-    assert [s.rho_final for s in samples] == [0, 1, 0, 0, 0, 1]
-    assert [s.kappa_final for s in samples] == [104, 92, 93, 90, 107, 1]
+    assert [len(s.sigma_list) for s in samples] == [104, 92, 93, 90, 107, 1]
     assert [int(s.sigma_list.sum()) for s in samples] == [495, 495, 499, 497, 501, 1]
     assert samples[0].sigma_list[:8].tolist() == [1, 4, 14, 3, 2, 9, 3, 3]
     assert samples[1].sigma_list[-8:].tolist() == [4, 2, 10, 6, 2, 5, 1, 2]
@@ -791,6 +786,29 @@ def test_restart_jump_times_near_exponential_scale():
     assert taus.size > 550
     ks = stats.kstest(params.alpha * taus, "expon").statistic
     assert ks < 0.12
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restart_sampler_draws_geometric_q(seed):
+    # every step of the restart walk succeeds with probability q, so the
+    # uncensored runs follow Geometric(q) conditioned on tau_rho <= the cap.
+    # Both CDFs are flat between integers, so the sup is read at each one.
+    # 1.358 / sqrt(N) is the 5% Kolmogorov value of a continuous law; for a
+    # discrete law the KS statistic is stochastically smaller, so the test
+    # is conservative
+    graph, _ = generate(DbmParams(n=500, m=2, lam=3.0, alpha=0.02, seed=seed), seed)
+    view = community_view(graph, 0)
+    sol = quasi_stationary(view)
+    q = restart_rate(view, sol)
+    assert 0.0 < q <= sol.iota
+    samples = restart_process(view, sol, 10_000, seed=seed)
+    taus = np.array([s.tau_rho for s in samples if s.tau_rho is not None])
+    cap = math.ceil(100.0 / sol.iota)
+    k = np.arange(cap + 1)
+    law = np.expm1(k * math.log1p(-q)) / math.expm1(cap * math.log1p(-q))
+    sample = np.cumsum(np.bincount(taus, minlength=cap + 1)) / taus.size
+    ks = np.abs(sample - law).max()
+    assert ks < 1.358 / math.sqrt(taus.size), (ks, taus.size)
 
 
 def test_jump_targets_all_land_in_other_community(small_community):
