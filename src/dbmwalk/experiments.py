@@ -40,6 +40,7 @@ from .walk import (
     WITNESS_CANDIDATES,
     ProbVector,
     community_mass,
+    drop_transition_operator,
     mixing_profile,
     profile_starts,
     sample_tau_jump,
@@ -546,53 +547,43 @@ TAU_JUMP_REPS = 600  # tau_jump samples per seed
 def _qsd_seed(config: ExperimentConfig, seed: int):
     prm = config.params
     graph, used = _accepted_graph(config, seed, need_all_communities=True)
-    first_order = qsd.iota_first_order(prm)
     cap = math.ceil(6 * config.t_ent * math.log(prm.n))
-    rows = []
-    diag = {
-        "seed": used,
-        "local_stationary": [],
-        "qsd": [],
-        "mixing_time_exhaustive": [],
-        "mixing_time_starts": [],
-        "mixing_time_witnesses": [],
-        "return_mass_horizon": [],
-        "hitting_oracle": [],
-    }
-    for i in range(prm.m):
-        view = qsd.community_view(graph, i)
-        sol = qsd.quasi_stationary(view)
-        merged = qsd.build_merged_kernel(view)
-        t_mix, starts = qsd.mixing_time_estimate(merged, cap, config.sample_starts)
-        exhaustive = starts.size == merged.n_states
-        diag["local_stationary"].append(_solver_diagnostics(view.pi_local))
-        diag["qsd"].append({"iterations": sol.iterations, "residual": sol.residual})
-        diag["mixing_time_exhaustive"].append(exhaustive)
-        diag["mixing_time_starts"].append(int(starts.size))
-        # the witnesses as community labels; the last start is the merged state
-        diag["mixing_time_witnesses"].append([] if exhaustive else view.kept[starts[:-1]].tolist())
-        mass = qsd.return_mass(merged, t_mix)
-        diag["return_mass_horizon"].append(mass.t_horizon)
-        hit = qsd.hitting_time_estimates(view, mass)
-        diag["hitting_oracle"].append({"z": mass.z, "bound": mass.bound, "steps": mass.steps})
-        rows.append(
-            [
-                i,
-                sol.iota,
-                first_order,
-                mass.r_tilde,
-                t_mix,
-                hit.estimate,
-                hit.oracle,
-                view.gate_labels.size,
-                qsd.nice_fraction(graph, view),
-                qsd.restart_rate(view, sol),
-            ]
-        )
+    rows, per_community = zip(*(_qsd_community(config, graph, i, cap) for i in range(prm.m)))
+    diag = {"seed": used} | {key: [d[key] for d in per_community] for key in per_community[0]}
     tau_jump, diag["tau_jump_censored"] = sample_tau_jump(
         graph, starts=graph.community_vertices(0), reps=TAU_JUMP_REPS, seed=used
     )
-    return diag, (rows, tau_jump)
+    return diag, (list(rows), tau_jump)
+
+
+def _qsd_community(config: ExperimentConfig, graph: Digraph, i: int, cap: int):
+    """Community i's qsd CSV row and diagnostics, holding no other community's kernels.
+
+    The local P^T is dropped once q is read, since the rest reads only the
+    merged kernel, and the merged kernel dies on return.
+    """
+    view = qsd.community_view(graph, i)
+    merged = qsd.build_merged_kernel(view)
+    sol = qsd.quasi_stationary(view, merged)
+    q = qsd.restart_rate(view, sol)
+    drop_transition_operator(view.local)
+    t_mix, starts = qsd.mixing_time_estimate(merged, cap, config.sample_starts)
+    mass = qsd.return_mass(merged, t_mix)
+    hit = qsd.hitting_time_estimates(view, mass)
+    exhaustive = starts.size == merged.n_states
+    diag = {
+        "local_stationary": _solver_diagnostics(view.pi_local),
+        "qsd": {"iterations": sol.iterations, "residual": sol.residual},
+        "mixing_time_exhaustive": exhaustive,
+        "mixing_time_starts": int(starts.size),
+        # the witnesses as community labels; the last start is the merged state
+        "mixing_time_witnesses": [] if exhaustive else view.kept[starts[:-1]].tolist(),
+        "return_mass_horizon": mass.t_horizon,
+        "hitting_oracle": {"z": mass.z, "bound": mass.bound, "steps": mass.steps},
+    }
+    row = [i, sol.iota, qsd.iota_first_order(config.params), mass.r_tilde, t_mix]
+    row += [hit.estimate, hit.oracle, view.gate_labels.size, qsd.nice_fraction(graph, view), q]
+    return row, diag
 
 
 def _ks_exp1(x: np.ndarray) -> float:

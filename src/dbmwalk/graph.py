@@ -131,24 +131,21 @@ class Digraph:
     def rewired_out_degree(self) -> np.ndarray:
         """How many of each vertex's out-edges leave its community."""
         if "rewired_out_degree" not in self._cache:
-            self._cache["rewired_out_degree"] = np.bincount(
-                self.sources()[self.rewired], minlength=self.vertex_count
-            )
+            # an edge's source is the last vertex whose indptr entry is at
+            # most the edge's index, which skips vertices without edges
+            sources = np.searchsorted(self.indptr, np.flatnonzero(self.rewired), side="right") - 1
+            self._cache["rewired_out_degree"] = np.bincount(sources, minlength=self.vertex_count)
         return self._cache["rewired_out_degree"]
-
-    def sources(self) -> np.ndarray:
-        """Source vertex of every edge, aligned with ``targets``."""
-        if "sources" not in self._cache:
-            self._cache["sources"] = np.repeat(
-                np.arange(self.vertex_count, dtype=np.int64), self.out_degree
-            )
-        return self._cache["sources"]
 
     @property
     def rewired(self) -> np.ndarray:
         """Whether each edge leaves its source's community, aligned with ``targets``."""
         if "rewired" not in self._cache:
-            self._cache["rewired"] = self.targets // self.n != self.sources() // self.n
+            # community c's sources own the edges from indptr[c * n] to indptr[(c + 1) * n]
+            segments = zip(self.indptr[:: self.n], self.indptr[self.n :: self.n])
+            self._cache["rewired"] = np.concatenate(
+                [self.targets[lo:hi] // self.n != c for c, (lo, hi) in enumerate(segments)]
+            )
         return self._cache["rewired"]
 
     def community_vertices(self, i: int) -> np.ndarray:
@@ -178,20 +175,27 @@ def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.nd
     n, m, p, alpha = params.n, params.m, params.p, params.alpha
     nv = n * m
 
+    # per-edge temporaries are overwritten or dropped once read
     seg_targets = []
-    seg_counts = []
+    indptr = np.zeros(nv + 1, dtype=np.int64)
     for i in range(m):
         rng = derived_rng(params.seed, NS_GRAPH, i)
-        src_label, tgt_label = _community_edge_labels(rng, n, p)
-        target = rewire(rng, np.full(tgt_label.size, i), m, alpha) * n + tgt_label
+        key, label = _community_edge_labels(rng, n, p)  # key holds the source labels
+        indptr[i * n + 1 : (i + 1) * n + 1] = np.bincount(key, minlength=n)
+        # key becomes source * nv + target, the target community * n + label
+        key *= nv
+        key += label
+        del label
+        key += rewire(rng, np.full(key.size, i), m, alpha) * n
         # a source's targets are distinct: one integer sort restores their
         # order; the keys are nearly sorted, which the stable sort runs through
-        seg_targets.append(np.sort(src_label * nv + target, kind="stable") % nv)
-        seg_counts.append(np.bincount(src_label, minlength=n))
+        key.sort(kind="stable")
+        key %= nv
+        seg_targets.append(key)
 
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.concatenate(seg_counts), out=indptr[1:])
+    np.cumsum(indptr, out=indptr)
     graph = Digraph(n, m, indptr, np.concatenate(seg_targets), params=params)
+    del seg_targets
     return graph, graph.rewired_out_degree
 
 
@@ -229,11 +233,13 @@ def _community_edge_labels(
             more = np.cumsum(rng.geometric(p, size=batch // 4 + 16))
             tail = (cum[-1] if cum.size else 0) + more
             cum = np.concatenate([cum, tail])
-        pos = cum[cum <= line] - 1
+        # the positions increase, so the ones in the line are a prefix
+        pos = cum[: np.searchsorted(cum, line, side="right")] - 1
+        del cum
     src = pos // (n - 1)
-    slot = pos % (n - 1)
-    tgt = slot + (slot >= src)  # skip the diagonal: no self loops
-    return src.astype(np.int64), tgt.astype(np.int64)
+    pos %= n - 1
+    pos += pos >= src  # skip the diagonal: no self loops
+    return src, pos
 
 
 def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
@@ -242,20 +248,22 @@ def pre_rewiring_subgraph(graph: Digraph, i: int) -> Digraph:
     Every edge with a source in community i is restored to its original
     target (same label, community i); the result is the plain directed
     Erdos-Renyi graph the community was born as.  It is built once per
-    graph, so its own caches (connectivity, walk kernel) are shared by
-    every caller.
+    graph, so its own caches (connectivity, and the walk kernel until
+    ``walk.drop_transition_operator`` frees it) are shared by every caller.
     """
     key = ("community", i)
     if key not in graph._cache:
         n = graph.n
         lo, hi = i * n, (i + 1) * n
         e_lo, e_hi = graph.indptr[lo], graph.indptr[hi]
-        tgt = graph.targets[e_lo:e_hi] % n
-        src = graph.sources()[e_lo:e_hi] - lo
         indptr = graph.indptr[lo : hi + 1] - e_lo
+        edges = np.repeat(np.arange(0, n * n, n, dtype=np.int64), np.diff(indptr))
+        edges += graph.targets[e_lo:e_hi] % n
         # label restoration breaks the target order within each source only,
         # so the keys are nearly sorted, which the stable sort runs through
-        graph._cache[key] = Digraph(n, 1, indptr, np.sort(src * n + tgt, kind="stable") % n)
+        edges.sort(kind="stable")
+        edges %= n
+        graph._cache[key] = Digraph(n, 1, indptr, edges)
     return graph._cache[key]
 
 

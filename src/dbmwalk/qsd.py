@@ -53,10 +53,9 @@ class CommunityView:
 
     Rewiring keeps each vertex's edges, so ``local.out_degree`` is the
     full DBM out-degree of the community's vertices.  ``gate_mask`` (the
-    labels with a rewired out-edge) and ``survivor`` (the kernel
-    ``transition_operator(local)`` on the ``kept`` labels) are built
-    once: ``d_rewired``, in ``community_view`` a slice of the graph's
-    ``rewired_out_degree``, must not change after they are read.
+    labels with a rewired out-edge) is built once: ``d_rewired``, in
+    ``community_view`` a slice of the graph's ``rewired_out_degree``,
+    must not change after it is read.
     """
 
     i: int
@@ -84,17 +83,14 @@ class CommunityView:
     def kept(self) -> np.ndarray:
         return np.flatnonzero(~self.gate_mask)
 
-    @cached_property
-    def survivor(self) -> csr_matrix:
-        return transition_operator(self.local)[self.kept][:, self.kept]
-
 
 def community_view(graph: Digraph, i: int) -> CommunityView:
     """Assemble the per-community objects used by every routine here.
 
     ``local`` is the graph's cached pre-rewiring subgraph and
-    ``pi_local`` its ``local_stationary`` solve, so the subgraph, its
-    connectivity check and its kernel are built once per graph.  A
+    ``pi_local`` its ``local_stationary`` solve, so the subgraph and its
+    connectivity check are built once per graph, and its kernel once per
+    community pass.  A
     community without gates, from which the walk never escapes, is
     refused, as is one that is not strongly connected.
     """
@@ -102,14 +98,12 @@ def community_view(graph: Digraph, i: int) -> CommunityView:
     if not d_rewired.any():
         raise ValueError(f"community {i} has no rewired out-edge, so no gate to escape by")
     pi_local = local_stationary(graph, i)
-    view = CommunityView(
+    return CommunityView(
         i=i,
         local=pre_rewiring_subgraph(graph, i),
         pi_local=pi_local,
         d_rewired=d_rewired,
     )
-    view.survivor  # build the community kernel here, where it is traced
-    return view
 
 
 @dataclass
@@ -172,21 +166,26 @@ class QsdSolution:
     residual: float
 
 
-def quasi_stationary(view: CommunityView) -> QsdSolution:
+def quasi_stationary(view: CommunityView, merged: MergedKernel) -> QsdSolution:
     """Power iteration for the QSD of the walk killed at the gates.
 
     Iterates mu <- S mu / theta, theta = |S mu|_1, from uniform on the
     survivor kernel S, and returns the first mu whose eigen-residual
     ||S mu - theta mu||_1 is below STATIONARY_TOL, with iota = 1 - theta:
-    the stop rule of ``walk.stationary``.
+    the stop rule of ``walk.stationary``.  S is the kept block of
+    ``merged``, ``view``'s merged kernel, which holds each row's kept
+    entries in S's order; stepped with the merged state held at 0, the
+    gate column adds only zeros, so no survivor kernel is built and the
+    kept states are S mu bit for bit.
     """
     kept = view.kept
     if kept.size == 0:
         raise ValueError("every vertex is a gate; no survivor states")
-    sub = view.survivor
-    mu = np.full(kept.size, 1.0 / kept.size)
+    state = np.zeros(merged.n_states)  # the merged state stays 0
+    mu = state[: kept.size]
+    mu[:] = 1.0 / kept.size
     for it in range(STATIONARY_MAX_ITER):
-        nxt = sub @ mu
+        nxt = (merged.operator @ state)[: kept.size]
         theta = float(nxt.sum())
         if theta <= 0.0:
             raise RuntimeError("survivor kernel lost all mass; no QSD")
@@ -200,17 +199,10 @@ def quasi_stationary(view: CommunityView) -> QsdSolution:
                 iterations=it,
                 residual=residual,
             )
-        mu = nxt / theta
+        np.divide(nxt, theta, out=mu)
     raise RuntimeError(
         f"QSD iteration did not reach residual {STATIONARY_TOL} in {STATIONARY_MAX_ITER} steps"
     )
-
-
-def survival_curve(view: CommunityView, solution: QsdSolution, t_max: int) -> np.ndarray:
-    """Exact P(tau_gate > t) from the QSD, for t = 0..t_max."""
-    mu = solution.mu_star.values[view.kept]
-    steps = propagate(view.survivor, mu, range(1, t_max + 1))
-    return np.array([1.0] + [float(mu_t.sum()) for mu_t in steps])
 
 
 def iota_first_order(params: DbmParams) -> float:

@@ -119,6 +119,11 @@ def transition_operator(graph: Digraph) -> csr_matrix:
     return graph._cache["PT"]
 
 
+def drop_transition_operator(graph: Digraph) -> None:
+    """Free the P^T cached on ``graph``; ``transition_operator`` builds it again if asked."""
+    graph._cache.pop("PT", None)
+
+
 def propagate(
     operator: csr_matrix, columns: np.ndarray, times: Iterable[int]
 ) -> Iterator[np.ndarray]:

@@ -16,7 +16,13 @@ from scipy.sparse import csr_matrix, identity
 from scipy.sparse.linalg import spsolve
 
 from dbmwalk.graph import DbmParams, Digraph, generate
-from dbmwalk.walk import ProbVector
+from dbmwalk.walk import (
+    STATIONARY_MAX_ITER,
+    STATIONARY_TOL,
+    ProbVector,
+    propagate,
+    transition_operator,
+)
 
 
 # a fixed, derandomised hypothesis example set: the same cases on every run
@@ -234,6 +240,40 @@ def dense_start_steps(operator, pi: np.ndarray, starts: np.ndarray, cap: int):
     return blocks, tvs
 
 
+def survivor_kernel(view) -> csr_matrix:
+    """The survivor kernel S of a ``qsd.CommunityView``, built explicitly.
+
+    P^T on the kept labels: the gate-killed walk, which
+    ``qsd.quasi_stationary`` steps as the kept block of the merged kernel.
+    """
+    return transition_operator(view.local)[view.kept][:, view.kept]
+
+
+def survivor_power_iteration(view) -> tuple[np.ndarray, float, int]:
+    """The QSD power iteration stepped on ``survivor_kernel``: (mu on kept, iota, iterations).
+
+    mu <- S mu / theta from uniform until ||S mu - theta mu||_1 is below
+    ``walk.STATIONARY_TOL``: the reference ``qsd.quasi_stationary`` must
+    reproduce bit for bit.
+    """
+    sub = survivor_kernel(view)
+    mu = np.full(sub.shape[0], 1.0 / sub.shape[0])
+    for it in range(STATIONARY_MAX_ITER):
+        nxt = sub @ mu
+        theta = float(nxt.sum())
+        if float(np.abs(nxt - theta * mu).sum()) < STATIONARY_TOL:
+            return mu, 1.0 - theta, it
+        mu = nxt / theta
+    raise AssertionError("reference QSD iteration did not converge")
+
+
+def survival_curve(view, solution, t_max: int) -> np.ndarray:
+    """Exact P(tau_gate > t) from the QSD, for t = 0..t_max, on ``survivor_kernel``."""
+    mu = solution.mu_star.values[view.kept]
+    steps = propagate(survivor_kernel(view), mu, range(1, t_max + 1))
+    return np.array([1.0] + [float(mu_t.sum()) for mu_t in steps])
+
+
 def spsolve_hitting_oracle(view) -> float:
     """E_pi[tau_gate] of a ``qsd.CommunityView`` by a sparse direct solve.
 
@@ -243,7 +283,7 @@ def spsolve_hitting_oracle(view) -> float:
     """
     kept = view.kept
     # I - P on the kept states, as CSR (the survivor operator is P^T)
-    i_minus_p = identity(kept.size, format="csr") - view.survivor.T
+    i_minus_p = identity(kept.size, format="csr") - survivor_kernel(view).T
     h = spsolve(i_minus_p, np.ones(kept.size))
     return float((view.pi_local.values[kept] * h).sum())
 

@@ -22,6 +22,7 @@ from conftest import (
     params_from_edge_probability,
     q_matrix,
     random_sc_digraph,
+    survival_curve,
 )
 from test_annealed import exact_two_step_law, outcome_counts
 
@@ -42,7 +43,6 @@ from dbmwalk.qsd import (
     quasi_stationary,
     restart_process,
     return_mass,
-    survival_curve,
 )
 from dbmwalk.rng import NS_ANNEALED, NS_EXPERIMENT, derived_rng
 from dbmwalk.walk import (
@@ -97,8 +97,8 @@ def escape_sweep():
         row = {"relerr": [], "gate_ratio": [], "r_tilde": []}
         for i in range(SWEEP_PARAMS.m):
             view = community_view(graph, i)
-            sol = quasi_stationary(view)
             merged = build_merged_kernel(view)
+            sol = quasi_stationary(view, merged)
             t_mix, _ = mixing_time_estimate(merged, cap)
             mass = return_mass(merged, t_mix)
             row["relerr"].append(abs(sol.iota / first - 1.0))
@@ -166,7 +166,7 @@ def test_criterion_03_qsd_geometric_law():
         graph, _ = generate(params, 1)
         for i in range(2):
             view = community_view(graph, i)
-            sol = quasi_stationary(view)
+            sol = quasi_stationary(view, build_merged_kernel(view))
             keep = np.flatnonzero(~view.gate_mask)
             sub = dense_kernel(view.local)[np.ix_(keep, keep)]
             mu = sol.mu_star.values[keep]

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -733,6 +734,36 @@ def test_qsd_run_reads_the_hitting_oracle_above_2000_vertices(tmp_path):
         view = qsd.community_view(graph, int(row[0]))
         assert view.n > 2000 and oracle == record["z"] / view.gate_mass
         assert abs(oracle - spsolve_hitting_oracle(view)) <= record["bound"] / view.gate_mass
+
+
+# Traced peak of one full-size escape-n20000 seed (n = 20000, m = 2,
+# lambda = 2, alpha = 0.002): generation, acceptance, both communities'
+# escape pipeline and the tau_jump sampler.  tracemalloc, numpy 2.4.6,
+# scipy 1.17.1: 51.6-51.8 MB on seeds 1-4 and 101 while the graph cached a
+# per-edge source array, each view a survivor kernel and the next community
+# started beside the last one's kernels; 30.7-30.8 MB holding one
+# community's kernels at a time, the peak inside build_merged_kernel.  Each
+# of three leaks alone reads above the bound on seed 1: the cached source
+# array 37.4 MB, the local P^T kept past q 36.9 MB, the first community's
+# merged kernel kept through the second 35.7 MB.
+ESCAPE_SEED_PEAK_BOUND_MB = 34.0
+
+
+def test_an_escape_seed_holds_one_community_at_a_time(tmp_path):
+    config = super_config(
+        str(tmp_path), n=20000, lam=2.0, alpha=0.002, beta_grid=(0.5, 1.0, 2.0, 5.0)
+    )
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        experiments._qsd_seed(config, 1)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak_mb < ESCAPE_SEED_PEAK_BOUND_MB
 
 
 def test_qsd_run_fails_a_ks_verdict_whose_samples_are_all_censored(tmp_path, monkeypatch):

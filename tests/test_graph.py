@@ -228,27 +228,46 @@ def test_generated_edge_layout_is_pinned(prm, indptr_sha, targets_sha):
         assert hashlib.sha256(array.tobytes()).hexdigest() == want
 
 
+def check_edge_flags_against_explicit_sources(graph: Digraph) -> None:
+    """Check ``rewired`` per segment, ``rewired_out_degree`` and each pre-rewiring subgraph.
+
+    The reference for all three is an explicit ``np.repeat`` source array.
+    """
+    n, m = graph.n, graph.m
+    src = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
+    leaves = graph.targets // n != src // n
+    for c in range(m):
+        lo, hi = graph.indptr[c * n], graph.indptr[(c + 1) * n]
+        assert np.array_equal(graph.rewired[lo:hi], leaves[lo:hi])
+    assert graph.rewired.shape == graph.targets.shape
+    want = np.bincount(src[leaves], minlength=graph.vertex_count)
+    assert np.array_equal(graph.rewired_out_degree, want)
+    for c in range(m):
+        keep = src // n == c
+        labels, restored = src[keep] - c * n, graph.targets[keep] % n
+        order = np.lexsort((restored, labels))
+        sub = pre_rewiring_subgraph(graph, c)
+        assert np.array_equal(sub.indptr, np.append(0, np.cumsum(np.bincount(labels, minlength=n))))
+        assert np.array_equal(sub.targets, restored[order])
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(
     n=st.integers(2, 60),
-    m=st.integers(2, 4),
-    lam=st.floats(0.5, 2.5),
+    m=st.sampled_from([2, 3, 4, 5]),
+    lam=st.floats(0.2, 2.5),
     alpha=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_edge_layout_matches_independent_rederivations(n, m, lam, alpha, seed):
-    graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
+    # at lambda below 1 many vertices draw no out-edge, which the source
+    # lookup of rewired_out_degree must skip
+    graph, rewired_out_degree = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
+    assert rewired_out_degree is graph.rewired_out_degree
     validate(graph)
-    src = np.repeat(np.arange(graph.vertex_count), np.diff(graph.indptr))
-    # derived flags: exactly the edges whose target left the source's community
-    assert np.array_equal(graph.rewired, graph.targets // n != src // n)
+    check_edge_flags_against_explicit_sources(graph)
     for i in range(m):
-        keep = src // n == i
-        labels, restored = src[keep] - i * n, graph.targets[keep] % n
-        order = np.lexsort((restored, labels))
         sub = pre_rewiring_subgraph(graph, i)
-        assert np.array_equal(sub.indptr[1:], np.cumsum(np.bincount(labels, minlength=n)))
-        assert np.array_equal(sub.targets, restored[order])
         assert not sub.rewired.any()
         validate(sub)
     with tempfile.TemporaryDirectory() as tmp:
@@ -262,6 +281,20 @@ def test_edge_layout_matches_independent_rederivations(n, m, lam, alpha, seed):
         assert np.array_equal(getattr(loaded, name), getattr(graph, name))
         assert np.array_equal(getattr(loaded, name), getattr(redrawn, name))
     assert loaded.params == graph.params
+
+
+def test_edge_flags_skip_vertices_without_out_edges():
+    # a draw where a fifth of the vertices have no out-edge, and a hand-built
+    # graph whose empty vertices sit at both ends of the community segments
+    graph, _ = generate(DbmParams(n=200, m=3, lam=0.3, alpha=0.3, seed=4))
+    assert np.count_nonzero(graph.out_degree == 0) > 100
+    assert graph.rewired.any()
+    check_edge_flags_against_explicit_sources(graph)
+    edges = [(1, 2), (1, 3), (4, 5), (4, 0), (5, 7), (6, 8), (6, 4), (7, 6)]
+    built = digraph_from_edges(9, edges, m=3)
+    assert np.flatnonzero(built.out_degree == 0).tolist() == [0, 2, 3, 8]
+    assert built.rewired_out_degree.tolist() == [0, 1, 0, 0, 1, 1, 1, 0, 0]
+    check_edge_flags_against_explicit_sources(built)
 
 
 def test_roundtrip_binary(tmp_path):

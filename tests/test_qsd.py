@@ -23,6 +23,9 @@ from conftest import (
     leaving_out_degree,
     random_sc_digraph,
     spsolve_hitting_oracle,
+    survival_curve,
+    survivor_kernel,
+    survivor_power_iteration,
     uniform,
     validate,
 )
@@ -46,7 +49,6 @@ from dbmwalk.qsd import (
     restart_process,
     restart_rate,
     return_mass,
-    survival_curve,
 )
 from dbmwalk.walk import (
     START_STATE_LIMIT,
@@ -91,7 +93,7 @@ def test_qsd_on_complete_digraph_is_uniform():
     # killing at one vertex of a complete digraph leaves a symmetric
     # survivor kernel: QSD uniform, escape rate 1/(k-1), survival exact
     view = one_gate_complete_view(6)
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     assert sol.mu_star.values[0] == 0.0
     assert np.abs(sol.mu_star.values[1:] - 0.2).max() < 1e-12
     assert sol.iota == pytest.approx(0.2, abs=1e-12)
@@ -105,7 +107,7 @@ def test_qsd_requires_survivor_states():
     view = one_gate_complete_view(4)
     view.d_rewired[:] = 1
     with pytest.raises(ValueError, match="gate"):
-        quasi_stationary(view)
+        quasi_stationary(view, build_merged_kernel(view))
 
 
 def test_qsd_stops_on_the_stationary_residual_rule(small_community):
@@ -113,9 +115,9 @@ def test_qsd_stops_on_the_stationary_residual_rule(small_community):
     # rule walk.stationary stops on; a theta plateau of 50 steps is not
     # waited for
     _, view = small_community
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     mu = sol.mu_star.values[view.kept]
-    stepped = view.survivor @ mu
+    stepped = survivor_kernel(view) @ mu
     theta = float(stepped.sum())
     assert sol.iota == 1.0 - theta
     assert sol.residual == float(np.abs(stepped - theta * mu).sum())
@@ -138,7 +140,7 @@ def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
         pi_local=uniform(7, "community:0"),
         d_rewired=np.array([0, 0, 0, 0, 0, 0, 1]),
     )
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     assert 0.0 < sol.iota < 1.0
     # mass settles on the slower-leaking cycle
     assert sol.mu_star.values[:3].sum() > 0.99
@@ -146,12 +148,27 @@ def test_qsd_on_reducible_survivor_kernel_settles_on_slower_piece():
 
 def test_qsd_survival_is_geometric_on_generated_graph(small_community):
     _, view = small_community
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     assert 0.0 < sol.iota < 1.0
     assert sol.residual < 1e-11
     curve = survival_curve(view, sol, 50)
     want = (1.0 - sol.iota) ** np.arange(51)
     assert np.abs(curve - want).max() < 1e-9
+
+
+@pytest.mark.parametrize("m, seed", [(2, 1), (2, 2), (3, 3), (3, 4)])
+def test_qsd_on_the_merged_kernel_is_the_survivor_power_iteration(m, seed):
+    # the merged kernel stepped with its merged state held at 0 is the
+    # survivor kernel stepped: iota, mu* and the iteration count agree bit
+    # for bit with the power iteration on the explicit survivor kernel
+    graph, _ = generate(DbmParams(n=600, m=m, lam=3.0, alpha=0.02, seed=seed))
+    for i in range(m):
+        view = community_view(graph, i)
+        sol = quasi_stationary(view, build_merged_kernel(view))
+        mu, iota, iterations = survivor_power_iteration(view)
+        assert sol.iota == iota and sol.iterations == iterations
+        assert np.array_equal(sol.mu_star.values[view.kept], mu)
+        assert not sol.mu_star.values[view.gate_mask].any()
 
 
 def test_iota_first_order_value():
@@ -161,7 +178,7 @@ def test_iota_first_order_value():
 
 def test_iota_close_to_first_order(small_community):
     graph, view = small_community
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     want = iota_first_order(graph.params)
     assert abs(sol.iota - want) / want < 0.35
 
@@ -248,7 +265,7 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     merged = build_merged_kernel(view)
     assert merged.n_states == k + 1 and merged.merged_index == k
     # the kept block is the survivor kernel itself, entry for entry
-    assert np.array_equal(merged.operator[:k, :k].toarray(), view.survivor.toarray())
+    assert np.array_equal(merged.operator[:k, :k].toarray(), survivor_kernel(view).toarray())
     assert np.abs(merged.operator.T.toarray() - want).max() < 1e-14
     pi_tilde = merged.pi_tilde.values
     assert np.array_equal(pi_tilde, np.append(pi[kept], pi[gate].sum()))
@@ -283,7 +300,10 @@ def test_gate_pipeline_matches_dense_oracles(size, graph_seed, data):
     theta = float(np.abs(vals[order[0]]))
     second = float(np.abs(vals[order[1]])) if k > 1 else 0.0
     if theta > 0.0 and second <= 0.9 * theta:
-        sol = quasi_stationary(view)
+        sol = quasi_stationary(view, merged)
+        mu, iota, iterations = survivor_power_iteration(view)
+        assert (sol.iota, sol.iterations) == (iota, iterations)
+        assert np.array_equal(sol.mu_star.values[kept], mu)
         perron = vecs[:, order[0]].real
         perron /= perron.sum()
         assert abs(sol.iota - (1.0 - theta)) <= 1e-10 * (1.0 - theta)
@@ -695,7 +715,7 @@ def test_restart_first_success_is_geometric_with_sure_coins():
     # coin probability one at the single gate: tau_rho is the first gate
     # visit, geometric with rate 1/(k-1) from the uniform QSD
     view = one_gate_complete_view(6, coin=1.0)
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     reps = 5000
     samples = restart_process(view, sol, reps, seed=3)
     taus = np.array([s.tau_rho for s in samples if s.tau_rho is not None])
@@ -710,7 +730,7 @@ def test_restart_first_success_is_geometric_with_sure_coins():
 
 def test_restart_bookkeeping_invariants(small_community):
     _, view = small_community
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     samples = restart_process(view, sol, 300, seed=5)
     hit = 0
     for s in samples:
@@ -725,7 +745,8 @@ def test_restart_process_keeps_its_stream(small_community):
     # values computed before the sampler stepped only its running walkers:
     # the draws, their order and the per-run records are unchanged
     _, view = small_community
-    samples = restart_process(view, quasi_stationary(view), 24, seed=13)
+    sol = quasi_stationary(view, build_merged_kernel(view))
+    samples = restart_process(view, sol, 24, seed=13)
     assert [s.tau_rho for s in samples] == [
         29, 153, 5, 18, 65, 3, 12, 126, 10, 52, 4, 63,
         28, 75, 6, 6, 56, 41, 56, 133, 173, 24, 7, 24,
@@ -740,7 +761,8 @@ def test_restart_process_keeps_its_stream(small_community):
     # rare coins: four of six runs are censored at ceil(100 / iota) = 501
     # steps, and their gaps stop at the last gate visit
     view = one_gate_complete_view(6, coin=0.002)
-    samples = restart_process(view, quasi_stationary(view), 6, seed=2)
+    sol = quasi_stationary(view, build_merged_kernel(view))
+    samples = restart_process(view, sol, 6, seed=2)
     assert [s.tau_rho for s in samples] == [None, 495, None, None, None, 1]
     assert [len(s.sigma_list) for s in samples] == [104, 92, 93, 90, 107, 1]
     assert [int(s.sigma_list.sum()) for s in samples] == [495, 495, 499, 497, 501, 1]
@@ -757,7 +779,7 @@ def test_restart_stream_pin_holds_for_a_tiny_block(monkeypatch, small_community)
 
 def test_restart_gap_mean_and_independence(small_community):
     _, view = small_community
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     samples = restart_process(view, sol, 400, seed=7)
     gaps = np.concatenate([s.sigma_list for s in samples if len(s.sigma_list) >= 1])
     assert gaps.size > 500
@@ -778,7 +800,7 @@ def test_restart_jump_times_near_exponential_scale():
     params = DbmParams(n=600, m=2, lam=3.0, alpha=0.005, seed=17)
     graph, _ = generate(params, 17)
     view = community_view(graph, 0)
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     samples = restart_process(view, sol, 600, seed=9)
     taus = np.array(
         [s.tau_rho for s in samples if s.tau_rho is not None], dtype=float
@@ -798,7 +820,7 @@ def test_restart_sampler_draws_geometric_q(seed):
     # is conservative
     graph, _ = generate(DbmParams(n=500, m=2, lam=3.0, alpha=0.02, seed=seed), seed)
     view = community_view(graph, 0)
-    sol = quasi_stationary(view)
+    sol = quasi_stationary(view, build_merged_kernel(view))
     q = restart_rate(view, sol)
     assert 0.0 < q <= sol.iota
     samples = restart_process(view, sol, 10_000, seed=seed)
@@ -882,7 +904,7 @@ def test_power_iterations_raise_at_their_cap(monkeypatch):
     with pytest.raises(RuntimeError, match=f"^stationary {capped}"):
         stationary(graph)
     with pytest.raises(RuntimeError, match=f"^QSD {capped}"):
-        quasi_stationary(view)
+        quasi_stationary(view, build_merged_kernel(view))
 
 
 def test_community_view_shares_the_cached_subgraph(small_community):
@@ -891,8 +913,8 @@ def test_community_view_shares_the_cached_subgraph(small_community):
     pi = local_stationary(graph, 0)
     assert np.array_equal(view.pi_local.values, pi.values)
     # the escape pipeline reads the shared subgraph and must not change it
-    sol = quasi_stationary(view)
     merged = build_merged_kernel(view)
+    sol = quasi_stationary(view, merged)
     t_mix, _ = mixing_time_estimate(merged, cap=10_000)
     hitting_time_estimates(view, return_mass(merged, t_mix))
     restart_process(view, sol, 50, seed=1)

@@ -49,6 +49,7 @@ from dbmwalk.walk import (
     _step_walkers,
     collision_witnesses,
     community_mass,
+    drop_transition_operator,
     entropy_and_entropic_time,
     indegree_approximation,
     jump_target_frequencies,
@@ -131,6 +132,19 @@ def test_kernel_arrays_equal_the_coordinate_build():
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert got.shape == want.shape
+
+
+def test_a_dropped_kernel_is_built_again_equal():
+    drawn, _ = generate(DbmParams(n=300, m=2, lam=3.0, alpha=0.02, seed=2))
+    graph = pre_rewiring_subgraph(drawn, 0)
+    first = transition_operator(graph)
+    assert transition_operator(graph) is first  # cached
+    drop_transition_operator(graph)
+    drop_transition_operator(graph)  # dropping no kernel is a no-op
+    again = transition_operator(graph)
+    assert again is not first
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(again, name), getattr(first, name)), name
 
 
 def test_evolution_rejects_sink_mass():
