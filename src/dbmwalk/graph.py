@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .rng import NS_GRAPH, derived_rng
 
@@ -152,14 +151,44 @@ class Digraph:
         return np.arange(i * self.n, (i + 1) * self.n, dtype=np.int64)
 
     def is_strongly_connected(self) -> bool:
-        """Whether every vertex reaches every other; only the answer is cached."""
+        """Whether every vertex reaches every other; only the answer is cached.
+
+        That holds exactly when vertex 0 reaches every vertex and every
+        vertex reaches vertex 0: one reachability sweep along the edges and
+        one against them.
+        """
         if "strong" not in self._cache:
             nv = self.vertex_count
-            ones = np.ones(self.edge_count, dtype=np.int8)
+            ones = np.ones(self.edge_count, dtype=np.float32)
             adjacency = csr_matrix((ones, self.targets, self.indptr), shape=(nv, nv))
-            ncomp, _ = connected_components(adjacency, directed=True, connection="strong")
-            self._cache["strong"] = ncomp == 1
+            self._cache["strong"] = all(
+                _reach_from_zero(step) == nv for step in (adjacency.T, adjacency)
+            )
         return self._cache["strong"]
+
+
+def _reach_from_zero(step) -> int:
+    """How many vertices ``x -> step @ x`` spreads vertex 0's mark to, 0 included.
+
+    With ``step`` the transposed adjacency a sweep marks the out-neighbours
+    of the marked set, so the count is what vertex 0 reaches; with the
+    adjacency itself it marks in-neighbours, and the count is what reaches
+    vertex 0.  The marks enter as float32 ones and the test is ``> 0``:
+    an entry of ``step @ x`` is a sum of ones, and a positive sum of ones
+    never rounds to 0 in float32, at any degree.  The set grows until its
+    count stops, which takes vertex 0's eccentricity in that direction plus
+    1 sweeps, each O(edges); a set that reaches every vertex stops without
+    the last, confirming sweep (6 or 7 sweeps a direction on
+    ``escape-n20000``'s global graphs, 5 on their communities).
+    """
+    reached = np.zeros(step.shape[0], dtype=bool)
+    reached[0] = True
+    count, grown = 0, 1
+    while count < grown < reached.size:
+        count = grown
+        reached |= step @ reached.astype(np.float32) > 0
+        grown = np.count_nonzero(reached)
+    return grown
 
 
 def generate(params: DbmParams, seed: int | None = None) -> tuple[Digraph, np.ndarray]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 from scipy.sparse import csr_matrix, identity
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import spsolve
 
 from dbmwalk.graph import DbmParams, Digraph, generate
@@ -47,8 +48,12 @@ def params_from_edge_probability(n: int, m: int, p: float, alpha: float, seed: i
     return DbmParams(n=n, m=m, lam=p * n / math.log(n), alpha=alpha, seed=seed)
 
 
+def cycle_edges(k: int) -> list[tuple[int, int]]:
+    return [(v, (v + 1) % k) for v in range(k)]
+
+
 def cycle_digraph(k: int) -> Digraph:
-    return digraph_from_edges(k, [(v, (v + 1) % k) for v in range(k)])
+    return digraph_from_edges(k, cycle_edges(k))
 
 
 def complete_digraph(k: int) -> Digraph:
@@ -126,6 +131,14 @@ def random_sc_digraph(rng: np.random.Generator, size: int, extra: float = 2.0) -
             edges.add((int(s), int(t)))
             added += 1
     return digraph_from_edges(size, sorted(edges))
+
+
+def strongly_connected_oracle(graph: Digraph) -> bool:
+    """Whether ``graph`` is one strong component, by scipy's csgraph."""
+    nv = graph.vertex_count
+    adjacency = csr_matrix((np.ones(graph.edge_count), graph.targets, graph.indptr), shape=(nv, nv))
+    ncomp, _ = connected_components(adjacency, directed=True, connection="strong")
+    return ncomp == 1
 
 
 def out_neighbors(graph: Digraph, v: int) -> np.ndarray:

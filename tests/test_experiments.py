@@ -156,9 +156,17 @@ def test_ks_geometric_exp1_is_the_sup_over_a_dense_grid(q):
     assert grid <= exact <= grid + h, (exact - grid, h)
 
 
+def run_in_fresh_interpreter(code: str) -> None:
+    """Run ``code`` with the repo's ``src`` first on the path; it passes unless it raises."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_no_run_imports_scipy_stats():
     # the test modules import scipy.stats themselves, so look in a fresh interpreter
-    code = "\n".join([
+    run_in_fresh_interpreter("\n".join([
         "import sys",
         "import dbmwalk.cli",
         "from dbmwalk.experiments import ExperimentConfig",
@@ -168,11 +176,22 @@ def test_no_run_imports_scipy_stats():
         "ExperimentConfig.critical(n=500, m=2, lam=3.0, c=2.0, beta_grid=(0.5, 2.0))",
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy.stats'))",
         "assert not loaded, loaded",
-    ])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+    ]))
+
+
+def test_no_run_imports_scipy_linalg_or_csgraph():
+    # strong connectivity is two reachability sweeps, so neither the import
+    # nor a connectivity check loads csgraph or the linalg packages behind it
+    run_in_fresh_interpreter("\n".join([
+        "import sys",
+        "import dbmwalk.cli, dbmwalk.experiments",
+        "from dbmwalk.graph import DbmParams, generate, pre_rewiring_subgraph",
+        "graph, _ = generate(DbmParams(n=500, m=2, lam=3.0, alpha=0.02, seed=1))",
+        "assert graph.is_strongly_connected() and pre_rewiring_subgraph(graph, 0).is_strongly_connected()",
+        "banned = ('scipy.stats', 'scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')",
+        "loaded = sorted(m for m in sys.modules if m.startswith(banned))",
+        "assert not loaded, loaded",
+    ]))
 
 
 def test_subcritical_window():

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (
+    cycle_edges,
     digraph_from_edges,
     k_regular_digraph,
     leaving_out_degree,
     params_from_edge_probability,
     pre_rewiring_in_degree,
+    strongly_connected_oracle,
     validate,
 )
 from dbmwalk import graph as graph_module
@@ -550,6 +552,43 @@ def test_local_graphs_strongly_connected_whp():
         if pre_rewiring_subgraph(graph, 0).is_strongly_connected():
             hits += 1
     assert hits >= 19
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    n=st.integers(2, 60),
+    m=st.sampled_from([2, 3, 4]),
+    lam=st.floats(1.2, 2.8),
+    alpha=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strong_connectivity_matches_csgraph(n, m, lam, alpha, seed):
+    # at these densities about half the graphs and subgraphs are not strongly connected
+    graph, _ = generate(DbmParams(n=n, m=m, lam=lam, alpha=alpha, seed=seed))
+    for g in [graph] + [pre_rewiring_subgraph(graph, i) for i in range(m)]:
+        assert g.is_strongly_connected() == strongly_connected_oracle(g)
+
+
+# a cycle's vertex 0 has eccentricity k - 1, the most sweeps a check can take;
+# dropping the edge into vertex 0 leaves a path that 0 reaches but nothing
+# reaches back, and dropping one further on leaves a path 0 does not reach
+# through; a sink is reached by all and reaches none, a source the reverse
+STRONG_CONNECTIVITY_CASES = {
+    **{f"cycle{k}": (k, cycle_edges(k), True) for k in (2, 3, 1000)},
+    **{f"cycle{k}_without_its_edge_into_0": (k, cycle_edges(k)[:-1], False) for k in (2, 3, 1000)},
+    "cycle1000_without_one_middle_edge": (1000, cycle_edges(1000)[:500] + cycle_edges(1000)[501:], False),
+    "complete4_with_a_sink": (5, [(u, v) for u in range(4) for v in range(5) if u != v], False),
+    "complete4_with_a_source": (5, [(u, v) for u in range(5) for v in range(4) if u != v], False),
+    "sink_at_vertex_0": (3, [(1, 2), (2, 1), (1, 0)], False),
+}
+
+
+@pytest.mark.parametrize("size, edges, expected", STRONG_CONNECTIVITY_CASES.values(),
+                         ids=STRONG_CONNECTIVITY_CASES.keys())
+def test_strong_connectivity_on_fixed_graphs(size, edges, expected):
+    graph = digraph_from_edges(size, edges)
+    assert strongly_connected_oracle(graph) == expected
+    assert graph.is_strongly_connected() == expected
 
 
 def test_degree_extremes_interval_from_pmf():
